@@ -21,10 +21,9 @@ from .noise import NoisePath, aggregate_increments, build_path, \
 from .operators import Linearization, OperatorSpec, apply, linearize
 from .reference import closed_form_elliptic_1d, manufactured_semilinear_2d, \
     spectral_galerkin_spde
-from .seminorm import SeminormContext, seminorm, seminorm_squared, \
-    seminorm_squared_gradient
+from .seminorm import SeminormContext, seminorm, seminorm_squared
 from .spaces import GridFunction, MeasurementVector, TestSpace, \
     build_test_space, mass_matrix, project, stiffness_matrix, synthesize
-from .spde import SpdeConfig, Trajectory, integrate, step
+from .spde import SpdeConfig, Trajectory, integrate
 
 __version__ = "0.1.0"

@@ -4,31 +4,20 @@ Usage: nes-solve <experiment> [--config FILE] [--seed S] [--full-scale]
 [--out DIR] [--check].  The optional YAML config holds parameter overrides
 (plus optionally seed/out/full_scale); command-line flags win.  With
 --check the exit code is 2 when an acceptance threshold is violated.
-The only honored environment variable is NES_SOLVE_THREADS.
+The CLI reads no environment variables; cap BLAS threads with the BLAS
+library's own (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import yaml
 
 from .experiments import EXPERIMENTS, ExperimentConfig, check_thresholds, \
     run_experiment
-
-
-def _apply_thread_limit():
-    n = os.environ.get("NES_SOLVE_THREADS")
-    if not n:
-        return None
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return None
-    return threadpool_limits(limits=int(n))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,14 +51,9 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
 
-    limit = _apply_thread_limit()
-    try:
-        cfg = ExperimentConfig(args.experiment, int(seed), out_dir=out_dir,
-                               full_scale=full_scale, params=file_cfg)
-        report = run_experiment(cfg)
-    finally:
-        if limit is not None:
-            limit.unregister()
+    cfg = ExperimentConfig(args.experiment, int(seed), out_dir=out_dir,
+                           full_scale=full_scale, params=file_cfg)
+    report = run_experiment(cfg)
     json.dump(report["metrics"], sys.stdout, indent=2, sort_keys=True)
     print()
     if args.check:

@@ -7,9 +7,10 @@ equality-constrained quadratic program
     min_c  (Bc - r)^T A^{-1} (Bc - r) + gamma * c^T G c
     s.t.   C c = g
 
-through its KKT system.  The factored system is exposed separately
-(``KKTSystem``) so time steppers can reuse one factorization across many
-right-hand sides.
+with one solver, ``KKTSystem``: a null-space QR factorization of the
+whitened least-squares form, taken once per set of Gram blocks.  The outer
+loop reuses it while the blocks do not change (linear families), and the
+SPDE time stepper reuses it across all its right-hand sides.
 """
 
 from __future__ import annotations
@@ -97,57 +98,95 @@ class SolveReport:
                 zip(self.misfit_history, self.penalty_history)]
 
 
+def _gram_cholesky(g: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the feature Gram matrix, with a small
+    diagonal jitter ladder for matrices that are PSD only to round-off."""
+    scale = np.trace(g) / g.shape[0]
+    for bump in (0.0, 1e-13, 1e-11, 1e-9):
+        try:
+            return scipy.linalg.cholesky(
+                g + bump * scale * np.eye(g.shape[0]), lower=True)
+        except scipy.linalg.LinAlgError:
+            continue
+    raise DegenerateFeaturesError(
+        "feature Gram matrix is not positive definite", block="k_phi_phi")
+
+
+def _apply_q(h: np.ndarray, tau: np.ndarray, c: np.ndarray, side: str,
+             trans: str = "N") -> np.ndarray:
+    """Q c, Q^T c (side "L") or c Q (side "R") for Q held as Householder
+    reflectors (``scipy.linalg.qr(..., mode="raw")``), in place when ``c``
+    is Fortran-ordered."""
+    cq, _, info = scipy.linalg.lapack.dormqr(
+        side, trans, h, tau, c, max(1, 64 * max(c.shape)), overwrite_c=1)
+    if info != 0:
+        raise ValueError(f"dormqr failed (info={info})")
+    return cq
+
+
 class KKTSystem:
-    """Factored KKT matrix of the equality-constrained quadratic step."""
+    """The step QP factored once by the null-space method.
+
+    With G = L L^T and W the whitening of the test-space energy, the
+    objective is ||S c - d||^2 for S = [W B; sqrt(gamma) L^T] and
+    d = [W r; 0].  A QR of C^T = [Q1 Z] [R1; 0] splits c = Q1 y1 + Z y2;
+    the constraint fixes y1 = R1^{-T} g, and a QR of S Z = U T gives
+    y2 = T^{-1} U^T (d - S Q1 y1).  No normal equations are formed, so the
+    high-frequency features survive in double precision.  Coefficients and
+    multipliers are linear in (r, g); both maps are formed here, so each
+    ``solve`` is one matrix-vector product.
+    """
 
     def __init__(self, ctx: SeminormContext, blocks: GramBlocks,
                  gamma: float):
         self.ctx = ctx
         self.blocks = blocks
         self.gamma = gamma
-        b = blocks.k_chi_phi
-        c = blocks.k_x_phi
-        n = b.shape[0]
+        b, c = blocks.k_chi_phi, blocks.k_x_phi
+        n, self.n_primal = b.shape
         m = c.shape[0]
-        self._ainv_b = ctx.apply_inverse(b)
-        q = b.T @ self._ainv_b + gamma * blocks.k_phi_phi
-        q = 0.5 * (q + q.T)
-        kkt = np.zeros((n + 2 * m, n + 2 * m))
-        kkt[:n + m, :n + m] = q
-        kkt[:n + m, n + m:] = c.T
-        kkt[n + m:, :n + m] = c
-        self.matrix = kkt
-        self.n_primal = n + m
-        try:
-            self._lu = scipy.linalg.lu_factor(kkt)
-        except scipy.linalg.LinAlgError as exc:
+        (h, tau), r1 = scipy.linalg.qr(c.T, mode="raw")
+        r_diag = np.abs(np.diag(r1))
+        if not r_diag.min() > self.n_primal * np.finfo(float).eps * \
+                r_diag.max():
             raise DegenerateFeaturesError(
-                "KKT factorization failed", block=self._diagnose()) from exc
-        # the blocks span many orders of magnitude for high-mode features,
-        # so only an exactly vanishing pivot is treated as singular here;
-        # near-singularity surfaces through the residual check in solve()
-        u_diag = np.abs(np.diag(self._lu[0]))
-        if u_diag.min() == 0.0 or not np.all(np.isfinite(u_diag)):
-            raise DegenerateFeaturesError(
-                "KKT matrix is numerically singular",
-                block=self._diagnose())
-
-    def _diagnose(self) -> str:
-        c = self.blocks.k_x_phi
-        if c.shape[0] and np.linalg.matrix_rank(c) < c.shape[0]:
-            return "k_x_phi"
-        return "k_phi_phi"
+                "boundary features are linearly dependent", block="k_x_phi")
+        # allocated before the work arrays, so freeing those can return
+        # their memory to the system; the work arrays are Fortran-ordered
+        # and updated in place
+        self._solution = np.empty((self.n_primal + m, n + m))
+        sq = np.empty((n + self.n_primal, self.n_primal), order="F")
+        sq[:n] = ctx.whiten(b)
+        sq[n:] = _gram_cholesky(blocks.k_phi_phi).T
+        sq[n:] *= np.sqrt(gamma)
+        sq = _apply_q(h, tau, sq, "R")          # [S Q1, S Z]
+        sq1 = sq[:, :m]
+        sq1_sq = sq1.T @ sq
+        (hz, tauz), t = scipy.linalg.qr(sq[:, m:], overwrite_a=True,
+                                        mode="raw")
+        # y = Q^T c for unit right-hand sides, columns ordered (r, g)
+        y1 = scipy.linalg.solve_triangular(r1, np.eye(m), trans="T")
+        rhs = np.zeros((n + self.n_primal, n + m), order="F")
+        rhs[:n, :n] = ctx.whiten(np.eye(n))
+        sq1_w = sq1[:n].T @ rhs[:n, :n]
+        rhs[:, n:] = -sq1 @ y1
+        rhs = _apply_q(hz, tauz, rhs, "L", "T")[:self.n_primal - m]
+        y = np.zeros((self.n_primal, n + m), order="F")
+        y[:m, n:] = y1
+        y[m:] = scipy.linalg.solve_triangular(t, rhs)
+        # stationarity C^T mu = -2 S^T (S c - d), resolved along Q1
+        grad = sq1_sq @ y
+        grad[:, :n] -= sq1_w
+        mult = -2.0 * scipy.linalg.solve_triangular(r1, grad)
+        self._solution[:self.n_primal] = _apply_q(h, tau, y, "L")
+        self._solution[self.n_primal:] = mult
+        if not np.all(np.isfinite(self._solution)):
+            raise DegenerateFeaturesError("non-finite step solution",
+                                          block="k_phi_phi")
 
     def solve(self, r_entries: np.ndarray, g_boundary: np.ndarray):
-        """Coefficients and multipliers for one right-hand side, with one
-        pass of iterative refinement."""
-        rhs = np.concatenate([self._ainv_b.T @ r_entries, g_boundary])
-        x = scipy.linalg.lu_solve(self._lu, rhs)
-        resid = rhs - self.matrix @ x
-        x += scipy.linalg.lu_solve(self._lu, resid)
-        if not np.all(np.isfinite(x)):
-            raise DegenerateFeaturesError("non-finite KKT solution",
-                                          block=self._diagnose())
+        """Coefficients and multipliers for one right-hand side."""
+        x = self._solution @ np.concatenate([r_entries, g_boundary])
         return x[:self.n_primal], x[self.n_primal:]
 
     def loss_terms(self, coeffs: np.ndarray, r_entries: np.ndarray):
@@ -161,45 +200,8 @@ class KKTSystem:
 def constrained_ls_solve(ctx: SeminormContext, blocks: GramBlocks,
                          r_entries: np.ndarray, g_boundary: np.ndarray,
                          gamma: float):
-    """Stable solve of the step QP as an equality-constrained least squares.
-
-    The quadratic objective (Bc-r)^T A^{-1} (Bc-r) + gamma c^T G c is
-    rewritten with whitened residual rows stacked on top of the Cholesky
-    factor of G and handed to LAPACK's generalized-RQ routine (dgglse).
-    This avoids forming B^T A^{-1} B, whose squared conditioning loses the
-    high-frequency features in double precision.
-    """
-    b_w = ctx.whiten(blocks.k_chi_phi)
-    r_w = ctx.whiten(r_entries)
-    g = blocks.k_phi_phi
-    scale = np.trace(g) / g.shape[0]
-    g_chol = None
-    for bump in (0.0, 1e-13, 1e-11, 1e-9):
-        try:
-            g_chol = scipy.linalg.cholesky(
-                g + bump * scale * np.eye(g.shape[0]), lower=True)
-            break
-        except scipy.linalg.LinAlgError:
-            continue
-    if g_chol is None:
-        raise DegenerateFeaturesError(
-            "feature Gram matrix is not positive definite",
-            block="k_phi_phi")
-    stack = np.vstack([b_w, np.sqrt(gamma) * g_chol.T])
-    d = np.concatenate([r_w, np.zeros(blocks.k_phi_phi.shape[0])])
-    out = scipy.linalg.lapack.dgglse(stack, blocks.k_x_phi.copy(), d,
-                                     np.asarray(g_boundary, float).copy())
-    coeffs, info = out[3], out[-1]
-    if info != 0 or not np.all(np.isfinite(coeffs)):
-        raise DegenerateFeaturesError(
-            f"constrained least-squares solve failed (info={info})",
-            block="k_x_phi" if info == 1 else "k_phi_phi")
-    # multipliers from the stationarity condition of the Lagrangian
-    grad = 2.0 * (blocks.k_chi_phi.T @ ctx.apply_inverse(
-        blocks.k_chi_phi @ coeffs - r_entries) +
-        gamma * blocks.k_phi_phi @ coeffs)
-    mult = -np.linalg.lstsq(blocks.k_x_phi.T, grad, rcond=None)[0]
-    return coeffs, mult
+    """One-shot solve of the step QP: (coefficients, multipliers)."""
+    return KKTSystem(ctx, blocks, gamma).solve(r_entries, g_boundary)
 
 
 def gn_step(ctx: SeminormContext, blocks: GramBlocks, r_entries, g_boundary,
@@ -208,21 +210,19 @@ def gn_step(ctx: SeminormContext, blocks: GramBlocks, r_entries, g_boundary,
     """One linearized step; returns (Representer, (misfit, penalty))."""
     r = r_entries.entries if isinstance(r_entries, MeasurementVector) \
         else np.asarray(r_entries, dtype=float)
-    coeffs, mult = constrained_ls_solve(ctx, blocks, r,
-                                        np.asarray(g_boundary, float), gamma)
-    rep = Representer(coeffs, mult, features, kernel)
-    misfit = seminorm_squared(ctx, blocks.k_chi_phi @ coeffs - r)
-    penalty = gamma * float(coeffs @ (blocks.k_phi_phi @ coeffs))
-    return rep, (misfit, penalty)
+    kkt = KKTSystem(ctx, blocks, gamma)
+    coeffs, mult = kkt.solve(r, g_boundary)
+    return Representer(coeffs, mult, features, kernel), \
+        kkt.loss_terms(coeffs, r)
 
 
 def solve(op: OperatorSpec, xi: MeasurementVector, cfg: SolverConfig,
           u0: GridFunction = None):
     """Iterate linearize/assemble/step until the loss plateaus.
 
-    Returns the final Representer and a SolveReport.  Gram blocks are
-    rebuilt every iteration for nonlinear families (the linearization
-    coefficient changes) and reused otherwise.
+    Returns the final Representer and a SolveReport.  Gram blocks and
+    their factored KKTSystem are rebuilt every iteration for nonlinear
+    families (the linearization coefficient changes) and reused otherwise.
     """
     ctx = SeminormContext.build(cfg.space, cfg.s)
     dim = cfg.space.dim
@@ -240,14 +240,15 @@ def solve(op: OperatorSpec, xi: MeasurementVector, cfg: SolverConfig,
             fs = FeatureSet(cfg.space, lin.c_field.values, lin.nu_diff,
                             cfg.boundary_points, cfg.n_quad)
             blocks = assemble_features(cfg.kernel, fs, want_quad_eval=True)
+            kkt = KKTSystem(ctx, blocks, cfg.gamma)
         if op.is_linear:
             r = xi.entries
         else:
             r = xi.entries + project(lin.shift, cfg.space).entries
-        rep, (misfit, penalty) = gn_step(ctx, blocks, r, cfg.g_boundary,
-                                         cfg.gamma, features=fs,
-                                         kernel=cfg.kernel)
-        u_grid = (blocks.quad_eval @ rep.coefficients).reshape(shape)
+        coeffs, mult = kkt.solve(r, cfg.g_boundary)
+        misfit, penalty = kkt.loss_terms(coeffs, r)
+        rep = Representer(coeffs, mult, fs, cfg.kernel)
+        u_grid = (blocks.quad_eval @ coeffs).reshape(shape)
         loss = misfit + penalty
         if not np.isfinite(loss):
             raise DivergenceError("loss became non-finite", iteration=it)

@@ -9,7 +9,6 @@ aggregation sums blocks of fine increments pathwise.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,27 +78,6 @@ class NoisePath:
 
     def increment(self, step: int) -> MeasurementVector:
         return MeasurementVector(self.records[step], self.space)
-
-    def dump_csv(self, file_path: str):
-        with open(file_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step"] +
-                            [f"c{i}" for i in range(self.space.size)])
-            for k, row in enumerate(self.records):
-                writer.writerow([k] + [repr(float(v)) for v in row])
-
-    def save(self, file_path: str):
-        """Binary record of seed and parameters (increments regenerate)."""
-        np.savez(file_path, seed=self.seed, mode=self.mode, dt=self.dt,
-                 n_steps=self.n_steps, kind=self.space.kind,
-                 size=self.space.size)
-
-    @staticmethod
-    def load(file_path: str) -> "NoisePath":
-        with np.load(file_path) as data:
-            return build_path(int(data["seed"]), str(data["mode"]),
-                              float(data["dt"]), int(data["n_steps"]),
-                              int(data["size"]))
 
 
 def build_path(seed: int, mode: str, dt: float, n_steps: int,

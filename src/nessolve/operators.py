@@ -1,11 +1,11 @@
 """Differential operators, their linearizations, and spectral grid action.
 
-Four families are covered: a linear elliptic operator -nu*Lap(u) + u, a
-semilinear variant adding sin(pi*u), and the implicit left-hand sides
-u - dt*nu*Lap(u) of semi-implicit Euler steps for the heat and Allen-Cahn
-equations (the Allen-Cahn reaction term u - u^3 is treated explicitly and
-never appears here).  Laplacians of grid functions are applied spectrally
-through the type-I DST, which is exact for truncated sine series.
+Two families are covered: a linear elliptic operator -nu*Lap(u) + u and a
+semilinear variant adding sin(pi*u).  The SPDE stepper's implicit
+left-hand side u - dt*nu*Lap(u) is the linear form with diffusion dt*nu,
+which ``spde.Stepper`` assembles directly.  Laplacians of grid functions
+are applied spectrally through the type-I DST, which is exact for
+truncated sine series.
 """
 
 from __future__ import annotations
@@ -20,46 +20,32 @@ from .spaces import GridFunction
 __all__ = ["OperatorSpec", "Linearization", "apply", "linearize",
            "laplacian"]
 
-_LINEAR_FAMILIES = ("linear_elliptic", "backward_euler_heat",
-                    "backward_euler_allen_cahn")
-_FAMILIES = _LINEAR_FAMILIES + ("semilinear_sine",)
+_FAMILIES = ("linear_elliptic", "semilinear_sine")
 
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """An operator family with its diffusion coefficient and time step."""
+    """An operator family with its diffusion coefficient."""
 
     family: str
     nu_diff: float
-    dt: float = 0.0
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown operator family {self.family!r}")
         if self.nu_diff <= 0:
             raise ValueError("nu_diff must be positive")
-        if self.is_euler and self.dt <= 0:
-            raise ValueError("euler families require dt > 0")
-
-    @property
-    def is_euler(self) -> bool:
-        return self.family.startswith("backward_euler")
 
     @property
     def is_linear(self) -> bool:
-        return self.family in _LINEAR_FAMILIES
-
-    @property
-    def effective_diffusion(self) -> float:
-        """Diffusion coefficient of the (linearized) operator as assembled."""
-        return self.dt * self.nu_diff if self.is_euler else self.nu_diff
+        return self.family == "linear_elliptic"
 
 
 @dataclass(frozen=True)
 class Linearization:
     """Zeroth-order coefficient and affine shift of P'(u_n).
 
-    The linearized equation reads -nu_eff*Lap(v) + c(x) v = xi + shift with
+    The linearized equation reads -nu*Lap(v) + c(x) v = xi + shift with
     shift = P'(u_n)u_n - P(u_n), so the shift is zero for linear families
     and contains no derivatives of u_n otherwise.
     """
@@ -92,10 +78,8 @@ def laplacian(u: GridFunction) -> GridFunction:
 
 
 def apply(op: OperatorSpec, u: GridFunction) -> GridFunction:
-    """P(u) on u's grid (implicit left side only for euler families)."""
-    diffusion = -op.effective_diffusion * laplacian(u).values
-    if op.family == "linear_elliptic":
-        return GridFunction(diffusion + u.values)
+    """P(u) on u's grid."""
+    diffusion = -op.nu_diff * laplacian(u).values
     if op.family == "semilinear_sine":
         return GridFunction(diffusion + u.values + np.sin(np.pi * u.values))
     return GridFunction(diffusion + u.values)
@@ -105,15 +89,14 @@ def linearize(op: OperatorSpec, u_n: GridFunction) -> Linearization:
     """Frechet linearization of P at u_n.
 
     Returns the coefficient c(x) of the zeroth-order part of P'(u_n), the
-    effective diffusion, and the shift P'(u_n)u_n - P(u_n) that augments
+    diffusion, and the shift P'(u_n)u_n - P(u_n) that augments
     the right-hand side of the linearized solve.
     """
     v = u_n.values
     if op.family == "semilinear_sine":
         c = 1.0 + np.pi * np.cos(np.pi * v)
         shift = np.pi * v * np.cos(np.pi * v) - np.sin(np.pi * v)
-        return Linearization(GridFunction(c), op.effective_diffusion,
+        return Linearization(GridFunction(c), op.nu_diff,
                              GridFunction(shift))
-    return Linearization(GridFunction(np.ones_like(v)),
-                         op.effective_diffusion,
+    return Linearization(GridFunction(np.ones_like(v)), op.nu_diff,
                          GridFunction(np.zeros_like(v)))

@@ -10,8 +10,7 @@ import scipy.linalg
 from .spaces import MeasurementVector, TestSpace, stiffness_matrix, \
     stiffness_diagonal
 
-__all__ = ["SeminormContext", "seminorm", "seminorm_squared",
-           "seminorm_squared_gradient"]
+__all__ = ["SeminormContext", "seminorm", "seminorm_squared"]
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,3 @@ def seminorm_squared(ctx: SeminormContext, m) -> float:
 def seminorm(ctx: SeminormContext, m) -> float:
     """The discretized dual norm sqrt(m^T A^{-1} m)."""
     return float(np.sqrt(max(seminorm_squared(ctx, m), 0.0)))
-
-
-def seminorm_squared_gradient(ctx: SeminormContext, m) -> np.ndarray:
-    """Gradient 2 A^{-1} m of the squared seminorm in the measurements."""
-    return 2.0 * ctx.apply_inverse(_entries(ctx, m))

@@ -1,29 +1,30 @@
 """Semi-implicit Euler time stepping driven by the kernel solver.
 
 Each step solves the rough linear problem (I - dt*nu*Lap) u_{k+1} =
-u_k + dt*f(u_k) + sigma*dxi_k with the weak-norm kernel solver.  The
-operator is time-independent, so the KKT system is factored once and each
-step costs one right-hand-side assembly plus back-substitution.  The
-reaction term (u - u^3 for Allen-Cahn) is treated explicitly.
+u_k + dt*f(u_k) + sigma*dxi_k with the weak-norm kernel solver: the
+Gauss-Newton step QP of a linear elliptic operator with diffusion dt*nu.
+The operator is time-independent, so ``Stepper`` assembles its Gram blocks
+and factors one ``KKTSystem`` up front; each step then costs one
+projection of the right-hand side and one application of the precomputed
+solution map.  The reaction term (u - u^3 for Allen-Cahn) is treated
+explicitly.
 """
 
 from __future__ import annotations
 
-import csv
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateFeaturesError
-from .gauss_newton import KKTSystem, SolverConfig
+from .gauss_newton import KKTSystem
 from .kernels import FeatureSet, KernelSpec, assemble_features
 from .noise import NoisePath
 from .seminorm import SeminormContext
 from .spaces import GridFunction, MeasurementVector, TestSpace, \
     build_test_space, grid_points, project
 
-__all__ = ["SpdeConfig", "Trajectory", "Stepper", "step", "integrate",
+__all__ = ["SpdeConfig", "Trajectory", "Stepper", "integrate",
            "tent_sine_cross_gram"]
 
 
@@ -68,10 +69,6 @@ class SpdeConfig:
     def cfl_product(self) -> float:
         return self.space.size ** 2 * self.dt
 
-    @property
-    def operator_family(self) -> str:
-        return "backward_euler_" + self.family
-
     def drift(self, u: np.ndarray) -> np.ndarray:
         if self.family == "allen_cahn":
             return u - u ** 3
@@ -92,33 +89,6 @@ class Trajectory:
 
     def measurement(self, k: int) -> MeasurementVector:
         return MeasurementVector(self.measurements[k], self.space)
-
-    def dump_csv(self, file_path: str):
-        with open(file_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            n_grid = self.values.shape[1]
-            writer.writerow(["time"] + [f"u{i}" for i in range(n_grid)])
-            for t, row in zip(self.times, self.values):
-                writer.writerow([repr(float(t))] +
-                                [repr(float(v)) for v in row])
-
-    def save(self, file_path: str):
-        """Binary snapshots: header (grid size, dt, step count), payload
-        row-major doubles."""
-        dt = float(self.times[1] - self.times[0]) if len(self.times) > 1 \
-            else 0.0
-        with open(file_path, "wb") as fh:
-            fh.write(struct.pack("<qdq", self.values.shape[1], dt,
-                                 self.values.shape[0] - 1))
-            fh.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
-
-    @staticmethod
-    def load_values(file_path: str):
-        with open(file_path, "rb") as fh:
-            n_grid, dt, n_steps = struct.unpack("<qdq", fh.read(24))
-            values = np.frombuffer(fh.read(), dtype="<f8")
-        values = values.reshape(n_steps + 1, n_grid)
-        return values, dt
 
 
 def tent_sine_cross_gram(fem_space: TestSpace, n_modes: int) -> np.ndarray:
@@ -176,14 +146,6 @@ class Stepper:
             m = m + cfg.sigma * self._to_measurement(dxi)
         coeffs, _ = self.kkt.solve(m, np.zeros(2))
         return self.blocks.quad_eval @ coeffs
-
-
-def step(u_k: GridFunction, cfg: SpdeConfig,
-         dxi: MeasurementVector = None) -> GridFunction:
-    """One semi-implicit step (convenience wrapper building the stepper)."""
-    stepper = Stepper(cfg)
-    u = np.broadcast_to(u_k.values, (cfg.n_quad,)).copy()
-    return GridFunction(stepper.step(u, dxi))
 
 
 def integrate(cfg: SpdeConfig, path: NoisePath = None) -> Trajectory:

@@ -100,6 +100,32 @@ def test_degenerate_gram_raises():
         constrained_ls_solve(ctx, bad, np.zeros(n), np.zeros(m), 1e-6)
 
 
+def test_factored_system_reused_across_right_hand_sides():
+    ctx, blocks, _, _, gamma = _tiny_problem()
+    kkt = KKTSystem(ctx, blocks, gamma)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        r = rng.standard_normal(ctx.space.size)
+        g = rng.standard_normal(2)
+        coeffs, mult = kkt.solve(r, g)
+        fresh_coeffs, fresh_mult = constrained_ls_solve(ctx, blocks, r, g,
+                                                        gamma)
+        assert np.max(np.abs(coeffs - fresh_coeffs)) <= \
+            1e-12 * max(1.0, np.abs(fresh_coeffs).max())
+        assert np.max(np.abs(mult - fresh_mult)) <= \
+            1e-12 * max(1.0, np.abs(fresh_mult).max())
+
+
+def test_rank_deficient_constraints_raise():
+    ctx, blocks, _, _, gamma = _tiny_problem()
+    c = blocks.k_x_phi
+    bad = GramBlocks(blocks.k_chi_phi, np.vstack([c[0], c[0]]),
+                     blocks.k_phi_phi)
+    with pytest.raises(DegenerateFeaturesError) as info:
+        KKTSystem(ctx, bad, gamma)
+    assert info.value.block == "k_x_phi"
+
+
 def test_solver_config_validation():
     sp = build_test_space("sine1d", 4)
     with pytest.raises(ValueError):

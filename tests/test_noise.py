@@ -4,8 +4,6 @@ Monte Carlo bounds use fixed seeds and sample sizes chosen so the checked
 intervals sit at least five standard errors out.
 """
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -119,27 +117,6 @@ def test_aggregated_variance():
         fine = build_path(seed, "spectral", dt_fine, 4, 1)
         vals[seed] = aggregate_increments(fine, 4).records[0, 0]
     assert vals.var() == pytest.approx(4 * dt_fine, rel=0.05)
-
-
-def test_path_save_load_round_trip(tmp_path):
-    p = build_path(11, "fem", 0.02, 6, 5)
-    f = str(tmp_path / "path.npz")
-    p.save(f)
-    q = NoisePath.load(f)
-    assert q.seed == p.seed and q.mode == p.mode and q.dt == p.dt
-    assert np.array_equal(q.records, p.records)
-
-
-def test_path_dump_csv(tmp_path):
-    p = build_path(3, "spectral", 0.1, 4, 2)
-    f = tmp_path / "path.csv"
-    p.dump_csv(str(f))
-    with open(f) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["step", "c0", "c1"]
-    assert len(rows) == 5
-    got = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-    assert np.array_equal(got, p.records)
 
 
 def test_path_metadata_validation():

@@ -49,35 +49,21 @@ def test_apply_semilinear():
     assert np.allclose(got, expect, atol=1e-9)
 
 
-def test_apply_backward_euler_multiplier():
-    nu, dt = 0.025, 0.1
-    op = OperatorSpec("backward_euler_heat", nu, dt=dt)
-    u = _mode(1)
-    got = apply(op, u).values
-    assert np.allclose(got, (1.0 + dt * nu * np.pi ** 2) * u.values,
-                       atol=1e-10)
-    assert op.effective_diffusion == pytest.approx(dt * nu)
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         OperatorSpec("biharmonic", 1.0)
     with pytest.raises(ValueError):
         OperatorSpec("linear_elliptic", 0.0)
-    with pytest.raises(ValueError):
-        OperatorSpec("backward_euler_heat", 1.0)   # missing dt
     assert OperatorSpec("semilinear_sine", 1.0).is_linear is False
     assert OperatorSpec("linear_elliptic", 1.0).is_linear is True
 
 
 def test_linearize_linear_families():
-    for fam, kw in [("linear_elliptic", {}),
-                    ("backward_euler_heat", {"dt": 0.01})]:
-        op = OperatorSpec(fam, 0.5, **kw)
-        lin = linearize(op, _mode(2))
-        assert np.allclose(lin.c_field.values, 1.0)
-        assert np.allclose(lin.shift.values, 0.0)
-        assert lin.nu_diff == pytest.approx(op.effective_diffusion)
+    op = OperatorSpec("linear_elliptic", 0.5)
+    lin = linearize(op, _mode(2))
+    assert np.allclose(lin.c_field.values, 1.0)
+    assert np.allclose(lin.shift.values, 0.0)
+    assert lin.nu_diff == pytest.approx(op.nu_diff)
 
 
 def test_linearize_semilinear_coefficient():

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from nessolve.seminorm import SeminormContext, seminorm, seminorm_squared, \
-    seminorm_squared_gradient
+from nessolve.seminorm import SeminormContext, seminorm, seminorm_squared
 from nessolve.spaces import MeasurementVector, build_test_space, \
     stiffness_matrix
 
@@ -30,25 +29,6 @@ def test_homogeneity_and_triangle():
     assert seminorm(ctx, 3.5 * m) == pytest.approx(3.5 * seminorm(ctx, m),
                                                    rel=1e-12)
     assert seminorm(ctx, m + v) <= seminorm(ctx, m) + seminorm(ctx, v) + 1e-12
-
-
-def test_gradient():
-    ctx = _sine_ctx(6, 1.0)
-    assert np.allclose(seminorm_squared_gradient(ctx, np.zeros(6)), 0.0)
-    g = seminorm_squared_gradient(ctx, np.array([1, 0, 0, 0, 0, 0.0]))
-    assert g[0] == pytest.approx(2.0 / np.pi ** 2, rel=1e-14)
-    assert np.allclose(g[1:], 0.0)
-    # finite-difference check
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal(6)
-    g = seminorm_squared_gradient(ctx, m)
-    h = 1e-6
-    for k in range(6):
-        e = np.zeros(6)
-        e[k] = h
-        fd = (seminorm_squared(ctx, m + e) - seminorm_squared(ctx, m - e)) \
-            / (2 * h)
-        assert fd == pytest.approx(g[k], rel=1e-6, abs=1e-9)
 
 
 def test_nested_monotonicity_and_decomposition():

@@ -1,15 +1,15 @@
 """Tests for the kernel-driven semi-implicit Euler time stepper."""
 
-import csv
-
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 
 from nessolve.kernels import KernelSpec
 from nessolve.noise import build_path
-from nessolve.spaces import GridFunction, build_test_space, grid_points
-from nessolve.spde import SpdeConfig, Stepper, Trajectory, integrate, step, \
+from nessolve.spaces import GridFunction, build_test_space, grid_points, \
+    project
+from nessolve.spde import SpdeConfig, Stepper, integrate, \
     tent_sine_cross_gram
 
 
@@ -48,8 +48,7 @@ def test_single_mode_attenuation():
     x = grid_points(cfg.n_quad)
     a = 0.3
     u0 = GridFunction(a * np.sqrt(2) * np.sin(np.pi * x))
-    u1 = step(u0, cfg)
-    from nessolve.spaces import project
+    u1 = GridFunction(Stepper(cfg).step(u0.values))
     coeffs = project(u1, cfg.space).entries
     factor = a / (1.0 + cfg.dt * cfg.nu * np.pi ** 2)
     assert abs(coeffs[0] - factor) <= 1e-6
@@ -84,7 +83,7 @@ def test_allen_cahn_explicit_euler_limit():
                      dt=dt, kernel=KernelSpec("matern52", 0.05),
                      gamma=1e-12)
     u0 = GridFunction(np.full(cfg.n_quad, 0.5))
-    u1 = step(u0, cfg)
+    u1 = GridFunction(Stepper(cfg).step(u0.values))
     mid = cfg.n_quad // 2
     assert u1.values[mid] == pytest.approx(0.5 + dt * 0.375, abs=1e-6)
 
@@ -174,20 +173,27 @@ def test_fem_measurement_path():
     assert np.array_equal(t1.values, t2.values)
 
 
-def test_trajectory_round_trips(tmp_path):
-    t = np.linspace(0, 1, 5)
-    vals = np.random.default_rng(0).standard_normal((5, 7))
-    traj = Trajectory(t, vals, np.zeros((5, 2)),
-                      build_test_space("sine1d", 2))
-    f = str(tmp_path / "traj.bin")
-    traj.save(f)
-    back, dt = Trajectory.load_values(f)
-    assert np.array_equal(back, vals)
-    assert dt == pytest.approx(0.25)
-    c = tmp_path / "traj.csv"
-    traj.dump_csv(str(c))
-    with open(c) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][0] == "time" and len(rows) == 6
-    got = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-    assert np.array_equal(got, vals)
+def test_heat_step_matches_dgglse_under_refinement():
+    # at n_fem=256 with dt scaled to the mesh the normal-equations KKT
+    # matrix has condition ~1e21; the factored step must still agree with
+    # LAPACK's generalized-RQ least-squares solve on the grid
+    n_fem, dt = 256, 2.0 ** -16
+    cfg = SpdeConfig(family="heat", nu=0.025, sigma=0.0, t_final=dt, dt=dt,
+                     space=build_test_space("fem1d", n_fem),
+                     kernel=KernelSpec("matern52", 0.05), gamma=1e-10)
+    stepper = Stepper(cfg)
+    x = grid_points(cfg.n_quad)
+    u = np.sin(np.pi * x) + 0.1 * np.sin(17 * np.pi * x)
+    got = stepper.step(u)
+
+    ctx, blocks = stepper.ctx, stepper.blocks
+    g_chol = scipy.linalg.cholesky(blocks.k_phi_phi, lower=True)
+    stack = np.vstack([ctx.whiten(blocks.k_chi_phi),
+                       np.sqrt(cfg.gamma) * g_chol.T])
+    m = project(GridFunction(u), cfg.space).entries
+    d = np.concatenate([ctx.whiten(m), np.zeros(g_chol.shape[0])])
+    out = scipy.linalg.lapack.dgglse(stack, blocks.k_x_phi.copy(), d,
+                                     np.zeros(2))
+    assert out[-1] == 0
+    ref = blocks.quad_eval @ out[3]
+    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
