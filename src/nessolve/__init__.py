@@ -9,12 +9,12 @@ stepping, spectral reference solvers, and a benchmark CLI (``nes-solve``).
 """
 
 from .errors import DegenerateFeaturesError, DivergenceError, \
-    ResolutionTooCoarseError, UnsupportedExponentError
+    ResolutionTooCoarseError, StageError, UnsupportedExponentError
 from .experiments import ExperimentConfig, run_experiment
 from .gauss_newton import Representer, SolveReport, SolverConfig, evaluate, \
     gn_step, solve
 from .kernels import FeatureSet, GramBlocks, KernelSpec, assemble_features, \
-    evaluate_features, kernel_dx, kernel_eval, kernel_matrix
+    evaluate_features, kernel_eval, kernel_matrix
 from .metrics import fit_rate, rel_l2_error, space_time_l2_error
 from .noise import NoisePath, aggregate_increments, build_path, \
     sample_white_noise_spectral, sample_wiener_increment

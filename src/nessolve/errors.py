@@ -23,3 +23,16 @@ class DivergenceError(RuntimeError):
     def __init__(self, message, iteration=None):
         super().__init__(message)
         self.iteration = iteration
+
+
+class StageError(RuntimeError):
+    """An experiment stage failed; ``cause`` is the original exception.
+
+    The cause keeps its type and attributes (``DegenerateFeaturesError.block``,
+    ``DivergenceError.iteration``) and is also chained as ``__cause__``.
+    """
+
+    def __init__(self, stage, cause):
+        super().__init__(f"experiment stage '{stage}' failed: {cause}")
+        self.stage = stage
+        self.cause = cause

@@ -18,6 +18,7 @@ import numpy as np
 import scipy
 
 from . import metrics, noise, operators, reference, spde
+from .errors import StageError
 from .gauss_newton import SolverConfig, gn_step, solve
 from .kernels import FeatureSet, KernelSpec, assemble_collocation, \
     assemble_features, evaluate_collocation
@@ -99,8 +100,7 @@ def _stage(name: str):
     try:
         yield
     except Exception as exc:
-        raise RuntimeError(f"experiment stage '{name}' failed: {exc}") \
-            from exc
+        raise StageError(name, exc) from exc
 
 
 def _boundary_1d():

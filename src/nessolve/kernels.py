@@ -4,10 +4,15 @@ Operator features are weak integrals of the linearized operator applied to
 the kernel: for sine test functions the Laplacian is moved onto the test
 function (exactly, via its eigenvalue), for fem tent functions one
 integration by parts is used.  Either way every feature reduces to weighted
-sums of kernel values (and, for fem, first kernel derivatives) on a
-quadrature grid, so all Gram blocks are products of weight matrices with
-pairwise kernel matrices.  The pairwise matrix is streamed in row chunks
-when it is too large to hold.
+sums of kernel values (and, for fem, first kernel derivatives) on a uniform
+quadrature grid, so every Gram block is a weight matrix times a pairwise
+kernel matrix.
+
+On the grid itself that pairwise matrix depends only on the offset between
+nodes (Toeplitz in 1D, block-Toeplitz in 2D), so the grid-by-grid products
+are correlations computed with FFTs of a circulant embedding of the kernel;
+no grid-by-grid matrix is ever formed.  Products against the boundary
+points and against arbitrary evaluation points are small and stay dense.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.spatial.distance import cdist
 
 from . import spaces
@@ -26,7 +32,6 @@ __all__ = [
     "FeatureSet",
     "GramBlocks",
     "kernel_eval",
-    "kernel_dx",
     "kernel_matrix",
     "assemble_features",
     "evaluate_features",
@@ -34,8 +39,8 @@ __all__ = [
     "evaluate_collocation",
 ]
 
-# max elements of a pairwise kernel block held at once
-_CHUNK_ELEMENTS = 2 ** 24
+# elements of the FFT work buffers of one row block in _grid_product
+_FFT_BLOCK_ELEMENTS = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -120,21 +125,6 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
     return float(_matern52(spec, np.asarray(r)))
 
 
-def kernel_dx(spec: KernelSpec, x, y) -> np.ndarray:
-    """Gradient of the kernel in its first argument."""
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    yv = np.atleast_1d(np.asarray(y, dtype=float))
-    diff = xv - yv
-    r = np.linalg.norm(diff)
-    a = np.sqrt(5.0) / spec.length_scale
-    return -(a ** 2 / 3.0) * (1.0 + a * r) * np.exp(-a * r) * diff
-
-
-def kernel_dxx_1d(spec: KernelSpec, x: float, y: float) -> float:
-    """Second derivative in the first argument, 1D (equals -d^2/dxdy)."""
-    return -float(_matern52_d11(spec, np.asarray(x - y)))
-
-
 def kernel_matrix(spec: KernelSpec, x, y=None) -> np.ndarray:
     return _pairwise(spec, x, x if y is None else y, "val")
 
@@ -208,8 +198,8 @@ class GramBlocks:
     """The three matrices of the per-step saddle-point system.
 
     ``quad_eval`` (optional) evaluates a representer on the quadrature
-    grid: values = quad_eval @ coefficients.  It reuses the streamed
-    products already formed during assembly, so requesting it is free.
+    grid: values = quad_eval @ coefficients.  It reuses the grid products
+    already formed during assembly, so requesting it is free.
     """
 
     k_chi_phi: np.ndarray     # N x (N+M)
@@ -218,34 +208,61 @@ class GramBlocks:
     quad_eval: np.ndarray = None
 
 
-def _weighted_product(spec: KernelSpec, w_left: np.ndarray,
-                      left_pts: np.ndarray, right_pts: np.ndarray,
-                      kind: str = "val") -> np.ndarray:
-    """w_left @ M with M the pairwise matrix, streamed over left rows."""
-    n_left = left_pts.shape[0] if left_pts.ndim > 1 else left_pts.shape[0]
-    n_right = _as_points(right_pts).shape[0]
-    chunk = max(1, _CHUNK_ELEMENTS // max(n_right, 1))
-    if n_left <= chunk:
-        return w_left @ _pairwise(spec, left_pts, right_pts, kind)
-    out = np.zeros((w_left.shape[0], n_right))
-    for lo in range(0, n_left, chunk):
-        hi = min(lo + chunk, n_left)
-        out += w_left[:, lo:hi] @ _pairwise(spec, left_pts[lo:hi],
-                                            right_pts, kind)
+def _grid_product(spec: KernelSpec, w: np.ndarray, n_quad: int, dim: int,
+                  kind: str = "val") -> np.ndarray:
+    """w @ M(grid, grid) on the uniform grid of ``n_quad`` points per dim.
+
+    M[k, l] = f(x_k - x_l) depends only on the lattice offset, so each row
+    of the product is a correlation of the weight row with f sampled at the
+    signed offsets j*h, |j| <= q-1.  Those samples fill a circulant of
+    length P >= 2q-1 per dim, which keeps positive and negative offsets
+    apart (the odd ``d1`` kernel keeps its sign); the correlation is then
+    one product of spectra, cropped back to the grid.  Grid rows are
+    x-major, as in ``grid_points``.  Kinds: ``val`` in 1D and 2D, ``d1``
+    and ``d11`` in 1D.
+    """
+    q = n_quad
+    if dim != 1 and kind != "val":
+        raise ValueError("derivative kernels are 1D only")
+    size = next_fast_len(2 * q - 1, real=True)
+    j = np.arange(size)
+    t = np.where(j < q, j, j - size) / (q - 1)      # signed offsets
+    if dim == 2:
+        c = _matern52(spec, np.hypot(t[:, None], t[None, :]))
+    elif kind == "val":
+        c = _matern52(spec, np.abs(t))
+    elif kind == "d1":
+        c = _matern52_d1(spec, t)
+    elif kind == "d11":
+        c = _matern52_d11(spec, t)
+    else:
+        raise ValueError(f"unknown grid product kind {kind!r}")
+    shape = (size,) * dim
+    axes = tuple(range(1, dim + 1))
+    c_hat = np.conj(rfftn(c, shape))
+    crop = (slice(None),) + (slice(0, q),) * dim
+
+    out = np.empty((w.shape[0], q ** dim))
+    block = max(1, _FFT_BLOCK_ELEMENTS // size ** dim)
+    for lo in range(0, w.shape[0], block):
+        rows = w[lo:lo + block].reshape((-1,) + (q,) * dim)
+        f = rfftn(rows, shape, axes=axes)
+        f *= c_hat
+        out[lo:lo + block] = \
+            irfftn(f, shape, axes=axes)[crop].reshape(rows.shape[0], -1)
     return out
 
 
 def _operator_blocks(spec: KernelSpec, fs: FeatureSet, right_pts):
-    """K(chi_i, .) evaluated against kernel features at ``right_pts``.
+    """Features paired with K(., y_l) for the points ``right_pts`` (dense).
 
-    Returns (value_part, derivative_pairing) where the first is the block
-    pairing features with K(., y_l) and the second with d/dy K(., y_l)
-    (fem only, None otherwise).
+    Row i is chi_i applied to K(., y_l); for fem the derivative weights
+    pair with d/dx K(x, y_l).
     """
-    val = _weighted_product(spec, fs.weights_val, fs.quad_points, right_pts)
+    val = fs.weights_val @ _pairwise(spec, fs.quad_points, right_pts)
     if fs.weights_der is not None:
-        val = val + _weighted_product(spec, fs.weights_der, fs.quad_points,
-                                      right_pts, "d1")
+        val = val + fs.weights_der @ _pairwise(spec, fs.quad_points,
+                                               right_pts, "d1")
     return val
 
 
@@ -253,20 +270,20 @@ def assemble_features(spec: KernelSpec, fs: FeatureSet,
                       want_quad_eval: bool = False) -> GramBlocks:
     """All Gram blocks of the operator and boundary features."""
     n, m = fs.n_features, fs.n_boundary
-    grid = fs.quad_points
+    q, dim = fs.n_quad, fs.space.dim
     wv, wd = fs.weights_val, fs.weights_der
 
     # T[i, k] = chi_i applied (in x) to K(x, grid_k)
-    t_val = _weighted_product(spec, wv, grid, grid)
+    t_val = _grid_product(spec, wv, q, dim)
     if wd is not None:
-        t_val = t_val + _weighted_product(spec, wd, grid, grid, "d1")
+        t_val = t_val + _grid_product(spec, wd, q, dim, "d1")
 
     k_cc = t_val @ wv.T
     if wd is not None:
         # pair the remaining y-derivative of K with the fem derivative
         # weights: d/dy K(x, y) = -d1(x - y)
-        t_dy = -_weighted_product(spec, wv, grid, grid, "d1")
-        t_dy = t_dy + _weighted_product(spec, wd, grid, grid, "d11")
+        t_dy = -_grid_product(spec, wv, q, dim, "d1")
+        t_dy = t_dy + _grid_product(spec, wd, q, dim, "d11")
         k_cc = k_cc + t_dy @ wd.T
     k_cc = 0.5 * (k_cc + k_cc.T)
 
@@ -283,7 +300,8 @@ def assemble_features(spec: KernelSpec, fs: FeatureSet,
     if want_quad_eval:
         # t_val[i, k] is exactly K(., chi_i) at grid_k; append boundary rows
         quad_eval = np.vstack([t_val,
-                               _pairwise(spec, fs.boundary_points, grid)]).T
+                               _pairwise(spec, fs.boundary_points,
+                                         fs.quad_points)]).T
     return GramBlocks(k_chi_phi, k_x_phi, k_phi_phi, quad_eval)
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "stiffness_matrix",
     "mass_matrix",
     "project",
+    "tent_projection_weights",
     "synthesize",
     "grid_points",
     "trapezoid_weights",
@@ -226,15 +227,25 @@ def project(f: GridFunction, space: TestSpace) -> MeasurementVector:
     if space.kind == "fem1d":
         if v.ndim != 1:
             raise ValueError("fem1d projection expects a 1D grid function")
-        g = v.shape[0]
-        if g - 1 < 2 * (space.size + 1):
-            raise ResolutionTooCoarseError(
-                "grid too coarse for the tent-function mesh")
-        x = grid_points(g)
-        w = trapezoid_weights(g)
-        phi = basis_values(space, x)          # N x G
-        return MeasurementVector(phi @ (w * v), space)
+        weights = tent_projection_weights(space, v.shape[0])
+        return MeasurementVector(weights @ v, space)
     raise ValueError(f"unknown kind {space.kind!r}")
+
+
+def tent_projection_weights(space: TestSpace, n_points: int) -> np.ndarray:
+    """The N x G matrix of the fem1d projection by trapezoid quadrature.
+
+    ``project(f, space).entries == tent_projection_weights(space, G) @ f``
+    for a 1D grid function of G points; callers that project many fields on
+    one grid form it once.
+    """
+    if space.kind != "fem1d":
+        raise ValueError("tent projection weights are defined for fem1d")
+    if n_points - 1 < 2 * (space.size + 1):
+        raise ResolutionTooCoarseError(
+            "grid too coarse for the tent-function mesh")
+    return basis_values(space, grid_points(n_points)) * \
+        trapezoid_weights(n_points)[None, :]
 
 
 def synthesize(coeffs, space: TestSpace, n_points: int) -> GridFunction:

@@ -22,7 +22,7 @@ from .kernels import FeatureSet, KernelSpec, assemble_features
 from .noise import NoisePath
 from .seminorm import SeminormContext
 from .spaces import GridFunction, MeasurementVector, TestSpace, \
-    build_test_space, grid_points, project
+    build_test_space, grid_points, project, tent_projection_weights
 
 __all__ = ["SpdeConfig", "Trajectory", "Stepper", "integrate",
            "tent_sine_cross_gram"]
@@ -121,6 +121,12 @@ class Stepper:
                                         want_quad_eval=True)
         self.kkt = KKTSystem(self.ctx, self.blocks, cfg.gamma)
         self.grid = grid_points(cfg.n_quad)
+        # fem projection of each step's right-hand side, formed once:
+        # project() would rebuild the N x G tent matrix on every step
+        self._tent_weights = None
+        if cfg.space.kind == "fem1d":
+            self._tent_weights = tent_projection_weights(cfg.space,
+                                                         cfg.n_quad)
         self._cross = {}
 
     def _to_measurement(self, dxi: MeasurementVector) -> np.ndarray:
@@ -140,8 +146,11 @@ class Stepper:
     def step(self, u_grid: np.ndarray,
              dxi: MeasurementVector = None) -> np.ndarray:
         cfg = self.cfg
-        rhs_field = GridFunction(u_grid + cfg.dt * cfg.drift(u_grid))
-        m = project(rhs_field, cfg.space).entries
+        rhs = u_grid + cfg.dt * cfg.drift(u_grid)
+        if self._tent_weights is not None:
+            m = self._tent_weights @ rhs
+        else:
+            m = project(GridFunction(rhs), cfg.space).entries
         if dxi is not None and cfg.sigma != 0.0:
             m = m + cfg.sigma * self._to_measurement(dxi)
         coeffs, _ = self.kkt.solve(m, np.zeros(2))

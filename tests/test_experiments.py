@@ -12,6 +12,7 @@ import pytest
 import yaml
 
 from nessolve.cli import build_parser, main
+from nessolve.errors import StageError
 from nessolve.experiments import DEFAULTS, EXPERIMENTS, ExperimentConfig, \
     check_thresholds, run_experiment
 
@@ -83,6 +84,19 @@ def test_stage_error_reporting():
         SMALL["heat"], dt=0.3, t_final=1.0))
     with pytest.raises(RuntimeError, match="stage"):
         run_experiment(cfg)
+
+
+def test_stage_error_keeps_the_cause():
+    # n_fem**2 * dt = 8 breaks the heat stepper's CFL bound of 5
+    cfg = ExperimentConfig("heat", 0, params=dict(
+        SMALL["heat"], dt=2.0 ** -5, t_final=2.0 ** -4))
+    with pytest.raises(StageError) as info:
+        run_experiment(cfg)
+    err = info.value
+    assert err.stage == "kernel_integration"
+    assert type(err.cause) is ValueError and "CFL" in str(err.cause)
+    assert err.__cause__ is err.cause
+    assert "kernel_integration" in str(err)
 
 
 def test_check_thresholds():

@@ -11,7 +11,7 @@ import pytest
 import nessolve.kernels as kernels
 from nessolve.errors import ResolutionTooCoarseError
 from nessolve.kernels import FeatureSet, KernelSpec, assemble_collocation, \
-    assemble_features, evaluate_collocation, evaluate_features, kernel_dx, \
+    assemble_features, evaluate_collocation, evaluate_features, \
     kernel_eval, kernel_matrix
 from nessolve.spaces import build_test_space, grid_points, trapezoid_weights
 
@@ -58,28 +58,9 @@ def test_kernel_spec_validation():
         KernelSpec("matern52", 0.0)
 
 
-def test_gradient_finite_difference():
-    h = 1e-6
-    for x, y in [(0.2, 0.55), (0.9, 0.1)]:
-        fd = (kernel_eval(SPEC, x + h, y) - kernel_eval(SPEC, x - h, y)) \
-            / (2 * h)
-        assert kernel_dx(SPEC, x, y)[0] == pytest.approx(fd, rel=1e-7)
-    assert np.allclose(kernel_dx(SPEC, 0.4, 0.4), 0.0)
-    # 2D gradient
-    p = np.array([0.3, 0.8])
-    q = np.array([0.5, 0.25])
-    g = kernel_dx(SPEC, p, q)
-    for k in range(2):
-        e = np.zeros(2)
-        e[k] = h
-        fd = (kernel_eval(SPEC, p + e, q) - kernel_eval(SPEC, p - e, q)) \
-            / (2 * h)
-        assert g[k] == pytest.approx(fd, rel=1e-6)
-
-
 def test_second_derivative_ladder():
     # diagonal values from the Taylor expansion of the closed form
-    assert kernels.kernel_dxx_1d(SPEC, 0.3, 0.3) == \
+    assert -float(kernels._matern52_d11(SPEC, np.asarray(0.0))) == \
         pytest.approx(-A ** 2 / 3.0, rel=1e-13)
     assert float(kernels._matern52_d4(SPEC, np.asarray(0.0))) == \
         pytest.approx(A ** 4, rel=1e-13)
@@ -289,17 +270,66 @@ def test_quadrature_doubling_invariance():
     assert np.max(np.abs(b2.k_x_phi - b3.k_x_phi)) <= 1e-9 * scale
 
 
-def test_streamed_chunking_matches_direct(monkeypatch):
-    sp = build_test_space("sine1d", 4)
-    fs = FeatureSet(sp, np.ones(65), 0.2, np.array([0.0, 1.0]), 65)
-    direct = assemble_features(SPEC, fs, want_quad_eval=True)
-    monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 64)
-    chunked = assemble_features(SPEC, fs, want_quad_eval=True)
-    for a, b in [(direct.k_chi_phi, chunked.k_chi_phi),
-                 (direct.k_x_phi, chunked.k_x_phi),
-                 (direct.k_phi_phi, chunked.k_phi_phi),
-                 (direct.quad_eval, chunked.quad_eval)]:
-        assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, np.abs(a).max())
+def _grid_cases():
+    """Small feature sets covering every grid product: sine values in 1D
+    and 2D, and fem with nu_diff != 0 so the d1/d11 products run."""
+    rng = np.random.default_rng(3)
+    bp1 = np.array([0.0, 1.0])
+    bp2 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+                    [0.5, 0.0], [0.0, 0.5]])
+    return [
+        FeatureSet(build_test_space("sine1d", 6), 1.0 + rng.random(65),
+                   0.2, bp1, 65),
+        FeatureSet(build_test_space("sine2d", n_per_dim=4),
+                   1.0 + rng.random(17 ** 2), 0.1, bp2, 17),
+        FeatureSet(build_test_space("fem1d", 8), 1.0 + rng.random(65),
+                   0.3, bp1, 65),
+    ]
+
+
+def test_grid_products_match_dense_pairwise():
+    # the FFT grid products against the dense pairwise matrices on the
+    # grid, rebuilt here term by term
+    for fs in _grid_cases():
+        grid, bp = fs.quad_points, fs.boundary_points
+        wv, wd = fs.weights_val, fs.weights_der
+        t_val = wv @ kernels._pairwise(SPEC, grid, grid)
+        k_cb = wv @ kernels._pairwise(SPEC, grid, bp)
+        if wd is not None:
+            d1 = kernels._pairwise(SPEC, grid, grid, "d1")
+            t_val = t_val + wd @ d1
+            k_cb = k_cb + wd @ kernels._pairwise(SPEC, grid, bp, "d1")
+        k_cc = t_val @ wv.T
+        if wd is not None:
+            t_dy = -wv @ d1 + wd @ kernels._pairwise(SPEC, grid, grid, "d11")
+            k_cc = k_cc + t_dy @ wd.T
+        k_cc = 0.5 * (k_cc + k_cc.T)
+        quad_eval = np.vstack([t_val, kernels._pairwise(SPEC, bp, grid)]).T
+
+        blocks = assemble_features(SPEC, fs, want_quad_eval=True)
+        n = fs.n_features
+        for got, want in [(blocks.k_chi_phi[:, :n], k_cc),
+                          (blocks.k_chi_phi[:, n:], k_cb),
+                          (blocks.k_x_phi[:, :n], k_cb.T),
+                          (blocks.quad_eval, quad_eval)]:
+            assert np.max(np.abs(got - want)) <= \
+                1e-12 * np.abs(want).max()
+
+
+def test_assembly_forms_no_grid_by_grid_matrix(monkeypatch):
+    dense = kernels._pairwise
+
+    def guarded(spec, x, y, kind="val"):
+        n_x = kernels._as_points(x).shape[0]
+        n_y = kernels._as_points(y).shape[0]
+        if n_x == n_y == grid_size:
+            raise AssertionError("grid x grid pairwise matrix formed")
+        return dense(spec, x, y, kind)
+
+    monkeypatch.setattr(kernels, "_pairwise", guarded)
+    for fs in _grid_cases():
+        grid_size = fs.quad_points.shape[0]
+        assemble_features(SPEC, fs, want_quad_eval=True)
 
 
 def test_evaluate_features_consistency():

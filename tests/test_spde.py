@@ -7,8 +7,8 @@ from scipy.integrate import quad
 
 from nessolve.kernels import KernelSpec
 from nessolve.noise import build_path
-from nessolve.spaces import GridFunction, build_test_space, grid_points, \
-    project
+from nessolve.spaces import GridFunction, MeasurementVector, basis_values, \
+    build_test_space, grid_points, project, trapezoid_weights
 from nessolve.spde import SpdeConfig, Stepper, integrate, \
     tent_sine_cross_gram
 
@@ -197,3 +197,25 @@ def test_heat_step_matches_dgglse_under_refinement():
     assert out[-1] == 0
     ref = blocks.quad_eval @ out[3]
     assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_fem_step_matches_per_step_projection():
+    # the tent projection weights formed once give the step of projecting
+    # the right-hand side by quadrature each step, then solving
+    dt = 2.0 ** -10
+    space = build_test_space("fem1d", 32)
+    cfg = SpdeConfig(family="allen_cahn", nu=0.025, sigma=0.1, t_final=dt,
+                     dt=dt, space=space, kernel=KernelSpec("matern52", 0.05),
+                     gamma=1e-10)
+    stepper = Stepper(cfg)
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(cfg.n_quad)
+    dxi = MeasurementVector(rng.standard_normal(space.size), space)
+    got = stepper.step(u, dxi)
+
+    rhs = u + dt * (u - u ** 3)
+    x = grid_points(cfg.n_quad)
+    m = basis_values(space, x) @ (trapezoid_weights(cfg.n_quad) * rhs)
+    coeffs, _ = stepper.kkt.solve(m + cfg.sigma * dxi.entries, np.zeros(2))
+    want = stepper.blocks.quad_eval @ coeffs
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
