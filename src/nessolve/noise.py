@@ -36,6 +36,16 @@ def sample_white_noise_spectral(L: int, seed: int) -> MeasurementVector:
     return MeasurementVector(stream(seed).standard_normal(L), space)
 
 
+def _wiener_draw(size: int, dt: float, rng: np.random.Generator,
+                 mass_chol: np.ndarray = None) -> np.ndarray:
+    """Coefficients of one increment: N(0, dt) i.i.d., or with covariance
+    dt times the mass matrix when its Cholesky factor is given."""
+    if mass_chol is None:
+        return np.sqrt(dt) * rng.standard_normal(size)
+    z = rng.standard_normal(size)
+    return np.sqrt(dt) * (mass_chol @ z)
+
+
 def sample_wiener_increment(space_or_L, dt: float,
                             rng: np.random.Generator,
                             mass_chol: np.ndarray = None) -> MeasurementVector:
@@ -52,11 +62,10 @@ def sample_wiener_increment(space_or_L, dt: float,
         space = space_or_L
         if mass_chol is None:
             mass_chol = scipy.linalg.cholesky(mass_matrix(space), lower=True)
-        z = rng.standard_normal(space.size)
-        return MeasurementVector(np.sqrt(dt) * (mass_chol @ z), space)
-    L = int(space_or_L)
-    space = build_test_space("sine1d", L)
-    return MeasurementVector(np.sqrt(dt) * rng.standard_normal(L), space)
+        return MeasurementVector(_wiener_draw(space.size, dt, rng, mass_chol),
+                                 space)
+    space = build_test_space("sine1d", int(space_or_L))
+    return MeasurementVector(_wiener_draw(space.size, dt, rng), space)
 
 
 @dataclass(frozen=True)
@@ -100,9 +109,7 @@ def build_path(seed: int, mode: str, dt: float, n_steps: int,
         raise ValueError(f"unknown noise mode {mode!r}")
     records = np.empty((n_steps, size))
     for k in range(n_steps):
-        records[k] = sample_wiener_increment(
-            space if mode == "fem" else size, dt, stream(seed, k),
-            mass_chol=mass_chol).entries
+        records[k] = _wiener_draw(size, dt, stream(seed, k), mass_chol)
     return NoisePath(seed, mode, dt, n_steps, space, records)
 
 

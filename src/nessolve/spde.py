@@ -121,8 +121,8 @@ class Stepper:
                                         want_quad_eval=True)
         self.kkt = KKTSystem(self.ctx, self.blocks, cfg.gamma)
         self.grid = grid_points(cfg.n_quad)
-        # fem projection of each step's right-hand side, formed once:
-        # project() would rebuild the N x G tent matrix on every step
+        # fem projection of each right-hand side and stored state, formed
+        # once: project() would rebuild the N x G tent matrix on every call
         self._tent_weights = None
         if cfg.space.kind == "fem1d":
             self._tent_weights = tent_projection_weights(cfg.space,
@@ -143,14 +143,16 @@ class Stepper:
             return dxi.entries[:self.cfg.space.size]
         raise ValueError("cannot measure the increment against this basis")
 
+    def measure(self, values: np.ndarray) -> np.ndarray:
+        """Projection of solver-grid values onto cfg.space."""
+        if self._tent_weights is not None:
+            return self._tent_weights @ values
+        return project(GridFunction(values), self.cfg.space).entries
+
     def step(self, u_grid: np.ndarray,
              dxi: MeasurementVector = None) -> np.ndarray:
         cfg = self.cfg
-        rhs = u_grid + cfg.dt * cfg.drift(u_grid)
-        if self._tent_weights is not None:
-            m = self._tent_weights @ rhs
-        else:
-            m = project(GridFunction(rhs), cfg.space).entries
+        m = self.measure(u_grid + cfg.dt * cfg.drift(u_grid))
         if dxi is not None and cfg.sigma != 0.0:
             m = m + cfg.sigma * self._to_measurement(dxi)
         coeffs, _ = self.kkt.solve(m, np.zeros(2))
@@ -175,7 +177,7 @@ def integrate(cfg: SpdeConfig, path: NoisePath = None) -> Trajectory:
     values = np.empty((n_steps + 1, cfg.n_quad))
     measurements = np.empty((n_steps + 1, cfg.space.size))
     values[0] = u
-    measurements[0] = project(GridFunction(u), cfg.space).entries
+    measurements[0] = stepper.measure(u)
     for k in range(n_steps):
         dxi = path.increment(k) if path is not None else None
         try:
@@ -185,5 +187,5 @@ def integrate(cfg: SpdeConfig, path: NoisePath = None) -> Trajectory:
                 f"kernel solve failed at step {k}: {exc}",
                 block=exc.block) from exc
         values[k + 1] = u
-        measurements[k + 1] = project(GridFunction(u), cfg.space).entries
+        measurements[k + 1] = stepper.measure(u)
     return Trajectory(times, values, measurements, cfg.space)

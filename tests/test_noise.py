@@ -91,6 +91,18 @@ def test_build_path_determinism():
         build_path(5, "spectral", 0.0, 4, 6)
 
 
+@pytest.mark.parametrize("mode", ["spectral", "fem"])
+def test_build_path_matches_per_step_increments(mode):
+    # build_path draws each step without the per-step wrappers; step k must
+    # still be the increment sampled from the (seed, k) stream
+    seed, dt, size = 17, 1.0 / 64, 12
+    path = build_path(seed, mode, dt, 6, size)
+    arg = path.space if mode == "fem" else size
+    for k in range(6):
+        one = sample_wiener_increment(arg, dt, stream(seed, k)).entries
+        assert np.array_equal(path.records[k], one)
+
+
 def test_aggregation_telescopes_exactly():
     fine = build_path(9, "spectral", 1.0 / 64, 16, 3)
     coarse = aggregate_increments(fine, 4)

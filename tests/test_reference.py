@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.fft import dst
 
-from nessolve import operators
+from nessolve import operators, reference
 from nessolve.noise import build_path, stream
 from nessolve.reference import closed_form_elliptic_1d, \
     manufactured_semilinear_2d, spectral_galerkin_spde
-from nessolve.spaces import MeasurementVector, build_test_space, project, \
-    synthesize
+from nessolve.spaces import GridFunction, MeasurementVector, \
+    build_test_space, project, synthesize
 
 
 def test_closed_form_elliptic_values():
@@ -143,3 +144,60 @@ def test_tail_truncation_on_coarse_grids():
     assert traj.measurements.shape[1] == L
     assert traj.measurements[0, -1] == 1.0
     assert np.allclose(traj.values[0], 0.0)   # mode 32 invisible at 17 points
+
+
+def _drift_on_grid(a, n_points):
+    """Allen-Cahn drift coefficients with u - u^3 sampled on n_points."""
+    space = build_test_space("sine1d", a.shape[0])
+    u = synthesize(a, space, n_points).values
+    return project(GridFunction(u - u ** 3), space).entries
+
+
+def _smooth_initial(L):
+    j = np.arange(1, L + 1)
+    return np.random.default_rng(L).standard_normal(L) / j
+
+
+@pytest.mark.parametrize("L", [64, 2048])
+def test_allen_cahn_drift_on_five_smooth_grid(L, monkeypatch):
+    # one step with nu = sigma = 0 and dt = 1 gives a_1 = a_0 + fhat, so the
+    # reference's drift can be read off and set against the drift on the
+    # 2L + 3 point grid; the dealiasing grid must have a 5-smooth number of
+    # intervals, at least 2L + 1 of them
+    sizes = []
+
+    def recording_synthesize(coeffs, space, n_points):
+        sizes.append(n_points)
+        return synthesize(coeffs, space, n_points)
+
+    monkeypatch.setattr(reference, "synthesize", recording_synthesize)
+    a0 = _smooth_initial(L)
+    traj = spectral_galerkin_spde("allen_cahn", 0.0, 0.0, 1.0, L, 1.0,
+                                  initial=a0)
+    n_intervals = sizes[0] - 1
+    assert n_intervals >= 2 * L + 1
+    for p in (2, 3, 5):
+        while n_intervals % p == 0:
+            n_intervals //= p
+    assert n_intervals == 1
+    got = traj.measurements[1] - a0
+    want = _drift_on_grid(a0, 2 * L + 3)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    # the default output grid keeps its 2L + 3 columns
+    assert traj.values.shape == (2, 2 * L + 3)
+
+
+def test_allen_cahn_drift_aliases_on_2L_intervals():
+    # with only 2L intervals mode 3L of the cube folds onto mode L (and
+    # only there), which the comparison above would catch; project()
+    # refuses so coarse a grid, so the sine transform is taken here
+    L = 64
+    a0 = _smooth_initial(L)
+    want = _drift_on_grid(a0, 2 * L + 3)
+    n = 2 * L
+    u = synthesize(a0, build_test_space("sine1d", L), n + 1).values
+    aliased = dst((u - u ** 3)[1:-1], type=1)[:L] * (np.sqrt(2.0) / (2 * n))
+    scale = np.linalg.norm(want)
+    assert np.abs(aliased[:-1] - want[:-1]).max() <= 1e-13 * scale
+    # the alias moves mode L by 3.7e-7, far outside the 1e-13 above
+    assert abs(aliased[-1] - want[-1]) >= 1e-9 * scale

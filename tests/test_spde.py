@@ -173,6 +173,21 @@ def test_fem_measurement_path():
     assert np.array_equal(t1.values, t2.values)
 
 
+def test_fem_stored_measurements_match_projection():
+    # integrate measures stored states with the Stepper's tent weights;
+    # they must equal project() of the stored grid values bit for bit
+    dt = 1.0 / 1024
+    cfg = SpdeConfig(family="allen_cahn", nu=0.025, sigma=0.1,
+                     t_final=4 * dt, dt=dt,
+                     space=build_test_space("fem1d", 16),
+                     kernel=KernelSpec("matern52", 0.1), gamma=1e-10,
+                     initial=GridFunction(np.sin(np.pi * grid_points(65))))
+    traj = integrate(cfg, build_path(5, "spectral", dt, 4, 64))
+    for k in range(cfg.n_steps + 1):
+        want = project(GridFunction(traj.values[k]), cfg.space).entries
+        assert np.array_equal(traj.measurements[k], want)
+
+
 def test_heat_step_matches_dgglse_under_refinement():
     # at n_fem=256 with dt scaled to the mesh the normal-equations KKT
     # matrix has condition ~1e21; the factored step must still agree with
