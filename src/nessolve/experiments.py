@@ -140,7 +140,7 @@ def _run_elliptic1d(p: dict) -> dict:
         # L2-style baseline: collocate the operator pointwise on the rough
         # truncated forcing instead of measuring it against test functions
         x_col = np.arange(1, n + 1) / (n + 1.0)
-        xi_vals = _sine_series_at(xi.entries, x_col)
+        xi_vals = _sine_series_at_nodes(xi.entries, space)
         blocks0 = assemble_collocation(kernel, x_col, 1.0, p["nu"],
                                        _boundary_1d())
         # identity weights: the plain sum of squared pointwise residuals
@@ -159,6 +159,7 @@ def _run_elliptic1d(p: dict) -> dict:
             "rel_l2_error_pointwise": err0,
             "error_ratio_pointwise_over_weak": err0 / err,
             "iterations": report.iterations,
+            "stop_reason": report.reason,
             "loss_history": report.loss_history,
         }
     x = grid_points(cfg.n_quad)
@@ -168,16 +169,22 @@ def _run_elliptic1d(p: dict) -> dict:
     return {"metrics": result, "rows": rows, "fields": fields}
 
 
-def _sine_series_at(coeffs, pts, chunk: int = 4096):
-    """Evaluate sum_j c_j sqrt(2) sin(pi j x) at arbitrary points."""
+def _sine_series_at_nodes(coeffs, space) -> np.ndarray:
+    """sum_k c_k sqrt(2) sin(pi k x) at the n interior nodes x_j = j/(n+1)
+    of the DST-I grid, for any number of coefficients (n = ``space.size``).
+
+    On those nodes sin(pi k x) has period P = 2(n+1) in k and is odd about
+    multiples of P, so with r = k mod P mode k equals mode r for r <= n,
+    minus mode P-r for r >= n+2, and vanishes for r = 0 or n+1.  The
+    coefficients fold onto n modes, which one DST-I synthesizes.
+    """
+    n = space.size
+    period = 2 * (n + 1)
     c = np.asarray(coeffs, dtype=float)
-    x = np.asarray(pts, dtype=float)
-    out = np.zeros(x.shape)
-    for lo in range(0, c.shape[0], chunk):
-        j = np.arange(lo + 1, min(lo + chunk, c.shape[0]) + 1)
-        out += np.sqrt(2.0) * np.sin(np.pi * x[:, None] * j[None, :]) \
-            @ c[lo:lo + j.shape[0]]
-    return out
+    folded = np.bincount(np.arange(1, c.shape[0] + 1) % period, weights=c,
+                         minlength=period)
+    modes = folded[1:n + 1] - folded[:n + 1:-1]
+    return synthesize(modes, space, n + 2).values[1:-1]
 
 
 def _downsample_1d(x, truth, estimate, max_rows: int = 1025):
@@ -259,6 +266,7 @@ def _run_semilinear2d(p: dict) -> dict:
         result = {"rel_l2_error": err,
                   "sup_error": metrics.sup_error(estimate, truth),
                   "iterations": report.iterations,
+                  "stop_reason": report.reason,
                   "loss_history": report.loss_history}
     fields = _downsample_2d(cfg.n_quad, truth.values, estimate.values)
     rows = [("iteration", float(i), "loss", v)
@@ -273,6 +281,7 @@ def _run_norm_study(p: dict) -> dict:
     kernel = KernelSpec(length_scale=p["length_scale"])
     op = operators.OperatorSpec("semilinear_sine", p["nu"])
     errors = {}
+    stop_reasons = {}
     rows = []
     fields = None
     for s in p["s_values"]:
@@ -287,13 +296,15 @@ def _run_norm_study(p: dict) -> dict:
             estimate = rpt.final_grid
         err = metrics.rel_l2_error(estimate, truth)
         errors[str(s)] = err
+        stop_reasons[str(s)] = rpt.reason
         rows.append(("s", float(s), "rel_l2_error", err))
         if fields is None:
             fields = _downsample_2d(cfg.n_quad, truth.values,
                                     estimate.values)
     s_vals = [float(s) for s in p["s_values"]]
     argmin_s = s_vals[int(np.argmin([errors[str(s)] for s in p["s_values"]]))]
-    result = {"errors_by_s": errors, "argmin_s": argmin_s}
+    result = {"errors_by_s": errors, "argmin_s": argmin_s,
+              "stop_reasons": stop_reasons}
     return {"metrics": result, "rows": rows, "fields": fields}
 
 

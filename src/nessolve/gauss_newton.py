@@ -90,6 +90,7 @@ class SolveReport:
     penalty_history: list = field(default_factory=list)
     iterations: int = 0
     reason: str = ""
+    jitter: float = 0.0                # largest Gram jitter of the solve
     final_grid: GridFunction = None    # solution on the quadrature grid
 
     @property
@@ -98,14 +99,15 @@ class SolveReport:
                 zip(self.misfit_history, self.penalty_history)]
 
 
-def _gram_cholesky(g: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the feature Gram matrix, with a small
-    diagonal jitter ladder for matrices that are PSD only to round-off."""
+def _gram_cholesky(g: np.ndarray):
+    """Lower Cholesky factor of the feature Gram matrix and the diagonal
+    jitter it needed, as a fraction of the mean diagonal: 0.0, or a rung of
+    a small ladder for matrices that are PSD only to round-off."""
     scale = np.trace(g) / g.shape[0]
     for bump in (0.0, 1e-13, 1e-11, 1e-9):
         try:
             return scipy.linalg.cholesky(
-                g + bump * scale * np.eye(g.shape[0]), lower=True)
+                g + bump * scale * np.eye(g.shape[0]), lower=True), bump
         except scipy.linalg.LinAlgError:
             continue
     raise DegenerateFeaturesError(
@@ -134,7 +136,11 @@ class KKTSystem:
     y2 = T^{-1} U^T (d - S Q1 y1).  No normal equations are formed, so the
     high-frequency features survive in double precision.  Coefficients and
     multipliers are linear in (r, g); both maps are formed here, so each
-    ``solve`` is one matrix-vector product.
+    ``solve`` is one matrix-vector product.  The r-columns need U^T [W; 0]
+    = U[:n]^T W, so the thin U is formed explicitly (``dorgqr``, backward
+    accumulation of the reflectors) instead of applying U^T to a padded
+    identity; the m g-columns still apply the reflectors.  ``jitter`` is
+    the diagonal bump the Cholesky factor of G needed (0.0 when none).
     """
 
     def __init__(self, ctx: SeminormContext, blocks: GramBlocks,
@@ -155,25 +161,32 @@ class KKTSystem:
         # their memory to the system; the work arrays are Fortran-ordered
         # and updated in place
         self._solution = np.empty((self.n_primal + m, n + m))
+        chol, self.jitter = _gram_cholesky(blocks.k_phi_phi)
         sq = np.empty((n + self.n_primal, self.n_primal), order="F")
         sq[:n] = ctx.whiten(b)
-        sq[n:] = _gram_cholesky(blocks.k_phi_phi).T
+        sq[n:] = chol.T
+        del chol
         sq[n:] *= np.sqrt(gamma)
         sq = _apply_q(h, tau, sq, "R")          # [S Q1, S Z]
         sq1 = sq[:, :m]
         sq1_sq = sq1.T @ sq
         (hz, tauz), t = scipy.linalg.qr(sq[:, m:], overwrite_a=True,
                                         mode="raw")
-        # y = Q^T c for unit right-hand sides, columns ordered (r, g)
+        # y = Q^T c for unit right-hand sides, columns ordered (r, g):
+        # d = [W r; 0] for the r-columns, -S Q1 y1 for the g-columns
+        sq1_w = ctx.whiten_transposed(sq1[:n]).T         # (S Q1)^T [W; 0]
         y1 = scipy.linalg.solve_triangular(r1, np.eye(m), trans="T")
-        rhs = np.zeros((n + self.n_primal, n + m), order="F")
-        rhs[:n, :n] = ctx.whiten(np.eye(n))
-        sq1_w = sq1[:n].T @ rhs[:n, :n]
-        rhs[:, n:] = -sq1 @ y1
-        rhs = _apply_q(hz, tauz, rhs, "L", "T")[:self.n_primal - m]
         y = np.zeros((self.n_primal, n + m), order="F")
         y[:m, n:] = y1
-        y[m:] = scipy.linalg.solve_triangular(t, rhs)
+        rhs_g = np.asfortranarray(-sq1 @ y1)
+        y[m:, n:] = _apply_q(hz, tauz, rhs_g, "L", "T")[:self.n_primal - m]
+        # U1, the first n_primal - m columns of U; U1^T [W; 0] = U1[:n]^T W
+        u1, _, info = scipy.linalg.lapack.dorgqr(
+            hz, tauz, lwork=64 * max(hz.shape), overwrite_a=1)
+        if info != 0:
+            raise ValueError(f"dorgqr failed (info={info})")
+        y[m:, :n] = ctx.whiten_transposed(u1[:n]).T
+        y[m:] = scipy.linalg.solve_triangular(t, y[m:])
         # stationarity C^T mu = -2 S^T (S c - d), resolved along Q1
         grad = sq1_sq @ y
         grad[:, :n] -= sq1_w
@@ -241,6 +254,7 @@ def solve(op: OperatorSpec, xi: MeasurementVector, cfg: SolverConfig,
                             cfg.boundary_points, cfg.n_quad)
             blocks = assemble_features(cfg.kernel, fs, want_quad_eval=True)
             kkt = KKTSystem(ctx, blocks, cfg.gamma)
+            report.jitter = max(report.jitter, kkt.jitter)
         if op.is_linear:
             r = xi.entries
         else:

@@ -13,6 +13,10 @@ nodes (Toeplitz in 1D, block-Toeplitz in 2D), so the grid-by-grid products
 are correlations computed with FFTs of a circulant embedding of the kernel;
 no grid-by-grid matrix is ever formed.  Products against the boundary
 points and against arbitrary evaluation points are small and stay dense.
+
+Pointwise collocation features pair the kernel with the operator at both
+points; the derivatives involved share one exponential, so each entry
+costs one ``exp``.
 """
 
 from __future__ import annotations
@@ -111,10 +115,6 @@ def _pairwise(spec: KernelSpec, x, y, kind: str = "val") -> np.ndarray:
         return _matern52_d1(spec, t)
     if kind == "d11":
         return _matern52_d11(spec, t)
-    if kind == "d2":
-        return _matern52_d2(spec, t)
-    if kind == "d4":
-        return _matern52_d4(spec, t)
     raise ValueError(f"unknown pairwise kind {kind!r}")
 
 
@@ -305,6 +305,40 @@ def assemble_features(spec: KernelSpec, fs: FeatureSet,
     return GramBlocks(k_chi_phi, k_x_phi, k_phi_phi, quad_eval)
 
 
+# (a, c) of point evaluation in _operator_pairing
+_POINT = (0.0, 1.0)
+
+
+def _operator_pairing(spec: KernelSpec, t: np.ndarray, left,
+                      right) -> np.ndarray:
+    """(a_l d^2/dx^2 + c_l)(a_r d^2/dy^2 + c_r) K(x, y) at t = x - y, 1D.
+
+    ``left`` and ``right`` are (a, c) pairs whose entries broadcast
+    against ``t``; point evaluation is ``_POINT``.  The d4, d2 and value
+    kernels share exp(-A|t|), so the pairing is that one exponential times
+    a quadratic in A|t| that combines their three polynomials.  ``t`` is
+    overwritten.
+    """
+    a_l, c_l = left
+    a_r, c_r = right
+    big_a = np.sqrt(5.0) / spec.length_scale
+    # weights of the d4, d2 and value polynomials:
+    # d4 = (A^4/3)(3 - 5s + s^2) e, d2 = (A^2/3)(-1 - s + s^2) e,
+    # K = (1 + s + s^2/3) e, with s = A|t| and e = exp(-s)
+    w4 = a_l * a_r * big_a ** 4 / 3.0
+    w2 = (a_l * c_r + a_r * c_l) * big_a ** 2 / 3.0
+    w0 = c_l * c_r
+    s = np.abs(t, out=t)
+    s *= big_a
+    out = (w4 + w2 + w0 / 3.0) * s
+    out += -5.0 * w4 - w2 + w0
+    out *= s
+    out += 3.0 * w4 - w2 + w0
+    np.negative(s, out=s)
+    out *= np.exp(s, out=s)
+    return out
+
+
 def assemble_collocation(spec: KernelSpec, points, c_field, nu_diff: float,
                          boundary_points) -> GramBlocks:
     """Gram blocks for pointwise operator features (1D collocation).
@@ -320,13 +354,11 @@ def assemble_collocation(spec: KernelSpec, points, c_field, nu_diff: float,
     bp = _as_points(boundary_points)
     if bp.shape[1] != 1:
         raise ValueError("collocation features are 1D only")
-    t = x[:, None] - x[None, :]
-    k_cc = nu_diff ** 2 * _matern52_d4(spec, t) \
-        - nu_diff * (c[:, None] + c[None, :]) * _matern52_d2(spec, t) \
-        + (c[:, None] * c[None, :]) * _matern52(spec, np.abs(t))
-    tb = x[:, None] - bp[:, 0][None, :]
-    k_cb = -nu_diff * _matern52_d2(spec, tb) \
-        + c[:, None] * _matern52(spec, np.abs(tb))
+    op = (-nu_diff, c[:, None])
+    k_cc = _operator_pairing(spec, x[:, None] - x[None, :], op,
+                             (-nu_diff, c[None, :]))
+    k_cb = _operator_pairing(spec, x[:, None] - bp[:, 0][None, :], op,
+                             _POINT)
     k_bb = kernel_matrix(spec, bp)
 
     n, m = x.shape[0], bp.shape[0]
@@ -345,9 +377,8 @@ def evaluate_collocation(spec: KernelSpec, points, c_field, nu_diff: float,
     c = np.broadcast_to(np.asarray(c_field, dtype=float).ravel(), x.shape)
     bp = _as_points(boundary_points)
     y = np.atleast_1d(np.asarray(eval_points, dtype=float))
-    t = y[:, None] - x[None, :]
-    op_cols = -nu_diff * _matern52_d2(spec, t) \
-        + c[None, :] * _matern52(spec, np.abs(t))
+    op_cols = _operator_pairing(spec, y[:, None] - x[None, :], _POINT,
+                                (-nu_diff, c[None, :]))
     bd_cols = _matern52(spec, np.abs(y[:, None] - bp[:, 0][None, :]))
     return np.hstack([op_cols, bd_cols])
 

@@ -14,7 +14,8 @@ import yaml
 from nessolve.cli import build_parser, main
 from nessolve.errors import StageError
 from nessolve.experiments import DEFAULTS, EXPERIMENTS, ExperimentConfig, \
-    check_thresholds, run_experiment
+    _sine_series_at_nodes, check_thresholds, run_experiment
+from nessolve.spaces import build_test_space
 
 SMALL = {
     "elliptic1d": {"n_modes": 128, "truncation": 1024},
@@ -66,6 +67,57 @@ def test_elliptic_small_run_and_artifacts(tmp_path):
     assert frows[0] == ["x", "truth", "estimate", "error"]
     data = np.array([[float(v) for v in r] for r in frows[1:]])
     assert np.allclose(data[:, 3], data[:, 2] - data[:, 1], atol=1e-12)
+
+
+def _dense_sine_sum(coeffs, n, chunk=2048):
+    """sum_k c_k sqrt(2) sin(pi k x_j) at x_j = j/(n+1), term by term."""
+    x = np.arange(1, n + 1) / (n + 1.0)
+    out = np.zeros(n)
+    for lo in range(0, coeffs.shape[0], chunk):
+        k = np.arange(lo + 1, min(lo + chunk, coeffs.shape[0]) + 1)
+        out += np.sqrt(2.0) * np.sin(np.pi * x[:, None] * k[None, :]) \
+            @ coeffs[lo:lo + k.shape[0]]
+    return out
+
+
+@pytest.mark.parametrize("n, n_coeffs, tol", [(1024, 2 ** 14, 1e-11),
+                                              (64, 64, 1e-13),
+                                              (64, 40, 1e-13)])
+def test_folded_forcing_matches_dense_sine_sum(n, n_coeffs, tol):
+    c = np.random.default_rng(5).standard_normal(n_coeffs)
+    got = _sine_series_at_nodes(c, build_test_space("sine1d", n))
+    want = _dense_sine_sum(c, n)
+    assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
+def test_folded_forcing_aliasing_rules():
+    n = 64
+    period = 2 * (n + 1)
+    space = build_test_space("sine1d", n)
+    c = np.zeros(5 * period)
+    # sin(pi k x_j) vanishes at every node for k = 0 or n+1 (mod period)
+    c[period - 1::period] = 1.0
+    c[n::period] = 1.0
+    assert np.max(np.abs(_sine_series_at_nodes(c, space))) <= 1e-12
+    # k = period - 1 aliases to minus mode 1
+    c = np.zeros(period - 1)
+    c[-1] = 1.0
+    mode1 = np.sqrt(2.0) * np.sin(np.pi * np.arange(1, n + 1) / (n + 1.0))
+    assert np.max(np.abs(_sine_series_at_nodes(c, space) + mode1)) <= 1e-13
+
+
+def test_stop_reason_reaches_the_metrics():
+    m = run_experiment(ExperimentConfig(
+        "semilinear2d", 3,
+        params=dict(SMALL["semilinear2d"], max_iterations=1)))["metrics"]
+    assert m["stop_reason"] == "max_iterations"
+    m = run_experiment(ExperimentConfig(
+        "elliptic1d", 3, params=SMALL["elliptic1d"]))["metrics"]
+    assert m["stop_reason"] == "loss_plateau"
+    m = run_experiment(ExperimentConfig(
+        "norm_study", 3, params=SMALL["norm_study"]))["metrics"]
+    assert m["stop_reasons"] == {"1.0": "loss_plateau",
+                                 "2.0": "loss_plateau"}
 
 
 def test_rerun_is_byte_identical(tmp_path):

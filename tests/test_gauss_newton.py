@@ -6,7 +6,7 @@ import scipy.linalg
 
 from nessolve.errors import DegenerateFeaturesError
 from nessolve.gauss_newton import KKTSystem, Representer, SolverConfig, \
-    constrained_ls_solve, evaluate, gn_step, solve
+    _apply_q, _gram_cholesky, constrained_ls_solve, evaluate, gn_step, solve
 from nessolve.kernels import FeatureSet, GramBlocks, KernelSpec, \
     assemble_features
 from nessolve.operators import OperatorSpec
@@ -124,6 +124,68 @@ def test_rank_deficient_constraints_raise():
     with pytest.raises(DegenerateFeaturesError) as info:
         KKTSystem(ctx, bad, gamma)
     assert info.value.block == "k_x_phi"
+
+
+def _padded_identity_maps(ctx, blocks, gamma):
+    """The solution maps formed by applying the reflectors of the QR of
+    S Z to the zero-padded identity of the right-hand sides (the
+    dormqr-only formation, written out independently of ``KKTSystem``)."""
+    b, c = blocks.k_chi_phi, blocks.k_x_phi
+    n, n_primal = b.shape
+    m = c.shape[0]
+    (h, tau), r1 = scipy.linalg.qr(c.T, mode="raw")
+    chol = scipy.linalg.cholesky(blocks.k_phi_phi, lower=True)
+    sq = np.asfortranarray(np.vstack([ctx.whiten(b),
+                                      np.sqrt(gamma) * chol.T]))
+    sq = _apply_q(h, tau, sq, "R")
+    sq1 = sq[:, :m].copy()
+    (hz, tauz), t = scipy.linalg.qr(sq[:, m:], mode="raw")
+    y1 = scipy.linalg.solve_triangular(r1, np.eye(m), trans="T")
+    rhs = np.zeros((n + n_primal, n + m), order="F")
+    rhs[:n, :n] = ctx.whiten(np.eye(n))
+    rhs[:, n:] = -sq1 @ y1
+    rhs = _apply_q(hz, tauz, rhs, "L", "T")[:n_primal - m]
+    y = np.zeros((n_primal, n + m), order="F")
+    y[:m, n:] = y1
+    y[m:] = scipy.linalg.solve_triangular(t, rhs)
+    grad = sq1.T @ sq @ y
+    grad[:, :n] -= sq1[:n].T @ ctx.whiten(np.eye(n))
+    mult = -2.0 * scipy.linalg.solve_triangular(r1, grad)
+    return _apply_q(h, tau, y, "L"), mult
+
+
+@pytest.mark.parametrize("n", [3, 24])
+def test_thin_q_maps_match_padded_identity_formation(n):
+    ctx, blocks, _, _, gamma = _tiny_problem(n=n)
+    coeff_map, mult_map = _padded_identity_maps(ctx, blocks, gamma)
+    kkt = KKTSystem(ctx, blocks, gamma)
+    n_primal = kkt.n_primal
+    for got, want in ((kkt._solution[:n_primal], coeff_map),
+                      (kkt._solution[n_primal:], mult_map)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_gram_jitter_is_reported():
+    ctx, blocks, r, g, gamma = _tiny_problem()
+    assert KKTSystem(ctx, blocks, gamma).jitter == 0.0
+    # duplicate operator feature 0: the Gram matrix is singular, and
+    # scaled so that its first pivot pair is exactly [[1, 1], [1, 1]]
+    idx = np.r_[0, np.arange(blocks.k_phi_phi.shape[0])]
+    g_dup = blocks.k_phi_phi[np.ix_(idx, idx)]
+    g_dup = g_dup / g_dup[0, 0]
+    with pytest.raises(scipy.linalg.LinAlgError):
+        scipy.linalg.cholesky(g_dup, lower=True)
+    _, bump = _gram_cholesky(g_dup)
+    assert bump > 0.0
+    dup = GramBlocks(blocks.k_chi_phi[:, idx], blocks.k_x_phi[:, idx],
+                     g_dup)
+    kkt = KKTSystem(ctx, dup, gamma)
+    assert kkt.jitter == bump
+    coeffs, _ = kkt.solve(r, g)
+    assert np.max(np.abs(dup.k_x_phi @ coeffs - g)) <= 1e-8
+    # a linear solve needs no jitter, and its report says so
+    op, xi, cfg, _ = _single_mode_setup(n=16)
+    assert solve(op, xi, cfg)[1].jitter == 0.0
 
 
 def test_solver_config_validation():

@@ -378,3 +378,40 @@ def test_collocation_rejects_2d():
     with pytest.raises(ValueError):
         assemble_collocation(SPEC, np.array([0.5]), 1.0, 0.1,
                              np.array([[0.0, 0.0], [1.0, 1.0]]))
+
+
+
+@pytest.mark.parametrize("c_kind", ["varying", "constant"])
+def test_one_exponential_collocation_matches_derivative_ladder(c_kind):
+    # the collocation blocks share one exp(-A|t|) per entry; the ladder
+    # evaluates the d4, d2 and value kernels separately
+    rng = np.random.default_rng(11)
+    x = np.sort(rng.uniform(0.0, 1.0, 97))
+    c_field = rng.uniform(0.5, 2.0, x.shape[0]) if c_kind == "varying" \
+        else 1.0
+    c = np.broadcast_to(c_field, x.shape)
+    nu = 0.02
+    bp = np.array([0.0, 1.0])
+    y = grid_points(389)
+    t = x[:, None] - x[None, :]
+    tb = x[:, None] - bp[None, :]
+    ty = y[:, None] - x[None, :]
+    cc = nu ** 2 * kernels._matern52_d4(SPEC, t) \
+        - nu * (c[:, None] + c[None, :]) * kernels._matern52_d2(SPEC, t) \
+        + c[:, None] * c[None, :] * kernels._matern52(SPEC, np.abs(t))
+    cb = -nu * kernels._matern52_d2(SPEC, tb) \
+        + c[:, None] * kernels._matern52(SPEC, np.abs(tb))
+    ev = -nu * kernels._matern52_d2(SPEC, ty) \
+        + c[None, :] * kernels._matern52(SPEC, np.abs(ty))
+
+    def rel(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    n = x.shape[0]
+    blocks = assemble_collocation(SPEC, x, c_field, nu, bp)
+    assert rel(blocks.k_chi_phi[:, :n], cc) <= 1e-13
+    assert rel(blocks.k_chi_phi[:, n:], cb) <= 1e-13
+    assert rel(blocks.k_x_phi[:, :n], cb.T) <= 1e-13
+    e = evaluate_collocation(SPEC, x, c_field, nu, bp, y)
+    assert rel(e[:, :n], ev) <= 1e-13
+    assert rel(e[:, n:], kernel_matrix(SPEC, y, bp)) <= 1e-13
