@@ -318,12 +318,36 @@ def _spde_initial(family: str, n_quad: int, n_modes: int):
     return GridFunction(values), coeffs
 
 
+def _spde_paths(p: dict, family: str, seed: int, init_coeffs: np.ndarray,
+                n_quad: int):
+    """The coarse noise path of the kernel run and the spectral reference
+    on the fine path of the same Brownian motion, from one pass over the
+    fine increments.
+
+    Each block of ``refine`` fine steps drives the reference and is summed
+    into the coarse step it makes up, so no more than one block of the fine
+    path is held at a time.
+    """
+    dt, refine, trunc = p["dt"], p["refine"], p["truncation"]
+    n_steps = int(round(p["t_final"] / dt))
+    with _stage("noise"):
+        fine = noise.increment_blocks(seed, "spectral", dt / refine,
+                                      n_steps * refine, trunc, refine)
+        coarse = np.empty((n_steps, trunc))
+    with _stage("reference"):
+        ref = reference.spectral_galerkin_spde(
+            family, p["nu"], p["sigma"], dt / refine, trunc, p["t_final"],
+            noise.aggregating(fine, refine, coarse), initial=init_coeffs,
+            store_every=refine, n_grid=n_quad)
+    coarse_path = noise.NoisePath(seed, "spectral", dt, n_steps,
+                                  build_test_space("sine1d", trunc), coarse)
+    return coarse_path, ref
+
+
 def _run_spde(p: dict, family: str) -> dict:
     n_fem = p["n_fem"]
     dt = p["dt"]
-    refine = p["refine"]
     trunc = p["truncation"]
-    n_steps = int(round(p["t_final"] / dt))
     kernel = KernelSpec(length_scale=p["length_scale"])
     fem_space = build_test_space("fem1d", n_fem)
     n_quad = 4 * n_fem + 1
@@ -332,16 +356,8 @@ def _run_spde(p: dict, family: str) -> dict:
     fields = None
     for k in range(p["n_seeds"]):
         seed = p["seed"] + k
-        with _stage("noise"):
-            fine_path = noise.build_path(seed, "spectral", dt / refine,
-                                         n_steps * refine, trunc)
-            coarse_path = noise.aggregate_increments(fine_path, refine)
         init_grid, init_coeffs = _spde_initial(family, n_quad, trunc)
-        with _stage("reference"):
-            ref = reference.spectral_galerkin_spde(
-                family, p["nu"], p["sigma"], dt / refine, trunc,
-                p["t_final"], fine_path, initial=init_coeffs,
-                store_every=refine, n_grid=n_quad)
+        coarse_path, ref = _spde_paths(p, family, seed, init_coeffs, n_quad)
         with _stage("kernel_integration"):
             cfg = SpdeConfig(family, p["nu"], p["sigma"], p["t_final"], dt,
                              space=fem_space, kernel=kernel,

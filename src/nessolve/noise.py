@@ -1,14 +1,18 @@
 """Seeded rough forcings: spectral white noise and Wiener increments.
 
 Streams are addressed by (seed, step) through the counter-based Philox
-generator, so any step of a path can be regenerated without replaying the
-ones before it and coarse/fine runs can share one Brownian path.  A
-``NoisePath`` stores the materialized per-step increment coefficients;
-aggregation sums blocks of fine increments pathwise.
+generator: step k of a path is drawn from Philox keyed [k, seed] at counter
+0, so any step can be regenerated without replaying the ones before it and
+coarse/fine runs can share one Brownian path.  ``increment_blocks`` streams
+a path's increments in blocks from one bit generator re-keyed per step, so a
+pipeline holds one block of the fine path at a time; ``build_path``
+materializes the same increments into a ``NoisePath``, and aggregation sums
+groups of fine increments pathwise, over a whole path or block by block.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,14 +22,42 @@ from .spaces import MeasurementVector, TestSpace, build_test_space, \
     mass_matrix
 
 __all__ = ["NoisePath", "sample_white_noise_spectral",
-           "sample_wiener_increment", "build_path", "aggregate_increments",
-           "stream"]
+           "sample_wiener_increment", "build_path", "increment_blocks",
+           "aggregate_increments", "aggregating", "stream", "rekey"]
+
+
+def _stream_key(seed: int, step: int) -> tuple:
+    """(seed, step) as integers that each fit one 64-bit word of the key.
+
+    Outside [0, 2**64) a step would spill into the seed word and alias
+    another seed's stream, so both are rejected there."""
+    seed, step = int(seed), int(step)
+    if not (0 <= seed < 2 ** 64 and 0 <= step < 2 ** 64):
+        raise ValueError(
+            f"seed and step must lie in [0, 2**64), got {seed} and {step}")
+    return seed, step
 
 
 def stream(seed: int, step: int = 0) -> np.random.Generator:
     """Independent generator addressed by (seed, step)."""
-    return np.random.Generator(
-        np.random.Philox(key=(int(seed) << 64) | int(step)))
+    seed, step = _stream_key(seed, step)
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | step))
+
+
+def rekey(bitgen: np.random.Philox, seed: int, step: int) -> None:
+    """Point ``bitgen`` at the start of the (seed, step) stream.
+
+    Sets key [step, seed] and counter 0 and drops any buffered output, so
+    the draws that follow equal those of ``stream(seed, step)`` bit for bit,
+    whatever was drawn before.  A new ``Philox`` costs several times as
+    much: it seeds a ``SeedSequence`` from OS entropy that the key then
+    replaces.
+    """
+    seed, step = _stream_key(seed, step)
+    bitgen.state = {"bit_generator": "Philox",
+                    "state": {"counter": (0, 0, 0, 0), "key": (step, seed)},
+                    "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                    "has_uint32": 0, "uinteger": 0}
 
 
 def sample_white_noise_spectral(L: int, seed: int) -> MeasurementVector:
@@ -36,14 +68,20 @@ def sample_white_noise_spectral(L: int, seed: int) -> MeasurementVector:
     return MeasurementVector(stream(seed).standard_normal(L), space)
 
 
-def _wiener_draw(size: int, dt: float, rng: np.random.Generator,
-                 mass_chol: np.ndarray = None) -> np.ndarray:
-    """Coefficients of one increment: N(0, dt) i.i.d., or with covariance
-    dt times the mass matrix when its Cholesky factor is given."""
+def _wiener_draw(out: np.ndarray, dt: float, rng: np.random.Generator,
+                 mass_chol: np.ndarray = None):
+    """Fill ``out`` with the coefficients of one increment: N(0, dt)
+    i.i.d., or with covariance dt times the mass matrix when its Cholesky
+    factor is given."""
     if mass_chol is None:
-        return np.sqrt(dt) * rng.standard_normal(size)
-    z = rng.standard_normal(size)
-    return np.sqrt(dt) * (mass_chol @ z)
+        rng.standard_normal(out=out)
+        out *= np.sqrt(dt)
+    else:
+        out[:] = np.sqrt(dt) * (mass_chol @ rng.standard_normal(out.size))
+
+
+def _mass_cholesky(space: TestSpace) -> np.ndarray:
+    return scipy.linalg.cholesky(mass_matrix(space), lower=True)
 
 
 def sample_wiener_increment(space_or_L, dt: float,
@@ -61,11 +99,12 @@ def sample_wiener_increment(space_or_L, dt: float,
     if isinstance(space_or_L, TestSpace):
         space = space_or_L
         if mass_chol is None:
-            mass_chol = scipy.linalg.cholesky(mass_matrix(space), lower=True)
-        return MeasurementVector(_wiener_draw(space.size, dt, rng, mass_chol),
-                                 space)
-    space = build_test_space("sine1d", int(space_or_L))
-    return MeasurementVector(_wiener_draw(space.size, dt, rng), space)
+            mass_chol = _mass_cholesky(space)
+    else:
+        space = build_test_space("sine1d", int(space_or_L))
+    out = np.empty(space.size)
+    _wiener_draw(out, dt, rng, mass_chol)
+    return MeasurementVector(out, space)
 
 
 @dataclass(frozen=True)
@@ -89,37 +128,90 @@ class NoisePath:
         return MeasurementVector(self.records[step], self.space)
 
 
+def _path_space(mode: str, size: int) -> TestSpace:
+    if mode == "spectral":
+        return build_test_space("sine1d", size)
+    if mode == "fem":
+        return build_test_space("fem1d", size)
+    raise ValueError(f"unknown noise mode {mode!r}")
+
+
+def increment_blocks(seed: int, mode: str, dt: float, n_steps: int,
+                     size: int, block: int = 1) -> Iterator[np.ndarray]:
+    """Iterator over the increments of a path, ``block`` steps at a time.
+
+    Yields consecutive ``(block, size)`` arrays (the last may be shorter)
+    whose rows are the ``n_steps`` increments of ``build_path`` with the
+    same arguments, bit for bit.  One Philox bit generator is re-keyed to
+    (seed, k) before step k, so only the block being drawn is held.
+    Arguments are checked here, before the first block is drawn.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if n_steps < 1 or block < 1:
+        raise ValueError("need at least one step and one step per block")
+    space = _path_space(mode, size)
+    seed = _stream_key(seed, n_steps - 1)[0]
+    mass_chol = _mass_cholesky(space) if mode == "fem" else None
+    return _draw_blocks(seed, dt, n_steps, size, block, mass_chol)
+
+
+def _draw_blocks(seed, dt, n_steps, size, block, mass_chol):
+    bitgen = np.random.Philox()
+    rng = np.random.Generator(bitgen)
+    for start in range(0, n_steps, block):
+        rows = np.empty((min(block, n_steps - start), size))
+        for i, row in enumerate(rows):
+            rekey(bitgen, seed, start + i)
+            _wiener_draw(row, dt, rng, mass_chol)
+        yield rows
+
+
 def build_path(seed: int, mode: str, dt: float, n_steps: int,
                size: int) -> NoisePath:
     """Materialize a path of ``n_steps`` increments with ``size`` modes.
 
     Step k is drawn from the (seed, k) stream, so a fine path at dt/m over
     m*n_steps steps and the paths aggregated from it are reproducible from
-    the seed alone.
+    the seed alone.  This is ``increment_blocks`` drawn as one block.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if mode == "spectral":
-        space = build_test_space("sine1d", size)
-        mass_chol = None
-    elif mode == "fem":
-        space = build_test_space("fem1d", size)
-        mass_chol = scipy.linalg.cholesky(mass_matrix(space), lower=True)
-    else:
-        raise ValueError(f"unknown noise mode {mode!r}")
-    records = np.empty((n_steps, size))
-    for k in range(n_steps):
-        records[k] = _wiener_draw(size, dt, stream(seed, k), mass_chol)
-    return NoisePath(seed, mode, dt, n_steps, space, records)
+    records, = increment_blocks(seed, mode, dt, n_steps, size, n_steps)
+    return NoisePath(seed, mode, dt, n_steps, _path_space(mode, size),
+                     records)
+
+
+def _group_sums(records: np.ndarray, factor: int) -> np.ndarray:
+    """Sums of consecutive groups of ``factor`` rows, each accumulated row
+    by row in order; the coarse increments are these bits wherever the
+    groups are summed."""
+    n, size = records.shape
+    if factor < 1 or n % factor:
+        raise ValueError("step count must be divisible by the factor")
+    return records.reshape(n // factor, factor, size).sum(axis=1)
 
 
 def aggregate_increments(path: NoisePath, factor: int) -> NoisePath:
     """Sum blocks of ``factor`` consecutive fine increments."""
-    if factor < 1 or path.n_steps % factor:
-        raise ValueError("step count must be divisible by the factor")
     if factor == 1:
         return path
-    coarse = path.records.reshape(path.n_steps // factor, factor,
-                                  path.space.size).sum(axis=1)
     return NoisePath(path.seed, path.mode, path.dt * factor,
-                     path.n_steps // factor, path.space, coarse)
+                     path.n_steps // factor, path.space,
+                     _group_sums(path.records, factor))
+
+
+def aggregating(blocks: Iterable[np.ndarray], factor: int,
+                out: np.ndarray) -> Iterator[np.ndarray]:
+    """Pass ``blocks`` of fine increments through unchanged, first writing
+    the sums of each block's groups of ``factor`` rows into the next rows
+    of ``out``.
+
+    Every block must hold whole groups.  Once the blocks are consumed,
+    ``out`` holds the records ``aggregate_increments`` would give for the
+    whole path, bit for bit, without the fine path ever being held.
+    """
+    row = 0
+    for rows in blocks:
+        sums = _group_sums(rows, factor)
+        out[row:row + sums.shape[0]] = sums
+        row += sums.shape[0]
+        yield rows

@@ -4,18 +4,21 @@ Closed-form coefficients for the 1D linear elliptic problem, a seeded
 manufactured solution/forcing pair for the 2D semilinear problem, and a
 fine-mesh spectral-Galerkin integrator for the stochastic heat and
 Allen-Cahn equations that consumes the same Brownian paths as the kernel
-runs.
+runs, streamed block by block.
 """
 
 from __future__ import annotations
+
+import itertools
+from collections.abc import Iterable
 
 import numpy as np
 from scipy.fft import next_fast_len
 
 from . import operators
 from .noise import NoisePath, stream
-from .spaces import GridFunction, MeasurementVector, TestSpace, \
-    build_test_space, project, synthesize
+from .spaces import GridFunction, MeasurementVector, build_test_space, \
+    project, sine_synthesis, synthesize
 from .spde import Trajectory
 
 __all__ = ["closed_form_elliptic_1d", "manufactured_semilinear_2d",
@@ -57,7 +60,8 @@ def manufactured_semilinear_2d(eps: float, L: int, seed: int, nu: float,
 
 
 def spectral_galerkin_spde(family: str, nu: float, sigma: float, dt: float,
-                           L: int, t_final: float, path: NoisePath = None,
+                           L: int, t_final: float,
+                           path: NoisePath | Iterable[np.ndarray] = None,
                            initial: np.ndarray = None, store_every: int = 1,
                            n_grid: int = 0) -> Trajectory:
     """Mode-wise semi-implicit Euler on the first L sine modes.
@@ -71,8 +75,15 @@ def spectral_galerkin_spde(family: str, nu: float, sigma: float, dt: float,
     integer >= 2L + 2: the DST-I of the n - 1 interior points runs as a
     real FFT of length 2n, and sizes with a large prime factor (2L + 2 =
     4098 = 2 * 3 * 683 at L = 2048) are about ten times slower.  Snapshots
-    are stored every ``store_every`` steps and synthesized on an
+    are stored every ``store_every`` steps and synthesized together on an
     ``n_grid``-point grid (default 2L + 3).
+
+    The increments dbeta come from ``path``: a materialized ``NoisePath``,
+    or an iterable of 2D blocks of consecutive increments with at least L
+    columns, such as ``noise.increment_blocks``.  The stream is consumed
+    block by block as the steps advance, so the fine path is never held
+    whole; it must hold exactly t_final/dt increments.  Without a path the
+    equation is driven by its drift alone.
     """
     if family not in ("heat", "allen_cahn"):
         raise ValueError(f"unknown SPDE family {family!r}")
@@ -81,11 +92,13 @@ def spectral_galerkin_spde(family: str, nu: float, sigma: float, dt: float,
         raise ValueError("t_final must be an integral number of steps")
     if n_steps % store_every:
         raise ValueError("store_every must divide the step count")
-    if path is not None:
-        if path.n_steps != n_steps:
-            raise ValueError("noise path length does not match t_final/dt")
-        if path.space.size < L:
-            raise ValueError("noise path carries fewer modes than requested")
+    if path is None:
+        blocks = itertools.repeat(np.zeros((1, L)), n_steps)
+    elif isinstance(path, NoisePath):
+        blocks = (path.records[k:k + store_every]
+                  for k in range(0, path.n_steps, store_every))
+    else:
+        blocks = path
     space = build_test_space("sine1d", L)
     n_de = next_fast_len(2 * L + 2, real=True) + 1   # dealiasing grid
     n_grid = n_grid or 2 * L + 3
@@ -100,23 +113,29 @@ def spectral_galerkin_spde(family: str, nu: float, sigma: float, dt: float,
     n_stored = n_steps // store_every
     stored = np.empty((n_stored + 1, L))
     stored[0] = a
-    for k in range(n_steps):
-        if family == "allen_cahn":
-            u = synthesize(a, space, n_de).values
-            fhat = project(GridFunction(u - u ** 3), space).entries
-        else:
-            fhat = 0.0
-        incr = sigma * path.records[k][:L] if path is not None else 0.0
-        a = (a + dt * fhat + incr) / denom
-        if (k + 1) % store_every == 0:
-            stored[(k + 1) // store_every] = a
+    k = 0
+    for block in blocks:
+        if k + block.shape[0] > n_steps:
+            raise ValueError("noise path length does not match t_final/dt")
+        if block.shape[1] < L:
+            raise ValueError("noise path carries fewer modes than requested")
+        for incr in sigma * block[:, :L]:
+            if family == "allen_cahn":
+                u = synthesize(a, space, n_de).values
+                fhat = project(GridFunction(u - u ** 3), space).entries
+            else:
+                fhat = 0.0
+            a = (a + dt * fhat + incr) / denom
+            k += 1
+            if k % store_every == 0:
+                stored[k // store_every] = a
+    if k != n_steps:
+        raise ValueError("noise path length does not match t_final/dt")
 
     times = np.arange(n_stored + 1) * (dt * store_every)
     # grid values keep only the modes the output grid can carry; the full
     # coefficient history is returned alongside in ``measurements``
     n_keep = min(L, n_grid - 2)
-    keep_space = build_test_space("sine1d", n_keep)
-    values = np.empty((n_stored + 1, n_grid))
-    for i in range(n_stored + 1):
-        values[i] = synthesize(stored[i][:n_keep], keep_space, n_grid).values
+    values = sine_synthesis(stored[:, :n_keep], n_grid)
     return Trajectory(times, values, stored, space)
+

@@ -30,6 +30,7 @@ __all__ = [
     "project",
     "tent_projection_weights",
     "synthesize",
+    "sine_synthesis",
     "grid_points",
     "trapezoid_weights",
 ]
@@ -255,14 +256,7 @@ def synthesize(coeffs, space: TestSpace, n_points: int) -> GridFunction:
     if c.shape != (space.size,):
         raise ValueError("coefficient length must equal the basis size")
     if space.kind == "sine1d":
-        n = n_points - 1
-        if space.size > n - 1:
-            raise ResolutionTooCoarseError("grid cannot carry all modes")
-        pad = np.zeros(n - 1)
-        pad[:space.size] = c
-        out = np.zeros(n_points)
-        out[1:-1] = dst(pad, type=1) * (np.sqrt(2.0) / 2.0)
-        return GridFunction(out)
+        return GridFunction(sine_synthesis(c, n_points))
     if space.kind == "sine2d":
         n = n_points - 1
         p = space.n_per_dim
@@ -280,6 +274,24 @@ def synthesize(coeffs, space: TestSpace, n_points: int) -> GridFunction:
         x = grid_points(n_points)
         return GridFunction(np.interp(x, nodes, vals))
     raise ValueError(f"unknown kind {space.kind!r}")
+
+
+def sine_synthesis(coeffs: np.ndarray, n_points: int) -> np.ndarray:
+    """Values of sum_j c_j sqrt(2) sin(pi j x) on a uniform grid of
+    ``n_points``, for each row of ``coeffs`` along its last axis.
+
+    A stack of rows takes one DST-I along the last axis, which gives the
+    same bits as synthesizing the rows one at a time.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    n = n_points - 1
+    if c.shape[-1] > n - 1:
+        raise ResolutionTooCoarseError("grid cannot carry all modes")
+    pad = np.zeros(c.shape[:-1] + (n - 1,))
+    pad[..., :c.shape[-1]] = c
+    out = np.zeros(c.shape[:-1] + (n_points,))
+    out[..., 1:-1] = dst(pad, type=1, axis=-1) * (np.sqrt(2.0) / 2.0)
+    return out
 
 
 def basis_values(space: TestSpace, points: np.ndarray) -> np.ndarray:

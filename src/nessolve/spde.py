@@ -84,12 +84,6 @@ class Trajectory:
     measurements: np.ndarray        # (n_steps+1, N) basis projections
     space: TestSpace
 
-    def snapshot(self, k: int) -> GridFunction:
-        return GridFunction(self.values[k])
-
-    def measurement(self, k: int) -> MeasurementVector:
-        return MeasurementVector(self.measurements[k], self.space)
-
 
 def tent_sine_cross_gram(fem_space: TestSpace, n_modes: int) -> np.ndarray:
     """Exact integrals of tent functions against orthonormal sines.

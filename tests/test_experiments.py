@@ -6,15 +6,18 @@ runs live in test_acceptance.py.
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 import yaml
 
+from nessolve import noise, reference
 from nessolve.cli import build_parser, main
 from nessolve.errors import StageError
 from nessolve.experiments import DEFAULTS, EXPERIMENTS, ExperimentConfig, \
-    _sine_series_at_nodes, check_thresholds, run_experiment
+    _sine_series_at_nodes, _spde_initial, _spde_paths, check_thresholds, \
+    run_experiment
 from nessolve.spaces import build_test_space
 
 SMALL = {
@@ -211,3 +214,42 @@ def test_cli_check_flags_violations(tmp_path, capsys):
 def test_all_experiments_have_defaults():
     assert set(EXPERIMENTS) == set(DEFAULTS)
     assert set(SMALL) == set(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("family", ["heat", "allen_cahn"])
+def test_streamed_spde_paths_match_the_materialized_path(family):
+    # the one-pass stream gives the coarse increments, reference values
+    # and reference coefficients of the full fine path bit for bit
+    p = ExperimentConfig(family, 5, params=SMALL[family]).resolved()
+    p["refine"] = 4
+    dt, refine, trunc = p["dt"], p["refine"], p["truncation"]
+    n_steps = int(round(p["t_final"] / dt))
+    n_quad = 4 * p["n_fem"] + 1
+    _, init = _spde_initial(family, n_quad, trunc)
+    coarse, ref = _spde_paths(p, family, 5, init, n_quad)
+
+    fine = noise.build_path(5, "spectral", dt / refine, n_steps * refine,
+                            trunc)
+    want = reference.spectral_galerkin_spde(
+        family, p["nu"], p["sigma"], dt / refine, trunc, p["t_final"], fine,
+        initial=init, store_every=refine, n_grid=n_quad)
+    assert np.array_equal(coarse.records,
+                          noise.aggregate_increments(fine, refine).records)
+    assert coarse.dt == dt and coarse.n_steps == n_steps
+    assert np.array_equal(ref.values, want.values)
+    assert np.array_equal(ref.measurements, want.measurements)
+
+
+def test_heat_pipeline_never_holds_the_fine_path():
+    params = {"t_final": 0.25, "n_seeds": 1}
+    p = ExperimentConfig("heat", 7, params=params).resolved()
+    fine_bytes = 8 * int(round(p["t_final"] / p["dt"])) * p["refine"] * \
+        p["truncation"]
+    assert fine_bytes >= 32 * 2 ** 20
+    tracemalloc.start()
+    try:
+        run_experiment(ExperimentConfig("heat", 7, params=params))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < fine_bytes / 2, f"peak {peak / 2 ** 20:.1f} MiB"

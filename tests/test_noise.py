@@ -6,9 +6,11 @@ intervals sit at least five standard errors out.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nessolve.noise import NoisePath, aggregate_increments, build_path, \
     sample_white_noise_spectral, sample_wiener_increment, stream
+from nessolve.noise import aggregating, increment_blocks, rekey
 from nessolve.spaces import build_test_space, mass_matrix
 
 
@@ -137,3 +139,80 @@ def test_path_metadata_validation():
         NoisePath(0, "spectral", 0.1, 4, sp, records=np.zeros((3, 3)))
     with pytest.raises(ValueError):
         NoisePath(0, "quasi", 0.1, 4, sp, records=np.zeros((4, 3)))
+
+_WORD = st.one_of(st.integers(0, 2 ** 64 - 1),
+                  st.integers(2 ** 64 - 4, 2 ** 64 - 1),
+                  st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_WORD, step=_WORD, size=st.integers(1, 40),
+       normals_before=st.integers(0, 9), uint32_before=st.booleans())
+def test_rekeyed_draws_equal_stream(seed, step, size, normals_before,
+                                    uint32_before):
+    # a generator part way through another stream, with buffered 64-bit
+    # words and possibly a held 32-bit half, restarts cleanly on re-keying
+    bitgen = np.random.Philox()
+    rng = np.random.Generator(bitgen)
+    rng.standard_normal(normals_before)
+    if uint32_before:
+        rng.integers(0, 2 ** 32, dtype=np.uint32)
+    rekey(bitgen, seed, step)
+    want = stream(seed, step).standard_normal(size)
+    assert np.array_equal(rng.standard_normal(size), want)
+
+
+def test_stream_keys_outside_64_bits_are_rejected():
+    # step 2**64 used to spill into the seed word: stream(0, 2**64) was
+    # seed 1's stream 0
+    bitgen = np.random.Philox()
+    for seed, step in [(0, 2 ** 64), (2 ** 64, 0), (-1, 0), (0, -1)]:
+        with pytest.raises(ValueError):
+            stream(seed, step)
+        with pytest.raises(ValueError):
+            rekey(bitgen, seed, step)
+    for seed in (2 ** 64, -1):
+        with pytest.raises(ValueError):
+            increment_blocks(seed, "spectral", 0.1, 4, 3)
+    with pytest.raises(ValueError):
+        increment_blocks(0, "spectral", 0.1, 2 ** 64 + 1, 3)
+    edge = 2 ** 64 - 1
+    assert np.array_equal(stream(edge, edge).standard_normal(3),
+                          np.random.Generator(np.random.Philox(
+                              key=2 ** 128 - 1)).standard_normal(3))
+
+
+@pytest.mark.parametrize("mode", ["spectral", "fem"])
+@pytest.mark.parametrize("block", [1, 3, 4, 11])
+def test_increment_blocks_are_the_path_rows(mode, block):
+    seed, dt, n_steps, size = 23, 1.0 / 32, 10, 7
+    path = build_path(seed, mode, dt, n_steps, size)
+    blocks = list(increment_blocks(seed, mode, dt, n_steps, size, block))
+    assert [b.shape[0] for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+    assert np.array_equal(np.concatenate(blocks), path.records)
+
+
+def test_increment_blocks_validation():
+    with pytest.raises(ValueError):
+        increment_blocks(0, "sobol", 0.1, 4, 3)
+    with pytest.raises(ValueError):
+        increment_blocks(0, "spectral", 0.0, 4, 3)
+    with pytest.raises(ValueError):
+        increment_blocks(0, "spectral", 0.1, 0, 3)
+    with pytest.raises(ValueError):
+        increment_blocks(0, "spectral", 0.1, 4, 3, block=0)
+
+
+@pytest.mark.parametrize("block_groups", [1, 2])
+def test_aggregating_matches_aggregate_increments(block_groups):
+    seed, dt, factor, size = 4, 1.0 / 64, 4, 5
+    fine = build_path(seed, "spectral", dt, 16, size)
+    coarse = np.empty((4, size))
+    passed = list(aggregating(increment_blocks(
+        seed, "spectral", dt, 16, size, factor * block_groups),
+        factor, coarse))
+    assert np.array_equal(np.concatenate(passed), fine.records)
+    assert np.array_equal(coarse, aggregate_increments(fine, factor).records)
+    with pytest.raises(ValueError):
+        list(aggregating(increment_blocks(seed, "spectral", dt, 16, size, 3),
+                         factor, coarse))

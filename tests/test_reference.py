@@ -6,6 +6,7 @@ from scipy.fft import dst
 
 from nessolve import operators, reference
 from nessolve.noise import build_path, stream
+from nessolve.noise import increment_blocks
 from nessolve.reference import closed_form_elliptic_1d, \
     manufactured_semilinear_2d, spectral_galerkin_spde
 from nessolve.spaces import GridFunction, MeasurementVector, \
@@ -201,3 +202,32 @@ def test_allen_cahn_drift_aliases_on_2L_intervals():
     assert np.abs(aliased[:-1] - want[:-1]).max() <= 1e-13 * scale
     # the alias moves mode L by 3.7e-7, far outside the 1e-13 above
     assert abs(aliased[-1] - want[-1]) >= 1e-9 * scale
+
+
+@pytest.mark.parametrize("family", ["heat", "allen_cahn"])
+def test_streamed_blocks_step_like_the_materialized_path(family):
+    # blocks of a wider path drive the first L modes exactly as the whole
+    # NoisePath does
+    dt, L, n_steps = 1.0 / 64, 8, 16
+    init = _smooth_initial(L)
+    want = spectral_galerkin_spde(family, 0.05, 0.3, dt, L, n_steps * dt,
+                                  build_path(3, "spectral", dt, n_steps, 12),
+                                  initial=init, store_every=4)
+    got = spectral_galerkin_spde(family, 0.05, 0.3, dt, L, n_steps * dt,
+                                 increment_blocks(3, "spectral", dt, n_steps,
+                                                  12, 4),
+                                 initial=init, store_every=4)
+    assert np.array_equal(got.measurements, want.measurements)
+    assert np.array_equal(got.values, want.values)
+
+
+def test_streamed_path_validation():
+    def run(blocks):
+        spectral_galerkin_spde("heat", 0.1, 0.1, 0.01, 4, 0.1, blocks)
+
+    with pytest.raises(ValueError):      # too few steps
+        run(increment_blocks(0, "spectral", 0.01, 9, 4, 3))
+    with pytest.raises(ValueError):      # too many steps
+        run(increment_blocks(0, "spectral", 0.01, 11, 4, 5))
+    with pytest.raises(ValueError):      # too few modes
+        run(increment_blocks(0, "spectral", 0.01, 10, 3, 5))

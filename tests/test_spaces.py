@@ -202,3 +202,13 @@ def test_grid_function_validation():
         GridFunction(np.zeros((2, 2, 2)))
     g = GridFunction(np.ones(5))
     assert (2.0 * g - g).values == pytest.approx(np.ones(5))
+
+
+def test_stacked_sine_synthesis_matches_rows():
+    # one DST-I along the last axis gives the bits of row-by-row synthesis
+    coeffs = np.random.default_rng(4).standard_normal((1025, 255))
+    space = build_test_space("sine1d", 255)
+    want = np.stack([synthesize(row, space, 513).values for row in coeffs])
+    assert np.array_equal(spaces.sine_synthesis(coeffs, 513), want)
+    with pytest.raises(ResolutionTooCoarseError):
+        spaces.sine_synthesis(coeffs, 256)
