@@ -326,15 +326,15 @@ def _spde_paths(p: dict, family: str, seed: int, init_coeffs: np.ndarray,
 
     Each block of ``refine`` fine steps drives the reference and is summed
     into the coarse step it makes up, so no more than one block of the fine
-    path is held at a time.
+    path is held at a time.  The blocks are drawn as the reference consumes
+    them, so the draws and their failures count under the reference stage.
     """
     dt, refine, trunc = p["dt"], p["refine"], p["truncation"]
     n_steps = int(round(p["t_final"] / dt))
-    with _stage("noise"):
+    with _stage("reference"):
         fine = noise.increment_blocks(seed, "spectral", dt / refine,
                                       n_steps * refine, trunc, refine)
         coarse = np.empty((n_steps, trunc))
-    with _stage("reference"):
         ref = reference.spectral_galerkin_spde(
             family, p["nu"], p["sigma"], dt / refine, trunc, p["t_final"],
             noise.aggregating(fine, refine, coarse), initial=init_coeffs,

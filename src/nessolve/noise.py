@@ -12,7 +12,6 @@ groups of fine increments pathwise, over a whole path or block by block.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,7 +136,7 @@ def _path_space(mode: str, size: int) -> TestSpace:
 
 
 def increment_blocks(seed: int, mode: str, dt: float, n_steps: int,
-                     size: int, block: int = 1) -> Iterator[np.ndarray]:
+                     size: int, block: int = 1):
     """Iterator over the increments of a path, ``block`` steps at a time.
 
     Yields consecutive ``(block, size)`` arrays (the last may be shorter)
@@ -199,8 +198,7 @@ def aggregate_increments(path: NoisePath, factor: int) -> NoisePath:
                      _group_sums(path.records, factor))
 
 
-def aggregating(blocks: Iterable[np.ndarray], factor: int,
-                out: np.ndarray) -> Iterator[np.ndarray]:
+def aggregating(blocks, factor: int, out: np.ndarray):
     """Pass ``blocks`` of fine increments through unchanged, first writing
     the sums of each block's groups of ``factor`` rows into the next rows
     of ``out``.

@@ -9,9 +9,6 @@ runs, streamed block by block.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterable
-
 import numpy as np
 from scipy.fft import next_fast_len
 
@@ -61,7 +58,7 @@ def manufactured_semilinear_2d(eps: float, L: int, seed: int, nu: float,
 
 def spectral_galerkin_spde(family: str, nu: float, sigma: float, dt: float,
                            L: int, t_final: float,
-                           path: NoisePath | Iterable[np.ndarray] = None,
+                           path=None,
                            initial: np.ndarray = None, store_every: int = 1,
                            n_grid: int = 0) -> Trajectory:
     """Mode-wise semi-implicit Euler on the first L sine modes.
@@ -93,10 +90,12 @@ def spectral_galerkin_spde(family: str, nu: float, sigma: float, dt: float,
     if n_steps % store_every:
         raise ValueError("store_every must divide the step count")
     if path is None:
-        blocks = itertools.repeat(np.zeros((1, L)), n_steps)
+        blocks = [np.zeros((store_every, L))] * (n_steps // store_every)
     elif isinstance(path, NoisePath):
+        if path.n_steps != n_steps:
+            raise ValueError("noise path length does not match t_final/dt")
         blocks = (path.records[k:k + store_every]
-                  for k in range(0, path.n_steps, store_every))
+                  for k in range(0, n_steps, store_every))
     else:
         blocks = path
     space = build_test_space("sine1d", L)
