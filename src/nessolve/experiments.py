@@ -147,9 +147,11 @@ def _run_elliptic1d(p: dict) -> dict:
         ctx0 = SeminormContext.build(build_test_space("sine1d", n), 0.0)
         rep0, _ = gn_step(ctx0, blocks0, xi_vals, np.zeros(2),
                           p["gamma_pointwise"])
-        e0 = evaluate_collocation(kernel, x_col, 1.0, p["nu"],
-                                  _boundary_1d(), grid_points(cfg.n_quad))
-        estimate0 = GridFunction(e0 @ rep0.coefficients)
+        # the evaluation matrix in row blocks: no n_quad x (n + 2) array
+        estimate0 = GridFunction(np.concatenate([
+            evaluate_collocation(kernel, x_col, 1.0, p["nu"],
+                                 _boundary_1d(), y) @ rep0.coefficients
+            for y in np.array_split(grid_points(cfg.n_quad), 16)]))
     with _stage("metrics"):
         err = metrics.rel_l2_error(estimate, truth)
         err0 = metrics.rel_l2_error(estimate0, truth)
@@ -344,37 +346,39 @@ def _spde_paths(p: dict, family: str, seed: int, init_coeffs: np.ndarray,
     return coarse_path, ref
 
 
+def _spde_seed(p: dict, family: str, seed: int):
+    """Space-time error of one seed's kernel run against its reference,
+    and the final grid values of both.  The seed's trajectories and noise
+    path are dropped on return, before the next seed's are built."""
+    n_quad = 4 * p["n_fem"] + 1
+    init_grid, init_coeffs = _spde_initial(family, n_quad, p["truncation"])
+    coarse_path, ref = _spde_paths(p, family, seed, init_coeffs, n_quad)
+    with _stage("kernel_integration"):
+        cfg = SpdeConfig(family, p["nu"], p["sigma"], p["t_final"], p["dt"],
+                         space=build_test_space("fem1d", p["n_fem"]),
+                         kernel=KernelSpec(length_scale=p["length_scale"]),
+                         gamma=p["gamma"], n_quad=n_quad, initial=init_grid)
+        traj = spde.integrate(cfg, coarse_path)
+    with _stage("metrics"):
+        err = metrics.space_time_l2_error(traj, ref)
+    return err, ref.values[-1].copy(), traj.values[-1].copy()
+
+
 def _run_spde(p: dict, family: str) -> dict:
-    n_fem = p["n_fem"]
-    dt = p["dt"]
-    trunc = p["truncation"]
-    kernel = KernelSpec(length_scale=p["length_scale"])
-    fem_space = build_test_space("fem1d", n_fem)
-    n_quad = 4 * n_fem + 1
     errors = []
     rows = []
     fields = None
     for k in range(p["n_seeds"]):
         seed = p["seed"] + k
-        init_grid, init_coeffs = _spde_initial(family, n_quad, trunc)
-        coarse_path, ref = _spde_paths(p, family, seed, init_coeffs, n_quad)
-        with _stage("kernel_integration"):
-            cfg = SpdeConfig(family, p["nu"], p["sigma"], p["t_final"], dt,
-                             space=fem_space, kernel=kernel,
-                             gamma=p["gamma"], n_quad=n_quad,
-                             initial=init_grid)
-            traj = spde.integrate(cfg, coarse_path)
-        with _stage("metrics"):
-            err = metrics.space_time_l2_error(traj, ref)
+        err, ref_final, final = _spde_seed(p, family, seed)
         errors.append(err)
         rows.append(("seed", float(seed), "space_time_l2_error", err))
         if fields is None:
-            final = _downsample_1d(grid_points(n_quad), ref.values[-1],
-                                   traj.values[-1])
-            fields = final
+            fields = _downsample_1d(grid_points(ref_final.shape[0]),
+                                    ref_final, final)
     result = {"space_time_l2_errors": errors,
               "mean_space_time_l2_error": float(np.mean(errors)),
-              "cfl_product": n_fem ** 2 * dt}
+              "cfl_product": p["n_fem"] ** 2 * p["dt"]}
     return {"metrics": result, "rows": rows, "fields": fields}
 
 

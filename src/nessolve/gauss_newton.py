@@ -8,9 +8,11 @@ equality-constrained quadratic program
     s.t.   C c = g
 
 with one solver, ``KKTSystem``: a null-space QR factorization of the
-whitened least-squares form, taken once per set of Gram blocks.  The outer
-loop reuses it while the blocks do not change (linear families), and the
-SPDE time stepper reuses it across all its right-hand sides.
+whitened least-squares form, taken once per set of Gram blocks, whose
+``solve`` applies the stored factors to the right-hand sides it is given.
+The outer loop reuses it while the blocks do not change (linear families);
+the SPDE time stepper solves it once for the identity columns to form its
+solution map.
 """
 
 from __future__ import annotations
@@ -133,14 +135,13 @@ class KKTSystem:
     objective is ||S c - d||^2 for S = [W B; sqrt(gamma) L^T] and
     d = [W r; 0].  A QR of C^T = [Q1 Z] [R1; 0] splits c = Q1 y1 + Z y2;
     the constraint fixes y1 = R1^{-T} g, and a QR of S Z = U T gives
-    y2 = T^{-1} U^T (d - S Q1 y1).  No normal equations are formed, so the
-    high-frequency features survive in double precision.  Coefficients and
-    multipliers are linear in (r, g); both maps are formed here, so each
-    ``solve`` is one matrix-vector product.  The r-columns need U^T [W; 0]
-    = U[:n]^T W, so the thin U is formed explicitly (``dorgqr``, backward
-    accumulation of the reflectors) instead of applying U^T to a padded
-    identity; the m g-columns still apply the reflectors.  ``jitter`` is
-    the diagonal bump the Cholesky factor of G needed (0.0 when none).
+    y2 = T^{-1} U^T (d - S Q1 y1) (Golub & Van Loan, Matrix Computations,
+    4th ed., section 6.2).  No normal equations are formed, so the
+    high-frequency features survive in double precision.  Only the factors
+    are kept: Q and U as Householder reflectors, T in the upper triangle of
+    U's raw QR array, and S Q1; each ``solve`` applies them to its
+    right-hand sides.  ``jitter`` is the diagonal bump the Cholesky factor
+    of G needed (0.0 when none).
     """
 
     def __init__(self, ctx: SeminormContext, blocks: GramBlocks,
@@ -151,56 +152,53 @@ class KKTSystem:
         b, c = blocks.k_chi_phi, blocks.k_x_phi
         n, self.n_primal = b.shape
         m = c.shape[0]
-        (h, tau), r1 = scipy.linalg.qr(c.T, mode="raw")
-        r_diag = np.abs(np.diag(r1))
+        (self._h, self._tau), self._r1 = scipy.linalg.qr(c.T, mode="raw")
+        r_diag = np.abs(np.diag(self._r1))
         if not r_diag.min() > self.n_primal * np.finfo(float).eps * \
                 r_diag.max():
             raise DegenerateFeaturesError(
                 "boundary features are linearly dependent", block="k_x_phi")
-        # allocated before the work arrays, so freeing those can return
-        # their memory to the system; the work arrays are Fortran-ordered
-        # and updated in place
-        self._solution = np.empty((self.n_primal + m, n + m))
         chol, self.jitter = _gram_cholesky(blocks.k_phi_phi)
+        # Fortran-ordered, so the reflectors and the QR update it in place
         sq = np.empty((n + self.n_primal, self.n_primal), order="F")
         sq[:n] = ctx.whiten(b)
         sq[n:] = chol.T
         del chol
         sq[n:] *= np.sqrt(gamma)
-        sq = _apply_q(h, tau, sq, "R")          # [S Q1, S Z]
-        sq1 = sq[:, :m]
-        sq1_sq = sq1.T @ sq
-        (hz, tauz), t = scipy.linalg.qr(sq[:, m:], overwrite_a=True,
-                                        mode="raw")
-        # y = Q^T c for unit right-hand sides, columns ordered (r, g):
-        # d = [W r; 0] for the r-columns, -S Q1 y1 for the g-columns
-        sq1_w = ctx.whiten_transposed(sq1[:n]).T         # (S Q1)^T [W; 0]
-        y1 = scipy.linalg.solve_triangular(r1, np.eye(m), trans="T")
-        y = np.zeros((self.n_primal, n + m), order="F")
-        y[:m, n:] = y1
-        rhs_g = np.asfortranarray(-sq1 @ y1)
-        y[m:, n:] = _apply_q(hz, tauz, rhs_g, "L", "T")[:self.n_primal - m]
-        # U1, the first n_primal - m columns of U; U1^T [W; 0] = U1[:n]^T W
-        u1, _, info = scipy.linalg.lapack.dorgqr(
-            hz, tauz, lwork=64 * max(hz.shape), overwrite_a=1)
-        if info != 0:
-            raise ValueError(f"dorgqr failed (info={info})")
-        y[m:, :n] = ctx.whiten_transposed(u1[:n]).T
-        y[m:] = scipy.linalg.solve_triangular(t, y[m:])
-        # stationarity C^T mu = -2 S^T (S c - d), resolved along Q1
-        grad = sq1_sq @ y
-        grad[:, :n] -= sq1_w
-        mult = -2.0 * scipy.linalg.solve_triangular(r1, grad)
-        self._solution[:self.n_primal] = _apply_q(h, tau, y, "L")
-        self._solution[self.n_primal:] = mult
-        if not np.all(np.isfinite(self._solution)):
-            raise DegenerateFeaturesError("non-finite step solution",
-                                          block="k_phi_phi")
+        sq = _apply_q(self._h, self._tau, sq, "R")      # [S Q1, S Z]
+        self._sq1 = sq[:, :m]
+        self._sq1_sq = self._sq1.T @ sq
+        (self._hz, self._tauz), _ = scipy.linalg.qr(
+            sq[:, m:], overwrite_a=True, mode="raw")
 
     def solve(self, r_entries: np.ndarray, g_boundary: np.ndarray):
-        """Coefficients and multipliers for one right-hand side."""
-        x = self._solution @ np.concatenate([r_entries, g_boundary])
-        return x[:self.n_primal], x[self.n_primal:]
+        """Coefficients and multipliers for one right-hand side, or for
+        each column of a matrix of them (a vector ``g_boundary`` is shared
+        by all columns)."""
+        n = self.blocks.k_chi_phi.shape[0]
+        m, n_z = self._r1.shape[0], self.n_primal - self._r1.shape[0]
+        w = self.ctx.whiten(r_entries)
+        vector = w.ndim == 1
+        w = w.reshape(n, -1)
+        y1 = scipy.linalg.solve_triangular(
+            self._r1, np.reshape(g_boundary, (m, -1)), trans="T")
+        d = np.zeros((self._sq1.shape[0], w.shape[1]), order="F")
+        d[:n] = w
+        d -= self._sq1 @ y1
+        y = np.empty((self.n_primal, w.shape[1]), order="F")
+        y[:m] = y1
+        y[m:] = scipy.linalg.solve_triangular(
+            self._hz[:n_z], _apply_q(self._hz, self._tauz, d, "L", "T")[:n_z])
+        # stationarity C^T mu = -2 S^T (S c - d), resolved along Q1
+        grad = self._sq1_sq @ y - self._sq1[:n].T @ w
+        mult = -2.0 * scipy.linalg.solve_triangular(self._r1, grad)
+        coeffs = _apply_q(self._h, self._tau, y, "L")
+        if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(mult))):
+            raise DegenerateFeaturesError("non-finite step solution",
+                                          block="k_phi_phi")
+        if vector:
+            return coeffs[:, 0], mult[:, 0]
+        return coeffs, mult
 
     def loss_terms(self, coeffs: np.ndarray, r_entries: np.ndarray):
         resid = self.blocks.k_chi_phi @ coeffs - r_entries

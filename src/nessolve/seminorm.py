@@ -51,14 +51,6 @@ class SeminormContext:
             return (m.T / np.sqrt(self.diag)).T
         return scipy.linalg.solve_triangular(self.chol, m, lower=True)
 
-    def whiten_transposed(self, m: np.ndarray) -> np.ndarray:
-        """W^T m for the whitening W = L^{-1} that ``whiten`` applies
-        (W is diagonal, so W^T = W, for the diagonal shortcut)."""
-        if self.diag is not None:
-            return self.whiten(m)
-        return scipy.linalg.solve_triangular(
-            self.chol, np.asarray(m, dtype=float), lower=True, trans="T")
-
 
 def _entries(ctx: SeminormContext, m) -> np.ndarray:
     if isinstance(m, MeasurementVector):

@@ -73,17 +73,6 @@ class GridFunction:
     def n_points(self) -> int:
         return self.values.shape[0]
 
-    def __add__(self, other):
-        return GridFunction(self.values + _values_of(other))
-
-    def __sub__(self, other):
-        return GridFunction(self.values - _values_of(other))
-
-    def __mul__(self, scalar):
-        return GridFunction(self.values * scalar)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class MeasurementVector:
@@ -98,10 +87,6 @@ class MeasurementVector:
         if e.shape != (self.space.size,):
             raise ValueError(
                 f"expected {self.space.size} entries, got {e.shape}")
-
-
-def _values_of(f):
-    return f.values if isinstance(f, GridFunction) else np.asarray(f)
 
 
 def grid_points(n_points: int, dim: int = 1) -> np.ndarray:

@@ -3,11 +3,13 @@
 Each step solves the rough linear problem (I - dt*nu*Lap) u_{k+1} =
 u_k + dt*f(u_k) + sigma*dxi_k with the weak-norm kernel solver: the
 Gauss-Newton step QP of a linear elliptic operator with diffusion dt*nu.
-The operator is time-independent, so ``Stepper`` assembles its Gram blocks
-and factors one ``KKTSystem`` up front; each step then costs one
-projection of the right-hand side and one application of the precomputed
-solution map.  The reaction term (u - u^3 for Allen-Cahn) is treated
-explicitly.
+The operator is time-independent, so ``Stepper`` assembles its Gram blocks,
+factors one ``KKTSystem`` and solves it once for the identity columns of
+the right-hand side: the product with the grid evaluation matrix is the
+solution map from measurements to grid values (n_quad x N).  Each step then
+costs one projection of the right-hand side and one product with that
+map, instead of a solve from the factors.  The reaction term (u - u^3 for
+Allen-Cahn) is treated explicitly.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFeaturesError
 from .gauss_newton import KKTSystem
 from .kernels import FeatureSet, KernelSpec, assemble_features
 from .noise import NoisePath
@@ -113,7 +114,10 @@ class Stepper:
                                    np.array([0.0, 1.0]), cfg.n_quad)
         self.blocks = assemble_features(cfg.kernel, self.features,
                                         want_quad_eval=True)
-        self.kkt = KKTSystem(self.ctx, self.blocks, cfg.gamma)
+        kkt = KKTSystem(self.ctx, self.blocks, cfg.gamma)
+        # grid values of the step for each unit measurement, boundary zero
+        self.solution_map = self.blocks.quad_eval @ kkt.solve(
+            np.eye(cfg.space.size), np.zeros(2))[0]
         self.grid = grid_points(cfg.n_quad)
         # fem projection of each right-hand side and stored state, formed
         # once: project() would rebuild the N x G tent matrix on every call
@@ -149,8 +153,7 @@ class Stepper:
         m = self.measure(u_grid + cfg.dt * cfg.drift(u_grid))
         if dxi is not None and cfg.sigma != 0.0:
             m = m + cfg.sigma * self._to_measurement(dxi)
-        coeffs, _ = self.kkt.solve(m, np.zeros(2))
-        return self.blocks.quad_eval @ coeffs
+        return self.solution_map @ m
 
 
 def integrate(cfg: SpdeConfig, path: NoisePath = None) -> Trajectory:
@@ -174,12 +177,7 @@ def integrate(cfg: SpdeConfig, path: NoisePath = None) -> Trajectory:
     measurements[0] = stepper.measure(u)
     for k in range(n_steps):
         dxi = path.increment(k) if path is not None else None
-        try:
-            u = stepper.step(u, dxi)
-        except DegenerateFeaturesError as exc:
-            raise DegenerateFeaturesError(
-                f"kernel solve failed at step {k}: {exc}",
-                block=exc.block) from exc
+        u = stepper.step(u, dxi)
         values[k + 1] = u
         measurements[k + 1] = stepper.measure(u)
     return Trajectory(times, values, measurements, cfg.space)

@@ -253,3 +253,19 @@ def test_heat_pipeline_never_holds_the_fine_path():
     finally:
         tracemalloc.stop()
     assert peak < fine_bytes / 2, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_spde_seeds_do_not_hold_each_others_data():
+    # each seed's reference, trajectory and noise path are dropped before
+    # the next seed's are built, so the peak does not grow with seeds
+    peaks = []
+    for n_seeds in (1, 3):
+        params = dict(SMALL["heat"], truncation=512, n_seeds=n_seeds)
+        tracemalloc.start()
+        try:
+            run_experiment(ExperimentConfig("heat", 7, params=params))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], \
+        f"peaks {[f'{b / 2 ** 20:.2f} MiB' for b in peaks]}"

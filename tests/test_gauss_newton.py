@@ -155,14 +155,41 @@ def _padded_identity_maps(ctx, blocks, gamma):
 
 
 @pytest.mark.parametrize("n", [3, 24])
-def test_thin_q_maps_match_padded_identity_formation(n):
+def test_identity_solves_match_padded_identity_formation(n):
+    # solving for the unit right-hand sides, columns ordered (r, g), gives
+    # the solution maps of the padded-identity formation
     ctx, blocks, _, _, gamma = _tiny_problem(n=n)
     coeff_map, mult_map = _padded_identity_maps(ctx, blocks, gamma)
     kkt = KKTSystem(ctx, blocks, gamma)
-    n_primal = kkt.n_primal
-    for got, want in ((kkt._solution[:n_primal], coeff_map),
-                      (kkt._solution[n_primal:], mult_map)):
+    eye = np.eye(n + 2)
+    coeffs, mult = kkt.solve(eye[:n], eye[n:])
+    for got, want in ((coeffs, coeff_map), (mult, mult_map)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["sine1d", "fem1d"])
+def test_matrix_of_right_hand_sides_matches_column_solves(kind):
+    # fem spaces whiten through the Cholesky factor of the energy Gram
+    sp = build_test_space(kind, 8)
+    fs = FeatureSet(sp, np.ones(33), 0.05, BP, 33)
+    ctx = SeminormContext.build(sp, 1.0)
+    kkt = KKTSystem(ctx, assemble_features(KER, fs), 1e-6)
+    rng = np.random.default_rng(11)
+    r = rng.standard_normal((sp.size, 4))
+    g = rng.standard_normal((2, 4))
+    coeffs, mult = kkt.solve(r, g)
+    assert coeffs.shape == (kkt.n_primal, 4) and mult.shape == (2, 4)
+    for j in range(4):
+        want_coeffs, want_mult = kkt.solve(r[:, j], g[:, j])
+        assert np.max(np.abs(coeffs[:, j] - want_coeffs)) <= \
+            1e-12 * max(1.0, np.abs(want_coeffs).max())
+        assert np.max(np.abs(mult[:, j] - want_mult)) <= \
+            1e-12 * max(1.0, np.abs(want_mult).max())
+    # a shared boundary vector is the same as repeating it in each column
+    shared, _ = kkt.solve(r, g[:, 0])
+    repeated, _ = kkt.solve(r, np.repeat(g[:, :1], 4, axis=1))
+    assert np.max(np.abs(shared - repeated)) <= \
+        1e-12 * max(1.0, np.abs(repeated).max())
 
 
 def test_gram_jitter_is_reported():

@@ -86,15 +86,6 @@ def test_whiten_consistency_sine():
                        rtol=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["sine1d", "fem1d"])
-def test_whiten_transposed_is_the_transposed_whitening(kind):
-    ctx = SeminormContext.build(build_test_space(kind, 9), 1.0)
-    w = ctx.whiten(np.eye(9))
-    m = np.random.default_rng(4).standard_normal((9, 5))
-    assert np.allclose(ctx.whiten_transposed(m), w.T @ m, rtol=1e-13,
-                       atol=1e-13 * np.abs(w.T @ m).max())
-
-
 def test_measurement_validation():
     ctx = _sine_ctx(4, 1.0)
     with pytest.raises(ValueError):
