@@ -12,7 +12,7 @@ import csv
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy
@@ -242,11 +242,13 @@ def _semilinear_setup(p: dict, n_per_dim: int):
     return u_star, xi, space, xi_meas
 
 
-def _truth_on_quad(u_star_coeffs, L: int, n_quad: int) -> GridFunction:
+def _truth_on_quad(u_star, L: int, n_quad: int) -> GridFunction:
+    """The truth's L x L sine series, cut to what the grid carries."""
     n_keep = min(L, n_quad - 2)
-    full = np.asarray(u_star_coeffs).reshape(L, L)
+    full = project(u_star, build_test_space("sine2d", n_per_dim=L))
     trunc_space = build_test_space("sine2d", n_per_dim=n_keep)
-    return synthesize(full[:n_keep, :n_keep].ravel(), trunc_space, n_quad)
+    return synthesize(full.entries.reshape(L, L)[:n_keep, :n_keep].ravel(),
+                      trunc_space, n_quad)
 
 
 def _run_semilinear2d(p: dict) -> dict:
@@ -257,9 +259,7 @@ def _run_semilinear2d(p: dict) -> dict:
                        s=1.0, max_iterations=p["max_iterations"])
     op = operators.OperatorSpec("semilinear_sine", p["nu"])
     with _stage("truth_synthesis"):
-        truth_coeffs = project(u_star, build_test_space(
-            "sine2d", n_per_dim=p["truncation"])).entries
-        truth = _truth_on_quad(truth_coeffs, p["truncation"], cfg.n_quad)
+        truth = _truth_on_quad(u_star, p["truncation"], cfg.n_quad)
     with _stage("solve"):
         rep, report = solve(op, xi_meas, cfg)
         estimate = report.final_grid
@@ -286,13 +286,13 @@ def _run_norm_study(p: dict) -> dict:
     stop_reasons = {}
     rows = []
     fields = None
+    # the quadrature grid, and so the truth on it, is the same for every s
+    base = SolverConfig(space, kernel, _boundary_2d(), gamma=p["gamma"],
+                        max_iterations=p["max_iterations"])
+    with _stage("truth_synthesis"):
+        truth = _truth_on_quad(u_star, p["truncation"], base.n_quad)
     for s in p["s_values"]:
-        cfg = SolverConfig(space, kernel, _boundary_2d(), gamma=p["gamma"],
-                           s=float(s), max_iterations=p["max_iterations"])
-        with _stage(f"truth_synthesis"):
-            truth_coeffs = project(u_star, build_test_space(
-                "sine2d", n_per_dim=p["truncation"])).entries
-            truth = _truth_on_quad(truth_coeffs, p["truncation"], cfg.n_quad)
+        cfg = replace(base, s=float(s))
         with _stage(f"solve_s_{s}"):
             rep, rpt = solve(op, xi_meas, cfg)
             estimate = rpt.final_grid
@@ -330,6 +330,7 @@ def _spde_paths(p: dict, family: str, seed: int, init_coeffs: np.ndarray,
     into the coarse step it makes up, so no more than one block of the fine
     path is held at a time.  The blocks are drawn as the reference consumes
     them, so the draws and their failures count under the reference stage.
+    The coarse path is returned measured on the kernel run's tents.
     """
     dt, refine, trunc = p["dt"], p["refine"], p["truncation"]
     n_steps = int(round(p["t_final"] / dt))
@@ -341,9 +342,10 @@ def _spde_paths(p: dict, family: str, seed: int, init_coeffs: np.ndarray,
             family, p["nu"], p["sigma"], dt / refine, trunc, p["t_final"],
             noise.aggregating(fine, refine, coarse), initial=init_coeffs,
             store_every=refine, n_grid=n_quad)
-    coarse_path = noise.NoisePath(seed, "spectral", dt, n_steps,
-                                  build_test_space("sine1d", trunc), coarse)
-    return coarse_path, ref
+    fem = build_test_space("fem1d", p["n_fem"])
+    cross = spde.tent_sine_cross_gram(fem, trunc)
+    return noise.NoisePath(seed, "fem", dt, n_steps, fem,
+                           coarse @ cross.T), ref
 
 
 def _spde_seed(p: dict, family: str, seed: int):
@@ -355,7 +357,7 @@ def _spde_seed(p: dict, family: str, seed: int):
     coarse_path, ref = _spde_paths(p, family, seed, init_coeffs, n_quad)
     with _stage("kernel_integration"):
         cfg = SpdeConfig(family, p["nu"], p["sigma"], p["t_final"], p["dt"],
-                         space=build_test_space("fem1d", p["n_fem"]),
+                         space=coarse_path.space,
                          kernel=KernelSpec(length_scale=p["length_scale"]),
                          gamma=p["gamma"], n_quad=n_quad, initial=init_grid)
         traj = spde.integrate(cfg, coarse_path)
@@ -397,7 +399,7 @@ def _run_rate_study(p: dict) -> dict:
         lin = operators.linearize(op, GridFunction(np.zeros(4 * n + 1)))
         fs = FeatureSet(space, lin.c_field.values, lin.nu_diff,
                         _boundary_1d(), 4 * n + 1)
-        blocks = assemble_features(kernel, fs, want_quad_eval=True)
+        blocks = assemble_features(kernel, fs)
 
     def coeffs_for(gamma):
         rep, _ = gn_step(ctx, blocks, xi.entries, np.zeros(2), gamma,

@@ -92,7 +92,7 @@ class SolveReport:
     penalty_history: list = field(default_factory=list)
     iterations: int = 0
     reason: str = ""
-    jitter: float = 0.0                # largest Gram jitter of the solve
+    jitter: float = 0.0                # largest Gram regularization
     final_grid: GridFunction = None    # solution on the quadrature grid
 
     @property
@@ -102,14 +102,19 @@ class SolveReport:
 
 
 def _gram_cholesky(g: np.ndarray):
-    """Lower Cholesky factor of the feature Gram matrix and the diagonal
-    jitter it needed, as a fraction of the mean diagonal: 0.0, or a rung of
-    a small ladder for matrices that are PSD only to round-off."""
-    scale = np.trace(g) / g.shape[0]
+    """Lower factor of g plus 1e-10 of its mean diagonal (the nugget of Chen
+    et al., J. Comput. Phys. 2021) and any rung of a jitter ladder; also the
+    diagonal added, absolute and relative.  Tries reuse one work copy."""
+    nugget = 1e-10 * np.trace(g) / g.shape[0]
+    diag = np.diagonal(g) + nugget
+    scale = diag.mean()
+    work = np.empty_like(g, order="F")
     for bump in (0.0, 1e-13, 1e-11, 1e-9):
+        np.copyto(work, g)
+        np.fill_diagonal(work, diag + bump * scale)
         try:
-            return scipy.linalg.cholesky(
-                g + bump * scale * np.eye(g.shape[0]), lower=True), bump
+            return (scipy.linalg.cholesky(work, lower=True, overwrite_a=True),
+                    nugget + bump * scale, 1e-10 + bump)
         except scipy.linalg.LinAlgError:
             continue
     raise DegenerateFeaturesError(
@@ -140,8 +145,8 @@ class KKTSystem:
     high-frequency features survive in double precision.  Only the factors
     are kept: Q and U as Householder reflectors, T in the upper triangle of
     U's raw QR array, and S Q1; each ``solve`` applies them to its
-    right-hand sides.  ``jitter`` is the diagonal bump the Cholesky factor
-    of G needed (0.0 when none).
+    right-hand sides.  G is regularized here only, by the nugget plus any
+    jitter rung; ``jitter`` is their sum as a fraction of G's mean diagonal.
     """
 
     def __init__(self, ctx: SeminormContext, blocks: GramBlocks,
@@ -158,7 +163,7 @@ class KKTSystem:
                 r_diag.max():
             raise DegenerateFeaturesError(
                 "boundary features are linearly dependent", block="k_x_phi")
-        chol, self.jitter = _gram_cholesky(blocks.k_phi_phi)
+        chol, self._reg, self.jitter = _gram_cholesky(blocks.k_phi_phi)
         # Fortran-ordered, so the reflectors and the QR update it in place
         sq = np.empty((n + self.n_primal, self.n_primal), order="F")
         sq[:n] = ctx.whiten(b)
@@ -203,8 +208,8 @@ class KKTSystem:
     def loss_terms(self, coeffs: np.ndarray, r_entries: np.ndarray):
         resid = self.blocks.k_chi_phi @ coeffs - r_entries
         misfit = seminorm_squared(self.ctx, resid)
-        penalty = self.gamma * float(coeffs @
-                                     (self.blocks.k_phi_phi @ coeffs))
+        penalty = self.gamma * float(coeffs @ (self.blocks.k_phi_phi @ coeffs)
+                                     + self._reg * (coeffs @ coeffs))
         return misfit, penalty
 
 
@@ -250,7 +255,7 @@ def solve(op: OperatorSpec, xi: MeasurementVector, cfg: SolverConfig,
             lin = operators.linearize(op, GridFunction(u_grid))
             fs = FeatureSet(cfg.space, lin.c_field.values, lin.nu_diff,
                             cfg.boundary_points, cfg.n_quad)
-            blocks = assemble_features(cfg.kernel, fs, want_quad_eval=True)
+            blocks = assemble_features(cfg.kernel, fs)
             kkt = KKTSystem(ctx, blocks, cfg.gamma)
             report.jitter = max(report.jitter, kkt.jitter)
         if op.is_linear:

@@ -16,7 +16,8 @@ points and against arbitrary evaluation points are small and stay dense.
 
 Pointwise collocation features pair the kernel with the operator at both
 points; the derivatives involved share one exponential, so each entry
-costs one ``exp``.
+costs one ``exp``.  Both kinds fill one (N+M) x (N+M) Gram array,
+unregularized: ``gauss_newton.KKTSystem`` adds the nugget and any jitter.
 """
 
 from __future__ import annotations
@@ -144,7 +145,6 @@ class FeatureSet:
     boundary_points: np.ndarray
     n_quad: int
     quad_points: np.ndarray = field(default=None, repr=False)
-    quad_weights: np.ndarray = field(default=None, repr=False)
     weights_val: np.ndarray = field(default=None, repr=False)
     weights_der: np.ndarray = field(default=None, repr=False)
 
@@ -171,16 +171,17 @@ class FeatureSet:
         wd = None
         if sp.kind == "fem1d":
             if self.nu_diff != 0.0:
-                x1 = pts if pts.ndim == 1 else pts[:, 0]
-                wd = self.nu_diff * spaces.basis_derivatives(sp, x1) \
+                wd = self.nu_diff * spaces.basis_derivatives(sp, pts) \
                     * w[None, :]
         else:
-            wv = wv + self.nu_diff * sp.eigenvalues[:, None] * phi * w[None, :]
+            # in place, so that at most two N x G arrays are live
+            phi *= (self.nu_diff * sp.eigenvalues)[:, None]
+            phi *= w[None, :]
+            wv += phi
 
         object.__setattr__(self, "c_field", c)
         object.__setattr__(self, "boundary_points", bp)
         object.__setattr__(self, "quad_points", pts)
-        object.__setattr__(self, "quad_weights", w)
         object.__setattr__(self, "weights_val", wv)
         object.__setattr__(self, "weights_der", wd)
 
@@ -195,21 +196,25 @@ class FeatureSet:
 
 @dataclass(frozen=True)
 class GramBlocks:
-    """The three matrices of the per-step saddle-point system.
+    """One Gram array, operator features first, unregularized; the operator
+    and boundary rows are views of it.  ``quad_eval`` (optional) evaluates a
+    representer on the grid: values = quad_eval @ coefficients."""
 
-    ``quad_eval`` (optional) evaluates a representer on the quadrature
-    grid: values = quad_eval @ coefficients.  It reuses the grid products
-    already formed during assembly, so requesting it is free.
-    """
-
-    k_chi_phi: np.ndarray     # N x (N+M)
-    k_x_phi: np.ndarray       # M x (N+M)
-    k_phi_phi: np.ndarray     # (N+M) x (N+M), symmetric, jittered
+    k_phi_phi: np.ndarray     # (N+M) x (N+M), symmetric
+    n_features: int
     quad_eval: np.ndarray = None
+
+    @property
+    def k_chi_phi(self) -> np.ndarray:
+        return self.k_phi_phi[:self.n_features]
+
+    @property
+    def k_x_phi(self) -> np.ndarray:
+        return self.k_phi_phi[self.n_features:]
 
 
 def _grid_product(spec: KernelSpec, w: np.ndarray, n_quad: int, dim: int,
-                  kind: str = "val") -> np.ndarray:
+                  kind: str = "val", out: np.ndarray = None) -> np.ndarray:
     """w @ M(grid, grid) on the uniform grid of ``n_quad`` points per dim.
 
     M[k, l] = f(x_k - x_l) depends only on the lattice offset, so each row
@@ -219,7 +224,7 @@ def _grid_product(spec: KernelSpec, w: np.ndarray, n_quad: int, dim: int,
     apart (the odd ``d1`` kernel keeps its sign); the correlation is then
     one product of spectra, cropped back to the grid.  Grid rows are
     x-major, as in ``grid_points``.  Kinds: ``val`` in 1D and 2D, ``d1``
-    and ``d11`` in 1D.
+    and ``d11`` in 1D.  The product is written into ``out`` when given.
     """
     q = n_quad
     if dim != 1 and kind != "val":
@@ -242,7 +247,8 @@ def _grid_product(spec: KernelSpec, w: np.ndarray, n_quad: int, dim: int,
     c_hat = np.conj(rfftn(c, shape))
     crop = (slice(None),) + (slice(0, q),) * dim
 
-    out = np.empty((w.shape[0], q ** dim))
+    if out is None:
+        out = np.empty((w.shape[0], q ** dim))
     block = max(1, _FFT_BLOCK_ELEMENTS // size ** dim)
     for lo in range(0, w.shape[0], block):
         rows = w[lo:lo + block].reshape((-1,) + (q,) * dim)
@@ -266,43 +272,45 @@ def _operator_blocks(spec: KernelSpec, fs: FeatureSet, right_pts):
     return val
 
 
-def assemble_features(spec: KernelSpec, fs: FeatureSet,
-                      want_quad_eval: bool = False) -> GramBlocks:
-    """All Gram blocks of the operator and boundary features."""
+def _gram(k_cc, k_cb, k_bb, quad_eval=None) -> GramBlocks:
+    """GramBlocks of the blocks [[k_cc, k_cb], [k_cb^T, k_bb]] in one
+    array, with k_cc replaced by its symmetric part."""
+    n, m = k_cb.shape
+    g = np.empty((n + m, n + m))
+    np.add(k_cc, k_cc.T, out=g[:n, :n])
+    g[:n, :n] *= 0.5
+    g[:n, n:] = k_cb
+    g[n:, :n] = k_cb.T
+    g[n:, n:] = k_bb
+    return GramBlocks(g, n, quad_eval)
+
+
+def assemble_features(spec: KernelSpec, fs: FeatureSet) -> GramBlocks:
+    """All Gram blocks of the operator and boundary features, and the
+    evaluation of their representers on the quadrature grid."""
     n, m = fs.n_features, fs.n_boundary
     q, dim = fs.n_quad, fs.space.dim
     wv, wd = fs.weights_val, fs.weights_der
 
-    # T[i, k] = chi_i applied (in x) to K(x, grid_k)
-    t_val = _grid_product(spec, wv, q, dim)
+    # quad_eval^T; its operator rows are T[i, k] = chi_i applied (in x) to
+    # K(x, grid_k), exactly K(., chi_i) at grid_k
+    rows = np.empty((n + m, q ** dim))
+    t_val = _grid_product(spec, wv, q, dim, out=rows[:n])
     if wd is not None:
-        t_val = t_val + _grid_product(spec, wd, q, dim, "d1")
+        t_val += _grid_product(spec, wd, q, dim, "d1")
+    rows[n:] = _pairwise(spec, fs.boundary_points, fs.quad_points)
 
     k_cc = t_val @ wv.T
     if wd is not None:
         # pair the remaining y-derivative of K with the fem derivative
         # weights: d/dy K(x, y) = -d1(x - y)
-        t_dy = -_grid_product(spec, wv, q, dim, "d1")
-        t_dy = t_dy + _grid_product(spec, wd, q, dim, "d11")
+        t_dy = _grid_product(spec, wd, q, dim, "d11") - \
+            _grid_product(spec, wv, q, dim, "d1")
         k_cc = k_cc + t_dy @ wd.T
-    k_cc = 0.5 * (k_cc + k_cc.T)
 
     k_cb = _operator_blocks(spec, fs, fs.boundary_points)     # N x M
-    k_bb = kernel_matrix(spec, fs.boundary_points)
-
-    k_phi_phi = np.block([[k_cc, k_cb], [k_cb.T, k_bb]])
-    jitter = 1e-10 * np.trace(k_phi_phi) / (n + m)
-    k_phi_phi = k_phi_phi + jitter * np.eye(n + m)
-
-    k_chi_phi = np.hstack([k_cc, k_cb])
-    k_x_phi = np.hstack([k_cb.T, k_bb])
-    quad_eval = None
-    if want_quad_eval:
-        # t_val[i, k] is exactly K(., chi_i) at grid_k; append boundary rows
-        quad_eval = np.vstack([t_val,
-                               _pairwise(spec, fs.boundary_points,
-                                         fs.quad_points)]).T
-    return GramBlocks(k_chi_phi, k_x_phi, k_phi_phi, quad_eval)
+    return _gram(k_cc, k_cb, kernel_matrix(spec, fs.boundary_points),
+                 rows.T)
 
 
 # (a, c) of point evaluation in _operator_pairing
@@ -359,15 +367,7 @@ def assemble_collocation(spec: KernelSpec, points, c_field, nu_diff: float,
                              (-nu_diff, c[None, :]))
     k_cb = _operator_pairing(spec, x[:, None] - bp[:, 0][None, :], op,
                              _POINT)
-    k_bb = kernel_matrix(spec, bp)
-
-    n, m = x.shape[0], bp.shape[0]
-    k_phi_phi = np.block([[k_cc, k_cb], [k_cb.T, k_bb]])
-    k_phi_phi = 0.5 * (k_phi_phi + k_phi_phi.T)
-    jitter = 1e-10 * np.trace(k_phi_phi) / (n + m)
-    k_phi_phi = k_phi_phi + jitter * np.eye(n + m)
-    return GramBlocks(np.hstack([k_cc, k_cb]), np.hstack([k_cb.T, k_bb]),
-                      k_phi_phi)
+    return _gram(k_cc, k_cb, kernel_matrix(spec, bp))
 
 
 def evaluate_collocation(spec: KernelSpec, points, c_field, nu_diff: float,

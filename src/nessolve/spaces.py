@@ -291,7 +291,9 @@ def basis_values(space: TestSpace, points: np.ndarray) -> np.ndarray:
         i = np.arange(1, p + 1)[:, None]
         sx = np.sin(np.pi * i * x[None, :])     # p x P
         sy = np.sin(np.pi * i * y[None, :])
-        return 2.0 * (sx[:, None, :] * sy[None, :, :]).reshape(p * p, -1)
+        out = (sx[:, None, :] * sy[None, :, :]).reshape(p * p, -1)
+        out *= 2.0
+        return out
     if space.kind == "fem1d":
         nodes = (np.arange(1, space.size + 1) * space.h)[:, None]
         return np.clip(1.0 - np.abs(pts[None, :] - nodes) / space.h, 0.0, None)

@@ -9,7 +9,8 @@ the right-hand side: the product with the grid evaluation matrix is the
 solution map from measurements to grid values (n_quad x N).  Each step then
 costs one projection of the right-hand side and one product with that
 map, instead of a solve from the factors.  The reaction term (u - u^3 for
-Allen-Cahn) is treated explicitly.
+Allen-Cahn) is treated explicitly.  Noise increments must be measured
+against the scheme's own basis (see ``tent_sine_cross_gram``).
 """
 
 from __future__ import annotations
@@ -23,10 +24,13 @@ from .kernels import FeatureSet, KernelSpec, assemble_features
 from .noise import NoisePath
 from .seminorm import SeminormContext
 from .spaces import GridFunction, MeasurementVector, TestSpace, \
-    build_test_space, grid_points, project, tent_projection_weights
+    build_test_space, project, tent_projection_weights
 
 __all__ = ["SpdeConfig", "Trajectory", "Stepper", "integrate",
            "tent_sine_cross_gram"]
+
+# largest N^2 dt a Stepper accepts unless allow_cfl_violation is set
+_CFL_BOUND = 5.0
 
 
 @dataclass(frozen=True)
@@ -44,7 +48,6 @@ class SpdeConfig:
     s: float = 1.0
     n_quad: int = 0
     initial: GridFunction = None
-    cfl_bound: float = 5.0
     allow_cfl_violation: bool = False
 
     def __post_init__(self):
@@ -104,42 +107,25 @@ class Stepper:
     """Factored per-step solver for a fixed SpdeConfig."""
 
     def __init__(self, cfg: SpdeConfig):
-        if cfg.cfl_product > cfg.cfl_bound and not cfg.allow_cfl_violation:
+        if cfg.cfl_product > _CFL_BOUND and not cfg.allow_cfl_violation:
             raise ValueError(
                 f"CFL product {cfg.cfl_product:g} exceeds the bound "
-                f"{cfg.cfl_bound:g}; relax it explicitly to proceed")
+                f"{_CFL_BOUND:g}; relax it explicitly to proceed")
         self.cfg = cfg
         self.ctx = SeminormContext.build(cfg.space, cfg.s)
         self.features = FeatureSet(cfg.space, np.ones(1), cfg.dt * cfg.nu,
                                    np.array([0.0, 1.0]), cfg.n_quad)
-        self.blocks = assemble_features(cfg.kernel, self.features,
-                                        want_quad_eval=True)
+        self.blocks = assemble_features(cfg.kernel, self.features)
         kkt = KKTSystem(self.ctx, self.blocks, cfg.gamma)
         # grid values of the step for each unit measurement, boundary zero
         self.solution_map = self.blocks.quad_eval @ kkt.solve(
             np.eye(cfg.space.size), np.zeros(2))[0]
-        self.grid = grid_points(cfg.n_quad)
         # fem projection of each right-hand side and stored state, formed
         # once: project() would rebuild the N x G tent matrix on every call
         self._tent_weights = None
         if cfg.space.kind == "fem1d":
             self._tent_weights = tent_projection_weights(cfg.space,
                                                          cfg.n_quad)
-        self._cross = {}
-
-    def _to_measurement(self, dxi: MeasurementVector) -> np.ndarray:
-        """Increment coefficients measured against cfg.space."""
-        if dxi.space.kind == self.cfg.space.kind and \
-                dxi.space.size == self.cfg.space.size:
-            return dxi.entries
-        if dxi.space.kind == "sine1d" and self.cfg.space.kind == "fem1d":
-            key = dxi.space.size
-            if key not in self._cross:
-                self._cross[key] = tent_sine_cross_gram(self.cfg.space, key)
-            return self._cross[key] @ dxi.entries
-        if dxi.space.kind == "sine1d" and self.cfg.space.kind == "sine1d":
-            return dxi.entries[:self.cfg.space.size]
-        raise ValueError("cannot measure the increment against this basis")
 
     def measure(self, values: np.ndarray) -> np.ndarray:
         """Projection of solver-grid values onto cfg.space."""
@@ -151,8 +137,11 @@ class Stepper:
              dxi: MeasurementVector = None) -> np.ndarray:
         cfg = self.cfg
         m = self.measure(u_grid + cfg.dt * cfg.drift(u_grid))
-        if dxi is not None and cfg.sigma != 0.0:
-            m = m + cfg.sigma * self._to_measurement(dxi)
+        if dxi is not None:
+            if (dxi.space.kind, dxi.space.size) != (cfg.space.kind,
+                                                    cfg.space.size):
+                raise ValueError("increments measured against another basis")
+            m = m + cfg.sigma * dxi.entries
         return self.solution_map @ m
 
 

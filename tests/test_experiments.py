@@ -19,6 +19,7 @@ from nessolve.experiments import DEFAULTS, EXPERIMENTS, ExperimentConfig, \
     _sine_series_at_nodes, _spde_initial, _spde_paths, check_thresholds, \
     run_experiment
 from nessolve.spaces import build_test_space
+from nessolve.spde import tent_sine_cross_gram
 
 SMALL = {
     "elliptic1d": {"n_modes": 128, "truncation": 1024},
@@ -233,8 +234,12 @@ def test_streamed_spde_paths_match_the_materialized_path(family):
     want = reference.spectral_galerkin_spde(
         family, p["nu"], p["sigma"], dt / refine, trunc, p["t_final"], fine,
         initial=init, store_every=refine, n_grid=n_quad)
-    assert np.array_equal(coarse.records,
-                          noise.aggregate_increments(fine, refine).records)
+    # the kernel run's increments are the coarse sums measured on tents
+    cross = tent_sine_cross_gram(coarse.space, trunc)
+    assert np.array_equal(
+        coarse.records,
+        noise.aggregate_increments(fine, refine).records @ cross.T)
+    assert coarse.space.kind == "fem1d" and coarse.space.size == p["n_fem"]
     assert coarse.dt == dt and coarse.n_steps == n_steps
     assert np.array_equal(ref.values, want.values)
     assert np.array_equal(ref.measurements, want.measurements)

@@ -93,8 +93,7 @@ def test_gn_step_reports_loss_terms():
 
 def test_degenerate_gram_raises():
     n, m = 2, 1
-    bad = GramBlocks(np.zeros((n, n + m)), np.zeros((m, n + m)),
-                     -np.eye(n + m))
+    bad = GramBlocks(-np.eye(n + m), n)
     ctx = SeminormContext.build(build_test_space("sine1d", n), 1.0)
     with pytest.raises(DegenerateFeaturesError):
         constrained_ls_solve(ctx, bad, np.zeros(n), np.zeros(m), 1e-6)
@@ -118,9 +117,10 @@ def test_factored_system_reused_across_right_hand_sides():
 
 def test_rank_deficient_constraints_raise():
     ctx, blocks, _, _, gamma = _tiny_problem()
-    c = blocks.k_x_phi
-    bad = GramBlocks(blocks.k_chi_phi, np.vstack([c[0], c[0]]),
-                     blocks.k_phi_phi)
+    # both boundary rows are the first boundary feature
+    n = blocks.n_features
+    idx = np.r_[np.arange(n + 1), n]
+    bad = GramBlocks(blocks.k_phi_phi[np.ix_(idx, idx)], n)
     with pytest.raises(DegenerateFeaturesError) as info:
         KKTSystem(ctx, bad, gamma)
     assert info.value.block == "k_x_phi"
@@ -134,7 +134,9 @@ def _padded_identity_maps(ctx, blocks, gamma):
     n, n_primal = b.shape
     m = c.shape[0]
     (h, tau), r1 = scipy.linalg.qr(c.T, mode="raw")
-    chol = scipy.linalg.cholesky(blocks.k_phi_phi, lower=True)
+    g = blocks.k_phi_phi
+    nugget = 1e-10 * np.trace(g) / n_primal
+    chol = scipy.linalg.cholesky(g + nugget * np.eye(n_primal), lower=True)
     sq = np.asfortranarray(np.vstack([ctx.whiten(b),
                                       np.sqrt(gamma) * chol.T]))
     sq = _apply_q(h, tau, sq, "R")
@@ -193,26 +195,36 @@ def test_matrix_of_right_hand_sides_matches_column_solves(kind):
 
 
 def test_gram_jitter_is_reported():
+    # the nugget, 1e-10 of the mean diagonal, is all a regular Gram needs
     ctx, blocks, r, g, gamma = _tiny_problem()
-    assert KKTSystem(ctx, blocks, gamma).jitter == 0.0
-    # duplicate operator feature 0: the Gram matrix is singular, and
-    # scaled so that its first pivot pair is exactly [[1, 1], [1, 1]]
+    kkt = KKTSystem(ctx, blocks, gamma)
+    assert kkt.jitter == 1e-10
+    coeffs, _ = kkt.solve(r, g)
+    mean_diag = np.trace(blocks.k_phi_phi) / blocks.k_phi_phi.shape[0]
+    penalty = gamma * (coeffs @ blocks.k_phi_phi @ coeffs +
+                       1e-10 * mean_diag * coeffs @ coeffs)
+    assert kkt.loss_terms(coeffs, r)[1] == pytest.approx(penalty, rel=1e-12)
+    # duplicate operator feature 0 and shift the Gram matrix down by 5e-10
+    # of its mean diagonal: it is then indefinite, the nugget is not enough
+    # and the ladder's 1e-9 rung is, which the jitter reports on top
+    n = blocks.n_features + 1
     idx = np.r_[0, np.arange(blocks.k_phi_phi.shape[0])]
     g_dup = blocks.k_phi_phi[np.ix_(idx, idx)]
-    g_dup = g_dup / g_dup[0, 0]
+    g_dup = g_dup - 5e-10 * np.trace(g_dup) / g_dup.shape[0] \
+        * np.eye(g_dup.shape[0])
     with pytest.raises(scipy.linalg.LinAlgError):
-        scipy.linalg.cholesky(g_dup, lower=True)
-    _, bump = _gram_cholesky(g_dup)
-    assert bump > 0.0
-    dup = GramBlocks(blocks.k_chi_phi[:, idx], blocks.k_x_phi[:, idx],
-                     g_dup)
-    kkt = KKTSystem(ctx, dup, gamma)
-    assert kkt.jitter == bump
-    coeffs, _ = kkt.solve(r, g)
-    assert np.max(np.abs(dup.k_x_phi @ coeffs - g)) <= 1e-8
-    # a linear solve needs no jitter, and its report says so
+        scipy.linalg.cholesky(g_dup + 1e-10 * np.trace(g_dup) /
+                              g_dup.shape[0] * np.eye(g_dup.shape[0]))
+    _, _, frac = _gram_cholesky(g_dup)
+    assert frac == 1e-10 + 1e-9
+    dup_ctx = SeminormContext.build(build_test_space("sine1d", n), 1.0)
+    kkt = KKTSystem(dup_ctx, GramBlocks(g_dup, n), gamma)
+    assert kkt.jitter == 1e-10 + 1e-9
+    coeffs, _ = kkt.solve(np.r_[r[0], r], g)
+    assert np.max(np.abs(kkt.blocks.k_x_phi @ coeffs - g)) <= 1e-8
+    # a linear solve reports the nugget alone
     op, xi, cfg, _ = _single_mode_setup(n=16)
-    assert solve(op, xi, cfg)[1].jitter == 0.0
+    assert solve(op, xi, cfg)[1].jitter == 1e-10
 
 
 def test_solver_config_validation():

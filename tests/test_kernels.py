@@ -5,6 +5,8 @@ the closed form independently of the library code, then integrate the
 strong-form operator against fine trapezoid grids.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -230,13 +232,14 @@ def test_gram_blocks_symmetric_psd_and_consistent():
     fs = FeatureSet(sp, np.ones(33), 0.1, np.array([0.0, 1.0]), 33)
     blocks = assemble_features(SPEC, fs)
     k = blocks.k_phi_phi
-    assert np.allclose(k, k.T)
+    assert np.array_equal(k, k.T)
     assert np.linalg.eigvalsh(k).min() >= -1e-8 * np.trace(k)
-    # k_chi_phi / k_x_phi are the first/last rows of k_phi_phi up to jitter
-    jit = k[0, 0] - blocks.k_chi_phi[0, 0]
-    assert np.allclose(k - jit * np.eye(k.shape[0]),
-                       np.vstack([blocks.k_chi_phi, blocks.k_x_phi]),
-                       atol=1e-12 * np.trace(k))
+    # k_chi_phi / k_x_phi are the first/last rows of the one Gram array,
+    # which carries no nugget
+    assert blocks.n_features == 4
+    for rows, want in ((blocks.k_chi_phi, k[:4]), (blocks.k_x_phi, k[4:])):
+        assert np.shares_memory(rows, k)
+        assert np.array_equal(rows, want)
 
 
 def test_zero_operator_features():
@@ -306,7 +309,7 @@ def test_grid_products_match_dense_pairwise():
         k_cc = 0.5 * (k_cc + k_cc.T)
         quad_eval = np.vstack([t_val, kernels._pairwise(SPEC, bp, grid)]).T
 
-        blocks = assemble_features(SPEC, fs, want_quad_eval=True)
+        blocks = assemble_features(SPEC, fs)
         n = fs.n_features
         for got, want in [(blocks.k_chi_phi[:, :n], k_cc),
                           (blocks.k_chi_phi[:, n:], k_cb),
@@ -329,14 +332,14 @@ def test_assembly_forms_no_grid_by_grid_matrix(monkeypatch):
     monkeypatch.setattr(kernels, "_pairwise", guarded)
     for fs in _grid_cases():
         grid_size = fs.quad_points.shape[0]
-        assemble_features(SPEC, fs, want_quad_eval=True)
+        assemble_features(SPEC, fs)
 
 
 def test_evaluate_features_consistency():
     sp = build_test_space("sine1d", 3)
     bp = np.array([0.0, 1.0])
     fs = FeatureSet(sp, np.ones(129), 0.3, bp, 129)
-    blocks = assemble_features(SPEC, fs, want_quad_eval=True)
+    blocks = assemble_features(SPEC, fs)
     e_bp = evaluate_features(SPEC, fs, bp)
     assert np.allclose(e_bp, blocks.k_x_phi, atol=1e-12)
     e_grid = evaluate_features(SPEC, fs, fs.quad_points)
@@ -415,3 +418,28 @@ def test_one_exponential_collocation_matches_derivative_ladder(c_kind):
     e = evaluate_collocation(SPEC, x, c_field, nu, bp, y)
     assert rel(e[:, :n], ev) <= 1e-13
     assert rel(e[:, n:], kernel_matrix(SPEC, y, bp)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind, size, n_quad", [("sine1d", 256, 1025),
+                                                ("sine2d", 256, 65)])
+def test_feature_assembly_peak_memory(monkeypatch, kind, size, n_quad):
+    # the weight rows are formed in place and the grid products are written
+    # straight into quad_eval, so FeatureSet and assembly together hold at
+    # most two N x G arrays at a time, plus the N x N Gram blocks; the FFT
+    # work buffers are capped separately, and cut to one row here so that
+    # only N x G arrays count
+    monkeypatch.setattr(kernels, "_FFT_BLOCK_ELEMENTS", 1)
+    sp = build_test_space(kind, size)
+    bp = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) \
+        if kind == "sine2d" else np.array([0.0, 1.0])
+    n_grid = n_quad ** sp.dim
+    unit = 8 * sp.size * n_grid
+    tracemalloc.start()
+    try:
+        fs = FeatureSet(sp, np.ones(n_grid), 0.1, bp, n_quad)
+        blocks = assemble_features(SPEC, fs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocks.quad_eval.shape == (n_grid, sp.size + bp.shape[0])
+    assert peak <= 3.0 * unit, f"peak {peak / unit:.2f} N x G arrays"

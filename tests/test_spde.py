@@ -6,7 +6,7 @@ import scipy.linalg
 from scipy.integrate import quad
 
 from nessolve.kernels import KernelSpec
-from nessolve.noise import build_path
+from nessolve.noise import NoisePath, build_path
 from nessolve.spaces import GridFunction, MeasurementVector, basis_values, \
     build_test_space, grid_points, project, trapezoid_weights
 from nessolve.spde import SpdeConfig, Stepper, integrate, \
@@ -34,7 +34,7 @@ def test_config_validation():
 
 
 def test_cfl_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bound 5;"):
         Stepper(_sine_cfg(dt=1.0 / 64, t_final=1.0 / 64))
     Stepper(_sine_cfg(dt=1.0 / 64, t_final=1.0 / 64,
                       allow_cfl_violation=True))
@@ -158,19 +158,42 @@ def test_tent_sine_cross_gram_quadrature_oracle():
         tent_sine_cross_gram(build_test_space("sine1d", 4), 3)
 
 
+def _fem_measured(path: NoisePath, space) -> NoisePath:
+    """A spectral path measured against fem tents by the exact cross gram."""
+    return NoisePath(path.seed, "fem", path.dt, path.n_steps, space,
+                     path.records @ tent_sine_cross_gram(
+                         space, path.space.size).T)
+
+
 def test_fem_measurement_path():
-    # default fem measurement basis accepts spectral increments through the
-    # exact cross gram; just check a short noisy run stays finite and
-    # deterministic
+    # spectral increments measured on the fem basis through the exact cross
+    # gram; just check a short noisy run stays finite and deterministic
     dt = 1.0 / 1024
     cfg = SpdeConfig(family="heat", nu=0.025, sigma=0.1, t_final=4 * dt,
                      dt=dt, space=build_test_space("fem1d", 16),
                      kernel=KernelSpec("matern52", 0.1), gamma=1e-10)
-    path = build_path(3, "spectral", dt, 4, 64)
+    path = _fem_measured(build_path(3, "spectral", dt, 4, 64), cfg.space)
     t1 = integrate(cfg, path)
     t2 = integrate(cfg, path)
     assert np.all(np.isfinite(t1.values))
     assert np.array_equal(t1.values, t2.values)
+
+
+def test_increments_must_be_measured_against_the_scheme_basis():
+    # a sine path is not silently mapped to tents or truncated: both
+    # integrate and step reject increments measured against another basis
+    dt = 1.0 / 1024
+    fem = SpdeConfig(family="heat", nu=0.025, sigma=0.1, t_final=4 * dt,
+                     dt=dt, space=build_test_space("fem1d", 16),
+                     kernel=KernelSpec("matern52", 0.1), gamma=1e-10)
+    sine = _sine_cfg(sigma=0.1, t_final=4.0 / 256)
+    for cfg, path in ((fem, build_path(3, "spectral", dt, 4, 64)),
+                      (sine, build_path(3, "spectral", 1.0 / 256, 4, 64))):
+        with pytest.raises(ValueError, match="increments measured"):
+            integrate(cfg, path)
+        u = np.zeros(cfg.n_quad)
+        with pytest.raises(ValueError, match="increments measured"):
+            Stepper(cfg).step(u, path.increment(0))
 
 
 def test_fem_stored_measurements_match_projection():
@@ -182,7 +205,8 @@ def test_fem_stored_measurements_match_projection():
                      space=build_test_space("fem1d", 16),
                      kernel=KernelSpec("matern52", 0.1), gamma=1e-10,
                      initial=GridFunction(np.sin(np.pi * grid_points(65))))
-    traj = integrate(cfg, build_path(5, "spectral", dt, 4, 64))
+    traj = integrate(cfg, _fem_measured(build_path(5, "spectral", dt, 4, 64),
+                                        cfg.space))
     for k in range(cfg.n_steps + 1):
         want = project(GridFunction(traj.values[k]), cfg.space).entries
         assert np.array_equal(traj.measurements[k], want)
@@ -202,7 +226,10 @@ def test_heat_step_matches_dgglse_under_refinement():
     got = stepper.step(u)
 
     ctx, blocks = stepper.ctx, stepper.blocks
-    g_chol = scipy.linalg.cholesky(blocks.k_phi_phi, lower=True)
+    g = blocks.k_phi_phi
+    nugget = 1e-10 * np.trace(g) / g.shape[0]
+    g_chol = scipy.linalg.cholesky(g + nugget * np.eye(g.shape[0]),
+                                   lower=True)
     stack = np.vstack([ctx.whiten(blocks.k_chi_phi),
                        np.sqrt(cfg.gamma) * g_chol.T])
     m = project(GridFunction(u), cfg.space).entries
