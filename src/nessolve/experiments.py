@@ -226,7 +226,7 @@ def _resample_2d(f: GridFunction, n_modes: int, n_coarse: int) -> GridFunction:
 
 def _semilinear_setup(p: dict, n_per_dim: int):
     with _stage("reference"):
-        u_star, xi = reference.manufactured_semilinear_2d(
+        _, xi, u_coeffs = reference.manufactured_semilinear_2d(
             p["eps"], p["truncation"], p["seed"], p["nu"])
     space = build_test_space("sine2d", n_per_dim=n_per_dim)
     with _stage("forcing_projection"):
@@ -239,27 +239,28 @@ def _semilinear_setup(p: dict, n_per_dim: int):
                               space)
         else:
             xi_meas = project(xi, space)
-    return u_star, xi, space, xi_meas
+    return u_coeffs, xi, space, xi_meas
 
 
-def _truth_on_quad(u_star, L: int, n_quad: int) -> GridFunction:
+def _truth_on_quad(u_coeffs: MeasurementVector, n_quad: int) -> GridFunction:
     """The truth's L x L sine series, cut to what the grid carries."""
+    L = u_coeffs.space.n_per_dim
     n_keep = min(L, n_quad - 2)
-    full = project(u_star, build_test_space("sine2d", n_per_dim=L))
     trunc_space = build_test_space("sine2d", n_per_dim=n_keep)
-    return synthesize(full.entries.reshape(L, L)[:n_keep, :n_keep].ravel(),
-                      trunc_space, n_quad)
+    return synthesize(
+        u_coeffs.entries.reshape(L, L)[:n_keep, :n_keep].ravel(),
+        trunc_space, n_quad)
 
 
 def _run_semilinear2d(p: dict) -> dict:
     n_per_dim = p["n_per_dim_full"] if p["full_scale"] else p["n_per_dim"]
-    u_star, xi, space, xi_meas = _semilinear_setup(p, n_per_dim)
+    u_coeffs, xi, space, xi_meas = _semilinear_setup(p, n_per_dim)
     kernel = KernelSpec(length_scale=p["length_scale"])
     cfg = SolverConfig(space, kernel, _boundary_2d(), gamma=p["gamma"],
                        s=1.0, max_iterations=p["max_iterations"])
     op = operators.OperatorSpec("semilinear_sine", p["nu"])
     with _stage("truth_synthesis"):
-        truth = _truth_on_quad(u_star, p["truncation"], cfg.n_quad)
+        truth = _truth_on_quad(u_coeffs, cfg.n_quad)
     with _stage("solve"):
         rep, report = solve(op, xi_meas, cfg)
         estimate = report.final_grid
@@ -279,7 +280,7 @@ def _run_semilinear2d(p: dict) -> dict:
 
 def _run_norm_study(p: dict) -> dict:
     n_per_dim = p["n_per_dim"]
-    u_star, xi, space, xi_meas = _semilinear_setup(p, n_per_dim)
+    u_coeffs, xi, space, xi_meas = _semilinear_setup(p, n_per_dim)
     kernel = KernelSpec(length_scale=p["length_scale"])
     op = operators.OperatorSpec("semilinear_sine", p["nu"])
     errors = {}
@@ -290,7 +291,7 @@ def _run_norm_study(p: dict) -> dict:
     base = SolverConfig(space, kernel, _boundary_2d(), gamma=p["gamma"],
                         max_iterations=p["max_iterations"])
     with _stage("truth_synthesis"):
-        truth = _truth_on_quad(u_star, p["truncation"], base.n_quad)
+        truth = _truth_on_quad(u_coeffs, base.n_quad)
     for s in p["s_values"]:
         cfg = replace(base, s=float(s))
         with _stage(f"solve_s_{s}"):

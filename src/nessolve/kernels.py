@@ -10,9 +10,16 @@ kernel matrix.
 
 On the grid itself that pairwise matrix depends only on the offset between
 nodes (Toeplitz in 1D, block-Toeplitz in 2D), so the grid-by-grid products
-are correlations computed with FFTs of a circulant embedding of the kernel;
-no grid-by-grid matrix is ever formed.  Products against the boundary
-points and against arbitrary evaluation points are small and stay dense.
+are correlations computed with FFTs of a circulant embedding of the kernel
+(Dietrich & Newsam, SIAM J. Sci. Comput. 18, 1997); no grid-by-grid matrix
+is ever formed.  With q points per dim, the circulant has period
+next_fast_len(2q-1) in 1D, which keeps the offsets +-(q-1) apart as the odd
+first-derivative kernel needs, and 2(q-1) in 2D, where only the even value
+kernel occurs and folding +(q-1) onto -(q-1) loses nothing.  The 2D
+transforms go one axis at a time, y then x forward and x then y inverse,
+so that neither the zero padding nor the cropped rows are transformed
+along y (see ``_grid_product``).  Products against the boundary points and
+against arbitrary evaluation points are small and stay dense.
 
 Pointwise collocation features pair the kernel with the operator at both
 points; the derivatives involved share one exponential, so each entry
@@ -25,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
+from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfftn
 from scipy.spatial.distance import cdist
 
 from . import spaces
@@ -44,8 +51,11 @@ __all__ = [
     "evaluate_collocation",
 ]
 
-# elements of the FFT work buffers of one row block in _grid_product
-_FFT_BLOCK_ELEMENTS = 2 ** 22
+# complex elements of the spectrum work array of one row block in
+# _grid_product, (b, P/2+1) in 1D and (b, P, P/2+1) in 2D: 512 KiB, so
+# that a block's padding, transforms, spectrum product and crop stay in a
+# core's L2 cache; a row larger than that is a block of its own
+_FFT_BLOCK_ELEMENTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -220,16 +230,27 @@ def _grid_product(spec: KernelSpec, w: np.ndarray, n_quad: int, dim: int,
     M[k, l] = f(x_k - x_l) depends only on the lattice offset, so each row
     of the product is a correlation of the weight row with f sampled at the
     signed offsets j*h, |j| <= q-1.  Those samples fill a circulant of
-    length P >= 2q-1 per dim, which keeps positive and negative offsets
-    apart (the odd ``d1`` kernel keeps its sign); the correlation is then
-    one product of spectra, cropped back to the grid.  Grid rows are
-    x-major, as in ``grid_points``.  Kinds: ``val`` in 1D and 2D, ``d1``
-    and ``d11`` in 1D.  The product is written into ``out`` when given.
+    period P per dim, and the correlation is one product of spectra,
+    cropped back to the grid.  Grid rows are x-major, as in
+    ``grid_points``.  Kinds: ``val`` in 1D and 2D, ``d1`` and ``d11`` in
+    1D.  The product is written into ``out`` when given.
+
+    In 1D, P = next_fast_len(2q-1) >= 2q-1 keeps every positive offset
+    apart from every negative one, as the odd ``d1`` kernel needs.
+
+    In 2D (``val`` only), P = 2(q-1).  Offsets j and j - P then share a
+    circulant entry, but within |j| <= q-1 the only such pair is +-(q-1),
+    where the even kernel takes one value; so the period is exact for any
+    weights, including rows that do not vanish on the grid edges.  The
+    transforms are taken one axis at a time and skip what is zero or
+    cropped: forward, a real FFT along y of the q rows, then an FFT along
+    x zero-padded to P; inverse, an inverse FFT along x kept to its first
+    q rows, then an inverse real FFT along y kept to its first q values.
     """
     q = n_quad
     if dim != 1 and kind != "val":
         raise ValueError("derivative kernels are 1D only")
-    size = next_fast_len(2 * q - 1, real=True)
+    size = 2 * (q - 1) if dim == 2 else next_fast_len(2 * q - 1, real=True)
     j = np.arange(size)
     t = np.where(j < q, j, j - size) / (q - 1)      # signed offsets
     if dim == 2:
@@ -242,20 +263,21 @@ def _grid_product(spec: KernelSpec, w: np.ndarray, n_quad: int, dim: int,
         c = _matern52_d11(spec, t)
     else:
         raise ValueError(f"unknown grid product kind {kind!r}")
-    shape = (size,) * dim
-    axes = tuple(range(1, dim + 1))
-    c_hat = np.conj(rfftn(c, shape))
-    crop = (slice(None),) + (slice(0, q),) * dim
+    c_hat = np.conj(rfftn(c))
 
     if out is None:
         out = np.empty((w.shape[0], q ** dim))
-    block = max(1, _FFT_BLOCK_ELEMENTS // size ** dim)
+    block = max(1, _FFT_BLOCK_ELEMENTS // c_hat.size)
     for lo in range(0, w.shape[0], block):
         rows = w[lo:lo + block].reshape((-1,) + (q,) * dim)
-        f = rfftn(rows, shape, axes=axes)
+        f = rfft(rows, size)                # along the last axis, y in 2D
+        if dim == 2:
+            f = fft(f, size, axis=1, overwrite_x=True)
         f *= c_hat
+        if dim == 2:
+            f = ifft(f, axis=1, overwrite_x=True)[:, :q]
         out[lo:lo + block] = \
-            irfftn(f, shape, axes=axes)[crop].reshape(rows.shape[0], -1)
+            irfft(f, size)[..., :q].reshape(rows.shape[0], -1)
     return out
 
 

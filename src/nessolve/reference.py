@@ -36,11 +36,14 @@ def closed_form_elliptic_1d(xi_coeffs, nu: float) -> MeasurementVector:
 
 def manufactured_semilinear_2d(eps: float, L: int, seed: int, nu: float,
                                n_grid: int = 0):
-    """Seeded manufactured pair (u*, xi) for -nu*Lap(u) + u + sin(pi*u).
+    """Seeded manufactured pair (u*, xi) for -nu*Lap(u) + u + sin(pi*u),
+    and the L x L sine coefficients of u*.
 
     u* has random sine coefficients u_ij / (i^2 + j^2)^(1 + eps); the
     forcing is computed by the spectral Laplacian plus the pointwise
     nonlinearity on a grid fine enough to carry all L modes per dimension.
+    The coefficients come back as drawn, so a caller can synthesize u* on
+    another grid without projecting it first.
     """
     if L < 1 or eps < 0:
         raise ValueError("need L >= 1 and eps >= 0")
@@ -53,7 +56,7 @@ def manufactured_semilinear_2d(eps: float, L: int, seed: int, nu: float,
     u_star = synthesize(coeffs.ravel(), space, n_grid)
     op = operators.OperatorSpec("semilinear_sine", nu)
     xi = operators.apply(op, u_star)
-    return u_star, xi
+    return u_star, xi, MeasurementVector(coeffs.ravel(), space)
 
 
 def spectral_galerkin_spde(family: str, nu: float, sigma: float, dt: float,

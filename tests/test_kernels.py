@@ -319,6 +319,47 @@ def test_grid_products_match_dense_pairwise():
                 1e-12 * np.abs(want).max()
 
 
+def _edge_rows(rng, n_rows, n_grid):
+    # random weight rows that do not vanish on the grid edges, unlike
+    # every feature row, so no circulant length can lean on zero ends
+    w = rng.standard_normal((n_rows, n_grid))
+    assert np.all(w[:, [0, -1]] != 0.0)
+    return w
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("q", [9, 10, 17])
+def test_grid_product_2d_period_matches_dense(monkeypatch, q):
+    # the period-2(q-1) circulant is exact for the even value kernel:
+    # the only offsets it folds together are +-(q-1), one kernel value
+    rng = np.random.default_rng(q)
+    grid = grid_points(q, 2)
+    w = _edge_rows(rng, 7, q * q)
+    got = kernels._grid_product(SPEC, w, q, 2)
+    assert _rel(got, w @ kernels._pairwise(SPEC, grid, grid)) <= 1e-12
+    # one row per FFT block gives the same product
+    monkeypatch.setattr(kernels, "_FFT_BLOCK_ELEMENTS", 1)
+    assert _rel(kernels._grid_product(SPEC, w, q, 2), got) <= 1e-14
+    for kind in ("d1", "d11"):
+        with pytest.raises(ValueError):
+            kernels._grid_product(SPEC, w, q, 2, kind)
+
+
+@pytest.mark.parametrize("q", [9, 10, 17])
+@pytest.mark.parametrize("kind", ["val", "d1", "d11"])
+def test_grid_product_1d_matches_dense(q, kind):
+    # the odd d1 kernel takes opposite signs at +-(q-1), so the 1D
+    # circulant must keep those offsets apart
+    rng = np.random.default_rng(q)
+    grid = grid_points(q)
+    w = _edge_rows(rng, 5, q)
+    got = kernels._grid_product(SPEC, w, q, 1, kind)
+    assert _rel(got, w @ kernels._pairwise(SPEC, grid, grid, kind)) <= 1e-12
+
+
 def test_assembly_forms_no_grid_by_grid_matrix(monkeypatch):
     dense = kernels._pairwise
 

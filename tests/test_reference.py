@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.fft import dst
 
-from nessolve import operators, reference
+from nessolve import experiments, operators, reference
 from nessolve.noise import build_path, stream
 from nessolve.noise import increment_blocks
 from nessolve.reference import closed_form_elliptic_1d, \
@@ -46,8 +46,10 @@ def test_closed_form_operator_round_trip():
 
 def test_manufactured_semilinear_single_mode():
     eps, nu, seed = 0.5, 0.1, 3
-    u_star, xi = manufactured_semilinear_2d(eps, 1, seed, nu)
+    u_star, xi, coeffs = manufactured_semilinear_2d(eps, 1, seed, nu)
     c = stream(seed).standard_normal((1, 1))[0, 0] / 2.0 ** (1 + eps)
+    assert coeffs.space.kind == "sine2d" and coeffs.space.n_per_dim == 1
+    assert np.array_equal(coeffs.entries, [c])
     x = np.linspace(0, 1, u_star.values.shape[0])
     mode = 2.0 * np.outer(np.sin(np.pi * x), np.sin(np.pi * x))
     assert np.allclose(u_star.values, c * mode, atol=1e-12)
@@ -56,16 +58,33 @@ def test_manufactured_semilinear_single_mode():
 
 
 def test_manufactured_determinism_and_validation():
-    a1, b1 = manufactured_semilinear_2d(0.15, 4, 7, 0.1)
-    a2, b2 = manufactured_semilinear_2d(0.15, 4, 7, 0.1)
+    a1, b1, c1 = manufactured_semilinear_2d(0.15, 4, 7, 0.1)
+    a2, b2, c2 = manufactured_semilinear_2d(0.15, 4, 7, 0.1)
     assert np.array_equal(a1.values, a2.values)
     assert np.array_equal(b1.values, b2.values)
-    a3, _ = manufactured_semilinear_2d(0.15, 4, 8, 0.1)
+    assert np.array_equal(c1.entries, c2.entries)
+    a3, _, _ = manufactured_semilinear_2d(0.15, 4, 8, 0.1)
     assert not np.array_equal(a1.values, a3.values)
     with pytest.raises(ValueError):
         manufactured_semilinear_2d(0.15, 0, 1, 0.1)
     with pytest.raises(ValueError):
         manufactured_semilinear_2d(-0.1, 4, 1, 0.1)
+
+
+@pytest.mark.parametrize("n_quad", [129, 41])
+def test_manufactured_truth_from_drawn_coefficients(n_quad):
+    # the truth synthesized from the drawn coefficients matches the one
+    # recovered by projecting u* back onto its L x L modes, both on a grid
+    # that carries every mode and on one that cuts the series
+    L = 48
+    u_star, _, coeffs = manufactured_semilinear_2d(0.15, L, 7, 0.1)
+    n_keep = min(L, n_quad - 2)
+    keep = build_test_space("sine2d", n_per_dim=n_keep)
+    full = project(u_star, build_test_space("sine2d", n_per_dim=L))
+    want = synthesize(full.entries.reshape(L, L)[:n_keep, :n_keep].ravel(),
+                      keep, n_quad).values
+    got = experiments._truth_on_quad(coeffs, n_quad).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_spectral_heat_recurrence_exact():
