@@ -239,7 +239,7 @@ def _semilinear_setup(p: dict, n_per_dim: int):
                               space)
         else:
             xi_meas = project(xi, space)
-    return u_coeffs, xi, space, xi_meas
+    return u_coeffs, space, xi_meas
 
 
 def _truth_on_quad(u_coeffs: MeasurementVector, n_quad: int) -> GridFunction:
@@ -254,7 +254,7 @@ def _truth_on_quad(u_coeffs: MeasurementVector, n_quad: int) -> GridFunction:
 
 def _run_semilinear2d(p: dict) -> dict:
     n_per_dim = p["n_per_dim_full"] if p["full_scale"] else p["n_per_dim"]
-    u_coeffs, xi, space, xi_meas = _semilinear_setup(p, n_per_dim)
+    u_coeffs, space, xi_meas = _semilinear_setup(p, n_per_dim)
     kernel = KernelSpec(length_scale=p["length_scale"])
     cfg = SolverConfig(space, kernel, _boundary_2d(), gamma=p["gamma"],
                        s=1.0, max_iterations=p["max_iterations"])
@@ -280,7 +280,7 @@ def _run_semilinear2d(p: dict) -> dict:
 
 def _run_norm_study(p: dict) -> dict:
     n_per_dim = p["n_per_dim"]
-    u_coeffs, xi, space, xi_meas = _semilinear_setup(p, n_per_dim)
+    u_coeffs, space, xi_meas = _semilinear_setup(p, n_per_dim)
     kernel = KernelSpec(length_scale=p["length_scale"])
     op = operators.OperatorSpec("semilinear_sine", p["nu"])
     errors = {}
