@@ -405,7 +405,7 @@ def _run_rate_study(p: dict) -> dict:
     def coeffs_for(gamma):
         rep, _ = gn_step(ctx, blocks, xi.entries, np.zeros(2), gamma,
                          features=fs, kernel=kernel)
-        grid = GridFunction(blocks.quad_eval @ rep.coefficients)
+        grid = GridFunction(blocks.on_grid(rep.coefficients))
         return project(grid, space).entries
 
     with _stage("gamma_sweep"):

@@ -239,6 +239,9 @@ def solve(op: OperatorSpec, xi: MeasurementVector, cfg: SolverConfig,
     Returns the final Representer and a SolveReport.  Gram blocks and
     their factored KKTSystem are rebuilt every iteration for nonlinear
     families (the linearization coefficient changes) and reused otherwise.
+    A rebuild first drops the previous iterate's features, blocks and
+    factors, so one set of N x G weight rows is live at a time; each
+    iterate is evaluated on the grid matrix-free (``GramBlocks.on_grid``).
     """
     ctx = SeminormContext.build(cfg.space, cfg.s)
     dim = cfg.space.dim
@@ -247,11 +250,10 @@ def solve(op: OperatorSpec, xi: MeasurementVector, cfg: SolverConfig,
         np.broadcast_to(np.asarray(u0.values, dtype=float), shape).copy()
 
     report = SolveReport()
-    rep = None
     blocks = None
-    fs = None
     for it in range(cfg.max_iterations):
         if blocks is None or not op.is_linear:
+            rep = fs = blocks = kkt = None
             lin = operators.linearize(op, GridFunction(u_grid))
             fs = FeatureSet(cfg.space, lin.c_field.values, lin.nu_diff,
                             cfg.boundary_points, cfg.n_quad)
@@ -265,7 +267,7 @@ def solve(op: OperatorSpec, xi: MeasurementVector, cfg: SolverConfig,
         coeffs, mult = kkt.solve(r, cfg.g_boundary)
         misfit, penalty = kkt.loss_terms(coeffs, r)
         rep = Representer(coeffs, mult, fs, cfg.kernel)
-        u_grid = (blocks.quad_eval @ coeffs).reshape(shape)
+        u_grid = blocks.on_grid(coeffs).reshape(shape)
         loss = misfit + penalty
         if not np.isfinite(loss):
             raise DivergenceError("loss became non-finite", iteration=it)

@@ -25,6 +25,15 @@ Pointwise collocation features pair the kernel with the operator at both
 points; the derivatives involved share one exponential, so each entry
 costs one ``exp``.  Both kinds fill one (N+M) x (N+M) Gram array,
 unregularized: ``gauss_newton.KKTSystem`` adds the nugget and any jitter.
+
+Memory: one N x G array per set of features (G grid points), the weight
+rows.  ``FeatureSet`` forms them in place over the basis values, a block
+of rows at a time.  Assembly takes the grid products a quarter of the rows
+at a time (all at once when the weights are small) and pairs each block
+with the weights at once, writing the operator block straight into the
+Gram array, which is then symmetrized in place.  A representer is
+evaluated on the grid matrix-free (``GramBlocks.on_grid``); the dense
+evaluation matrix ``quad_eval`` is formed only when it is read.
 """
 
 from __future__ import annotations
@@ -56,6 +65,16 @@ __all__ = [
 # that a block's padding, transforms, spectrum product and crop stay in a
 # core's L2 cache; a row larger than that is a block of its own
 _FFT_BLOCK_ELEMENTS = 2 ** 15
+# real elements of one block of weight rows that FeatureSet forms in place:
+# 256 KiB, so that the four passes over a block stay in L2
+_WEIGHT_BLOCK_ELEMENTS = 2 ** 15
+# assembly pairs the grid products of a quarter of the feature rows at a
+# time with the weights, and of all rows at once when the N x G weights
+# hold at most this many elements (8 MiB): splitting saves little there,
+# and blocks of a few rows go to BLAS's small-matrix kernels, which sum in
+# another order than one GEMM.  Smaller blocks than a quarter re-pack the
+# GEMM's shared G x N operand on every call.
+_PAIR_WHOLE_ELEMENTS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -146,7 +165,9 @@ class FeatureSet:
 
     The linearized operator is -nu_diff * Laplacian + c(x); ``weights_val``
     and (for fem) ``weights_der`` encode every feature as a weighted sum of
-    kernel values / first derivatives at the quadrature nodes.
+    kernel values / first derivatives at the quadrature nodes.  The value
+    weights overwrite the basis values in place, a block of rows at a time,
+    so building them holds one N x G array.
     """
 
     space: TestSpace
@@ -176,18 +197,25 @@ class FeatureSet:
         if len(np.unique(bp.round(decimals=14), axis=0)) != bp.shape[0]:
             raise ValueError("boundary points must be distinct")
 
-        phi = spaces.basis_values(sp, pts)
-        wv = phi * (w * c)[None, :]
+        wv = spaces.basis_values(sp, pts)
+        wc = w * c
         wd = None
         if sp.kind == "fem1d":
+            wv *= wc
             if self.nu_diff != 0.0:
-                wd = self.nu_diff * spaces.basis_derivatives(sp, pts) \
-                    * w[None, :]
+                wd = spaces.basis_derivatives(sp, pts)
+                wd *= self.nu_diff
+                wd *= w
         else:
-            # in place, so that at most two N x G arrays are live
-            phi *= (self.nu_diff * sp.eigenvalues)[:, None]
-            phi *= w[None, :]
-            wv += phi
+            # phi (w c) + (phi nu lambda) w, in that order of operations
+            scale = (self.nu_diff * sp.eigenvalues)[:, None]
+            block = max(1, _WEIGHT_BLOCK_ELEMENTS // w.shape[0])
+            for lo in range(0, wv.shape[0], block):
+                phi = wv[lo:lo + block]
+                a = phi * wc
+                phi *= scale[lo:lo + block]
+                phi *= w
+                phi += a
 
         object.__setattr__(self, "c_field", c)
         object.__setattr__(self, "boundary_points", bp)
@@ -207,12 +235,14 @@ class FeatureSet:
 @dataclass(frozen=True)
 class GramBlocks:
     """One Gram array, operator features first, unregularized; the operator
-    and boundary rows are views of it.  ``quad_eval`` (optional) evaluates a
-    representer on the grid: values = quad_eval @ coefficients."""
+    and boundary rows are views of it.  Weak-feature blocks also keep their
+    kernel and ``FeatureSet`` (collocation blocks keep neither), from which
+    ``on_grid`` evaluates a representer on the quadrature grid."""
 
     k_phi_phi: np.ndarray     # (N+M) x (N+M), symmetric
     n_features: int
-    quad_eval: np.ndarray = None
+    spec: KernelSpec = None
+    features: FeatureSet = None
 
     @property
     def k_chi_phi(self) -> np.ndarray:
@@ -221,6 +251,35 @@ class GramBlocks:
     @property
     def k_x_phi(self) -> np.ndarray:
         return self.k_phi_phi[self.n_features:]
+
+    def on_grid(self, coeffs: np.ndarray) -> np.ndarray:
+        """Grid values of the representer with these N + M coefficients,
+        equal to ``quad_eval @ coeffs`` up to rounding: one grid product of
+        the combined weight row sum_i alpha_i w_i, plus the boundary
+        columns."""
+        fs, n = self.features, self.n_features
+        alpha = coeffs[:n]
+        wd = None if fs.weights_der is None \
+            else (alpha @ fs.weights_der)[None]
+        values = _feature_rows(self.spec, fs, (alpha @ fs.weights_val)[None],
+                               wd)[0]
+        return values + coeffs[n:] @ _pairwise(self.spec, fs.boundary_points,
+                                               fs.quad_points)
+
+    @property
+    def quad_eval(self) -> np.ndarray:
+        """The dense G x (N+M) evaluation matrix, values = quad_eval @
+        coefficients, formed on every read and not kept; None for
+        collocation blocks."""
+        fs = self.features
+        if fs is None:
+            return None
+        n = self.n_features
+        rows = np.empty((n + fs.n_boundary, fs.quad_points.shape[0]))
+        _feature_rows(self.spec, fs, fs.weights_val, fs.weights_der,
+                      out=rows[:n])
+        rows[n:] = _pairwise(self.spec, fs.boundary_points, fs.quad_points)
+        return rows.T
 
 
 def _grid_product(spec: KernelSpec, w: np.ndarray, n_quad: int, dim: int,
@@ -281,6 +340,19 @@ def _grid_product(spec: KernelSpec, w: np.ndarray, n_quad: int, dim: int,
     return out
 
 
+def _feature_rows(spec: KernelSpec, fs: FeatureSet, wv: np.ndarray,
+                  wd: np.ndarray = None, out: np.ndarray = None) -> np.ndarray:
+    """Weight rows of ``fs`` (or combinations of them) applied in x to
+    K(x, grid_k): row i, column k is chi_i applied to K(., grid_k), that is
+    K(., chi_i) at grid_k.  ``wd`` holds the matching fem derivative rows,
+    or is None.  Written into ``out`` when given."""
+    q, dim = fs.n_quad, fs.space.dim
+    t = _grid_product(spec, wv, q, dim, out=out)
+    if wd is not None:
+        t += _grid_product(spec, wd, q, dim, "d1")
+    return t
+
+
 def _operator_blocks(spec: KernelSpec, fs: FeatureSet, right_pts):
     """Features paired with K(., y_l) for the points ``right_pts`` (dense).
 
@@ -294,60 +366,82 @@ def _operator_blocks(spec: KernelSpec, fs: FeatureSet, right_pts):
     return val
 
 
-def _gram(k_cc, k_cb, k_bb, quad_eval=None) -> GramBlocks:
-    """GramBlocks of the blocks [[k_cc, k_cb], [k_cb^T, k_bb]] in one
-    array, with k_cc replaced by its symmetric part."""
-    n, m = k_cb.shape
-    g = np.empty((n + m, n + m))
-    np.add(k_cc, k_cc.T, out=g[:n, :n])
-    g[:n, :n] *= 0.5
+def _quarter(n: int) -> int:
+    """Rows per block when an N-row array is worked on a block at a time."""
+    return max(1, -(-n // 4))
+
+
+def _symmetrize(a: np.ndarray) -> None:
+    """a <- (a + a^T) / 2 in place, one pair of row and column blocks at a
+    time; the same bits as forming the sum whole."""
+    n = a.shape[0]
+    block = _quarter(n)
+    for lo in range(0, n, block):
+        rows = slice(lo, lo + block)
+        for lo2 in range(lo, n, block):
+            cols = slice(lo2, lo2 + block)
+            t = a[rows, cols] + a[cols, rows].T
+            t *= 0.5
+            a[rows, cols] = t
+            a[cols, rows] = t.T
+
+
+def _gram(g: np.ndarray, k_cb, k_bb, spec: KernelSpec = None,
+          fs: FeatureSet = None) -> GramBlocks:
+    """GramBlocks of the array g = [[k_cc, k_cb], [k_cb^T, k_bb]] whose
+    operator block k_cc is already in place: it is replaced by its
+    symmetric part, and the boundary blocks are written around it."""
+    n = k_cb.shape[0]
+    _symmetrize(g[:n, :n])
     g[:n, n:] = k_cb
     g[n:, :n] = k_cb.T
     g[n:, n:] = k_bb
-    return GramBlocks(g, n, quad_eval)
+    return GramBlocks(g, n, spec, fs)
 
 
 def assemble_features(spec: KernelSpec, fs: FeatureSet) -> GramBlocks:
-    """All Gram blocks of the operator and boundary features, and the
-    evaluation of their representers on the quadrature grid."""
+    """All Gram blocks of the operator and boundary features.
+
+    The operator block is taken a block of rows at a time: that block's
+    grid products, then at once its pairing with the weights in y, written
+    into the Gram array; no N x G product is kept.
+    """
     n, m = fs.n_features, fs.n_boundary
     q, dim = fs.n_quad, fs.space.dim
     wv, wd = fs.weights_val, fs.weights_der
 
-    # quad_eval^T; its operator rows are T[i, k] = chi_i applied (in x) to
-    # K(x, grid_k), exactly K(., chi_i) at grid_k
-    rows = np.empty((n + m, q ** dim))
-    t_val = _grid_product(spec, wv, q, dim, out=rows[:n])
-    if wd is not None:
-        t_val += _grid_product(spec, wd, q, dim, "d1")
-    rows[n:] = _pairwise(spec, fs.boundary_points, fs.quad_points)
-
-    k_cc = t_val @ wv.T
-    if wd is not None:
-        # pair the remaining y-derivative of K with the fem derivative
-        # weights: d/dy K(x, y) = -d1(x - y)
-        t_dy = _grid_product(spec, wd, q, dim, "d11") - \
-            _grid_product(spec, wv, q, dim, "d1")
-        k_cc = k_cc + t_dy @ wd.T
+    g = np.empty((n + m, n + m))
+    block = n if wv.size <= _PAIR_WHOLE_ELEMENTS else _quarter(n)
+    for lo in range(0, n, block):
+        rows = slice(lo, min(lo + block, n))
+        t = _feature_rows(spec, fs, wv[rows],
+                          None if wd is None else wd[rows])
+        np.matmul(t, wv.T, out=g[rows, :n])
+        if wd is not None:
+            # pair the remaining y-derivative of K with the fem derivative
+            # weights: d/dy K(x, y) = -d1(x - y)
+            t = _grid_product(spec, wd[rows], q, dim, "d11")
+            t -= _grid_product(spec, wv[rows], q, dim, "d1")
+            g[rows, :n] += t @ wd.T
+        del t
 
     k_cb = _operator_blocks(spec, fs, fs.boundary_points)     # N x M
-    return _gram(k_cc, k_cb, kernel_matrix(spec, fs.boundary_points),
-                 rows.T)
+    return _gram(g, k_cb, kernel_matrix(spec, fs.boundary_points), spec, fs)
 
 
 # (a, c) of point evaluation in _operator_pairing
 _POINT = (0.0, 1.0)
 
 
-def _operator_pairing(spec: KernelSpec, t: np.ndarray, left,
-                      right) -> np.ndarray:
+def _operator_pairing(spec: KernelSpec, t: np.ndarray, left, right,
+                      out: np.ndarray = None) -> np.ndarray:
     """(a_l d^2/dx^2 + c_l)(a_r d^2/dy^2 + c_r) K(x, y) at t = x - y, 1D.
 
     ``left`` and ``right`` are (a, c) pairs whose entries broadcast
     against ``t``; point evaluation is ``_POINT``.  The d4, d2 and value
     kernels share exp(-A|t|), so the pairing is that one exponential times
     a quadratic in A|t| that combines their three polynomials.  ``t`` is
-    overwritten.
+    overwritten; the pairing is written into ``out`` when given.
     """
     a_l, c_l = left
     a_r, c_r = right
@@ -360,7 +454,7 @@ def _operator_pairing(spec: KernelSpec, t: np.ndarray, left,
     w0 = c_l * c_r
     s = np.abs(t, out=t)
     s *= big_a
-    out = (w4 + w2 + w0 / 3.0) * s
+    out = np.multiply(w4 + w2 + w0 / 3.0, s, out=out)
     out += -5.0 * w4 - w2 + w0
     out *= s
     out += 3.0 * w4 - w2 + w0
@@ -384,12 +478,14 @@ def assemble_collocation(spec: KernelSpec, points, c_field, nu_diff: float,
     bp = _as_points(boundary_points)
     if bp.shape[1] != 1:
         raise ValueError("collocation features are 1D only")
+    n = x.shape[0]
+    g = np.empty((n + bp.shape[0],) * 2)
     op = (-nu_diff, c[:, None])
-    k_cc = _operator_pairing(spec, x[:, None] - x[None, :], op,
-                             (-nu_diff, c[None, :]))
+    _operator_pairing(spec, x[:, None] - x[None, :], op,
+                      (-nu_diff, c[None, :]), out=g[:n, :n])
     k_cb = _operator_pairing(spec, x[:, None] - bp[:, 0][None, :], op,
                              _POINT)
-    return _gram(k_cc, k_cb, kernel_matrix(spec, bp))
+    return _gram(g, k_cb, kernel_matrix(spec, bp))
 
 
 def evaluate_collocation(spec: KernelSpec, points, c_field, nu_diff: float,

@@ -1,5 +1,7 @@
 """Tests for the constrained Gauss-Newton step and outer solve loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -291,3 +293,30 @@ def test_representer_shape_validation():
     fs = FeatureSet(sp, np.ones(17), 0.1, BP, 17)
     with pytest.raises(ValueError):
         Representer(np.zeros(4), np.zeros(2), features=fs)
+
+
+def test_solve_peak_memory():
+    # a rebuild first frees the previous iterate; the weight rows are formed
+    # in place, paired a quarter of the rows at a time, and each iterate is
+    # evaluated on the grid matrix-free, so a nonlinear solve holds about
+    # one N x G array at a time
+    sp = build_test_space("sine2d", n_per_dim=16)
+    t = np.linspace(0.0, 1.0, 9)
+    bp = np.vstack([np.column_stack([t, np.zeros_like(t)]),
+                    np.column_stack([t, np.ones_like(t)]),
+                    np.column_stack([np.zeros(7), t[1:-1]]),
+                    np.column_stack([np.ones(7), t[1:-1]])])
+    rng = np.random.default_rng(7)
+    xi = MeasurementVector(rng.standard_normal(sp.size) / sp.eigenvalues
+                           ** 0.25, sp)
+    cfg = SolverConfig(sp, KER, bp, gamma=1e-8, max_iterations=3,
+                       tolerance=0.0)
+    unit = 8 * sp.size * cfg.n_quad ** 2
+    tracemalloc.start()
+    try:
+        _, report = solve(OperatorSpec("semilinear_sine", 0.1), xi, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.iterations == 3
+    assert peak <= 2.5 * unit, f"peak {peak / unit:.2f} N x G arrays"

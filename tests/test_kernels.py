@@ -15,7 +15,8 @@ from nessolve.errors import ResolutionTooCoarseError
 from nessolve.kernels import FeatureSet, KernelSpec, assemble_collocation, \
     assemble_features, evaluate_collocation, evaluate_features, \
     kernel_eval, kernel_matrix
-from nessolve.spaces import build_test_space, grid_points, trapezoid_weights
+from nessolve.spaces import basis_derivatives, basis_values, \
+    build_test_space, grid_points, trapezoid_weights
 
 ELL = 0.3
 SPEC = KernelSpec("matern52", ELL)
@@ -484,3 +485,39 @@ def test_feature_assembly_peak_memory(monkeypatch, kind, size, n_quad):
         tracemalloc.stop()
     assert blocks.quad_eval.shape == (n_grid, sp.size + bp.shape[0])
     assert peak <= 3.0 * unit, f"peak {peak / unit:.2f} N x G arrays"
+
+
+def test_on_grid_matches_dense_evaluation(monkeypatch):
+    # the matrix-free grid evaluation against the dense matrix it replaces
+    rng = np.random.default_rng(5)
+    for fs in _grid_cases():
+        blocks = assemble_features(SPEC, fs)
+        c = rng.standard_normal(fs.n_features + fs.n_boundary)
+        want = blocks.quad_eval @ c
+        assert np.max(np.abs(blocks.on_grid(c) - want)) <= \
+            1e-12 * np.abs(want).max()
+        # the operator block paired a quarter of the rows at a time
+        monkeypatch.setattr(kernels, "_PAIR_WHOLE_ELEMENTS", 0)
+        blocked = assemble_features(SPEC, fs).k_phi_phi
+        monkeypatch.undo()
+        assert _rel(blocked, blocks.k_phi_phi) <= 1e-14
+        assert np.array_equal(blocked, blocked.T)
+
+
+@pytest.mark.parametrize("kind", ["sine1d", "sine2d", "fem1d"])
+def test_weights_formed_in_place_keep_their_bits(monkeypatch, kind):
+    # one row per in-place block gives the weights of the whole-array
+    # formula, bit for bit
+    monkeypatch.setattr(kernels, "_WEIGHT_BLOCK_ELEMENTS", 1)
+    fs = {f.space.kind: f for f in _grid_cases()}[kind]
+    sp, nu = fs.space, fs.nu_diff
+    w = trapezoid_weights(fs.n_quad, sp.dim)
+    phi = basis_values(sp, fs.quad_points)
+    if kind == "fem1d":
+        want = phi * (w * fs.c_field)
+        assert np.array_equal(fs.weights_der,
+                              nu * basis_derivatives(sp, fs.quad_points) * w)
+    else:
+        want = phi * (w * fs.c_field) + phi * (nu * sp.eigenvalues)[:, None] \
+            * w
+    assert np.array_equal(fs.weights_val, want)
