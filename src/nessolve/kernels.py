@@ -26,22 +26,28 @@ points; the derivatives involved share one exponential, so each entry
 costs one ``exp``.  Both kinds fill one (N+M) x (N+M) Gram array,
 unregularized: ``gauss_newton.KKTSystem`` adds the nugget and any jitter.
 
-Memory: one N x G array per set of features (G grid points), the weight
-rows.  ``FeatureSet`` forms them in place over the basis values, a block
-of rows at a time.  Assembly takes the grid products a quarter of the rows
-at a time (all at once when the weights are small) and pairs each block
-with the weights at once, writing the operator block straight into the
-Gram array, which is then symmetrized in place.  A representer is
-evaluated on the grid matrix-free (``GramBlocks.on_grid``); the dense
-evaluation matrix ``quad_eval`` is formed only when it is read.
+Memory.  sine1d features hold no N x G array (G grid points): their
+weight rows are sines times a diagonal, so pairing with them is a DST-I
+and combining them a sine synthesis (Britanak, Yip & Rao, *Discrete
+Cosine and Sine Transforms*, 2007), and assembly forms the rows a block of
+256 KiB at a time, takes their grid products and pairs them at once.
+sine2d and fem1d features hold one, the weight rows, formed in place over
+the basis values; assembly takes their grid products a quarter of the
+rows at a time (all at once when the weights are small) and pairs each
+block with the weights by one GEMM.  Either way the operator block is
+written straight into the Gram array, which is then symmetrized in place.
+A representer is evaluated on the grid matrix-free
+(``GramBlocks.on_grid``); the dense evaluation matrix ``quad_eval`` is
+formed only when it is read, and so are sine1d's ``weights_val``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfftn
+from scipy.fft import dst, fft, ifft, irfft, next_fast_len, rfft, rfftn
 from scipy.spatial.distance import cdist
 
 from . import spaces
@@ -65,15 +71,16 @@ __all__ = [
 # that a block's padding, transforms, spectrum product and crop stay in a
 # core's L2 cache; a row larger than that is a block of its own
 _FFT_BLOCK_ELEMENTS = 2 ** 15
-# real elements of one block of weight rows that FeatureSet forms in place:
-# 256 KiB, so that the four passes over a block stay in L2
+# real elements of one block of weight rows that FeatureSet forms in place,
+# and of one block of sine1d rows that assembly forms, transforms and
+# pairs: 256 KiB, so that the passes over a block stay in L2
 _WEIGHT_BLOCK_ELEMENTS = 2 ** 15
 # assembly pairs the grid products of a quarter of the feature rows at a
-# time with the weights, and of all rows at once when the N x G weights
-# hold at most this many elements (8 MiB): splitting saves little there,
-# and blocks of a few rows go to BLAS's small-matrix kernels, which sum in
-# another order than one GEMM.  Smaller blocks than a quarter re-pack the
-# GEMM's shared G x N operand on every call.
+# time with the stored weights, and of all rows at once when the N x G
+# weights hold at most this many elements (8 MiB): splitting saves little
+# there, and blocks of a few rows go to BLAS's small-matrix kernels, which
+# sum in another order than one GEMM.  Smaller blocks than a quarter
+# re-pack the GEMM's shared G x N operand on every call.
 _PAIR_WHOLE_ELEMENTS = 2 ** 20
 
 
@@ -165,9 +172,17 @@ class FeatureSet:
 
     The linearized operator is -nu_diff * Laplacian + c(x); ``weights_val``
     and (for fem) ``weights_der`` encode every feature as a weighted sum of
-    kernel values / first derivatives at the quadrature nodes.  The value
-    weights overwrite the basis values in place, a block of rows at a time,
-    so building them holds one N x G array.
+    kernel values / first derivatives at the quadrature nodes.
+
+    sine2d and fem1d features store their weights; the value weights
+    overwrite the basis values in place, a block of rows at a time, so
+    building them holds one N x G array.  sine1d features store none: row
+    i at node x_k is phi_i(x_k) (w_k c_k + nu lambda_i w_k), with
+    phi_i(x_k) = sqrt(2) sin(pi i k / (q-1)), so pairing grid rows with
+    every weight row is a DST-I over the interior nodes (``pair``), a
+    combination of weight rows is a sine synthesis (``combine``), and the
+    rows a grid product needs are formed a block at a time
+    (``value_rows``).  ``weights_val`` is then formed on every read.
     """
 
     space: TestSpace
@@ -176,8 +191,9 @@ class FeatureSet:
     boundary_points: np.ndarray
     n_quad: int
     quad_points: np.ndarray = field(default=None, repr=False)
-    weights_val: np.ndarray = field(default=None, repr=False)
     weights_der: np.ndarray = field(default=None, repr=False)
+    # the value weights, None for sine1d
+    _weights: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         sp = self.space
@@ -196,31 +212,23 @@ class FeatureSet:
             raise ValueError("boundary point dimension mismatch")
         if len(np.unique(bp.round(decimals=14), axis=0)) != bp.shape[0]:
             raise ValueError("boundary points must be distinct")
+        object.__setattr__(self, "c_field", c)
+        object.__setattr__(self, "boundary_points", bp)
+        object.__setattr__(self, "quad_points", pts)
+        if sp.kind == "sine1d":
+            return
 
         wv = spaces.basis_values(sp, pts)
-        wc = w * c
         wd = None
         if sp.kind == "fem1d":
-            wv *= wc
+            wv *= w * c
             if self.nu_diff != 0.0:
                 wd = spaces.basis_derivatives(sp, pts)
                 wd *= self.nu_diff
                 wd *= w
         else:
-            # phi (w c) + (phi nu lambda) w, in that order of operations
-            scale = (self.nu_diff * sp.eigenvalues)[:, None]
-            block = max(1, _WEIGHT_BLOCK_ELEMENTS // w.shape[0])
-            for lo in range(0, wv.shape[0], block):
-                phi = wv[lo:lo + block]
-                a = phi * wc
-                phi *= scale[lo:lo + block]
-                phi *= w
-                phi += a
-
-        object.__setattr__(self, "c_field", c)
-        object.__setattr__(self, "boundary_points", bp)
-        object.__setattr__(self, "quad_points", pts)
-        object.__setattr__(self, "weights_val", wv)
+            self._weigh(wv, slice(None))
+        object.__setattr__(self, "_weights", wv)
         object.__setattr__(self, "weights_der", wd)
 
     @property
@@ -230,6 +238,83 @@ class FeatureSet:
     @property
     def n_boundary(self) -> int:
         return self.boundary_points.shape[0]
+
+    @property
+    def weights_val(self) -> np.ndarray:
+        """The N x G value weights; for sine1d formed on every read and not
+        kept."""
+        return self.value_rows(slice(None))
+
+    def value_rows(self, rows: slice) -> np.ndarray:
+        """Rows ``rows`` of the value weights: a view of the stored array,
+        or for sine1d those rows formed now, with the bits of the same rows
+        of ``weights_val``."""
+        if self._weights is not None:
+            return self._weights[rows]
+        modes = np.arange(1, self.space.size + 1)[rows]
+        phi = spaces.sine_rows(modes, self.quad_points)
+        self._weigh(phi, rows)
+        return phi
+
+    def _weigh(self, phi: np.ndarray, rows: slice) -> None:
+        """Turn the sine basis values ``phi`` of the modes ``rows`` into
+        their weights in place, a block of rows at a time:
+        phi (w c) + (phi nu lambda) w, in that order of operations."""
+        w = trapezoid_weights(self.n_quad, self.space.dim)
+        wc = w * self.c_field
+        scale = (self.nu_diff * self.space.eigenvalues[rows])[:, None]
+        block = max(1, _WEIGHT_BLOCK_ELEMENTS // w.shape[0])
+        for lo in range(0, phi.shape[0], block):
+            b = phi[lo:lo + block]
+            a = b * wc
+            b *= scale[lo:lo + block]
+            b *= w
+            b += a
+
+    def pair(self, t: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """t @ weights_val.T for rows ``t`` of values on the grid, written
+        into ``out`` when given.
+
+        For sine1d, row i of the weights is sqrt(2) sin(pi i k/(q-1)) times
+        w c + nu lambda_i w, so the pairing is
+
+            (sqrt(2)/2) [DST-I(t w c) + nu lambda DST-I(t w)]
+
+        over the interior nodes, cut to the first N modes; when c is
+        constant on the grid that is (sqrt(2)/2)(c_0 + nu lambda) DST-I(t w),
+        one transform.
+        """
+        if self._weights is not None:
+            return np.matmul(t, self._weights.T, out=out)
+        n, c = self.n_features, self.c_field
+        w = trapezoid_weights(self.n_quad)[1:-1]
+        nu_lam = self.nu_diff * self.space.eigenvalues
+        s = dst(t[:, 1:-1] * w, type=1, overwrite_x=True)[:, :n]
+        if np.all(c == c[0]):
+            return np.multiply(s, np.sqrt(2.0) / 2.0 * (c[0] + nu_lam),
+                               out=out)
+        sc = dst(t[:, 1:-1] * (w * c[1:-1]), type=1, overwrite_x=True)[:, :n]
+        s *= nu_lam
+        s += sc
+        return np.multiply(s, np.sqrt(2.0) / 2.0, out=out)
+
+    def combine(self, alpha: np.ndarray) -> np.ndarray:
+        """The combined weight row alpha @ weights_val; for sine1d
+        w c synth(alpha) + w synth(nu lambda alpha), with synth the sine
+        synthesis on the grid (one, of (c_0 + nu lambda) alpha, when c is
+        constant)."""
+        if self._weights is not None:
+            return alpha @ self._weights
+        q, c = self.n_quad, self.c_field
+        w = trapezoid_weights(q)
+        nu_lam = self.nu_diff * self.space.eigenvalues
+        if np.all(c == c[0]):
+            return w * spaces.sine_synthesis((c[0] + nu_lam) * alpha, q)
+        row, diffusion = spaces.sine_synthesis(
+            np.stack([alpha, nu_lam * alpha]), q)
+        row *= w * c
+        row += w * diffusion
+        return row
 
 
 @dataclass(frozen=True)
@@ -255,14 +340,14 @@ class GramBlocks:
     def on_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """Grid values of the representer with these N + M coefficients,
         equal to ``quad_eval @ coeffs`` up to rounding: one grid product of
-        the combined weight row sum_i alpha_i w_i, plus the boundary
+        the combined weight row sum_i alpha_i w_i (``FeatureSet.combine``,
+        one or two sine syntheses for sine1d), plus the boundary
         columns."""
         fs, n = self.features, self.n_features
         alpha = coeffs[:n]
         wd = None if fs.weights_der is None \
             else (alpha @ fs.weights_der)[None]
-        values = _feature_rows(self.spec, fs, (alpha @ fs.weights_val)[None],
-                               wd)[0]
+        values = _feature_rows(self.spec, fs, fs.combine(alpha)[None], wd)[0]
         return values + coeffs[n:] @ _pairwise(self.spec, fs.boundary_points,
                                                fs.quad_points)
 
@@ -280,6 +365,33 @@ class GramBlocks:
                       out=rows[:n])
         rows[n:] = _pairwise(self.spec, fs.boundary_points, fs.quad_points)
         return rows.T
+
+
+@functools.lru_cache(maxsize=4)
+def _circulant_spectrum(spec: KernelSpec, n_quad: int, dim: int,
+                        kind: str):
+    """Period P and conjugate spectrum of the circulant that embeds the
+    grid kernel of ``_grid_product``, kept for the last few grids: a
+    matrix-free assembly takes one grid product per small block of rows."""
+    q = n_quad
+    if dim != 1 and kind != "val":
+        raise ValueError("derivative kernels are 1D only")
+    size = 2 * (q - 1) if dim == 2 else next_fast_len(2 * q - 1, real=True)
+    j = np.arange(size)
+    t = np.where(j < q, j, j - size) / (q - 1)      # signed offsets
+    if dim == 2:
+        c = _matern52(spec, np.hypot(t[:, None], t[None, :]))
+    elif kind == "val":
+        c = _matern52(spec, np.abs(t))
+    elif kind == "d1":
+        c = _matern52_d1(spec, t)
+    elif kind == "d11":
+        c = _matern52_d11(spec, t)
+    else:
+        raise ValueError(f"unknown grid product kind {kind!r}")
+    c_hat = np.conj(rfftn(c))
+    c_hat.flags.writeable = False
+    return size, c_hat
 
 
 def _grid_product(spec: KernelSpec, w: np.ndarray, n_quad: int, dim: int,
@@ -307,23 +419,7 @@ def _grid_product(spec: KernelSpec, w: np.ndarray, n_quad: int, dim: int,
     q rows, then an inverse real FFT along y kept to its first q values.
     """
     q = n_quad
-    if dim != 1 and kind != "val":
-        raise ValueError("derivative kernels are 1D only")
-    size = 2 * (q - 1) if dim == 2 else next_fast_len(2 * q - 1, real=True)
-    j = np.arange(size)
-    t = np.where(j < q, j, j - size) / (q - 1)      # signed offsets
-    if dim == 2:
-        c = _matern52(spec, np.hypot(t[:, None], t[None, :]))
-    elif kind == "val":
-        c = _matern52(spec, np.abs(t))
-    elif kind == "d1":
-        c = _matern52_d1(spec, t)
-    elif kind == "d11":
-        c = _matern52_d11(spec, t)
-    else:
-        raise ValueError(f"unknown grid product kind {kind!r}")
-    c_hat = np.conj(rfftn(c))
-
+    size, c_hat = _circulant_spectrum(spec, q, dim, kind)
     if out is None:
         out = np.empty((w.shape[0], q ** dim))
     block = max(1, _FFT_BLOCK_ELEMENTS // c_hat.size)
@@ -357,8 +453,10 @@ def _operator_blocks(spec: KernelSpec, fs: FeatureSet, right_pts):
     """Features paired with K(., y_l) for the points ``right_pts`` (dense).
 
     Row i is chi_i applied to K(., y_l); for fem the derivative weights
-    pair with d/dx K(x, y_l).
+    pair with d/dx K(x, y_l).  sine1d pairs by DST-I (``FeatureSet.pair``).
     """
+    if fs.space.kind == "sine1d":
+        return fs.pair(_pairwise(spec, right_pts, fs.quad_points)).T
     val = fs.weights_val @ _pairwise(spec, fs.quad_points, right_pts)
     if fs.weights_der is not None:
         val = val + fs.weights_der @ _pairwise(spec, fs.quad_points,
@@ -403,27 +501,33 @@ def assemble_features(spec: KernelSpec, fs: FeatureSet) -> GramBlocks:
     """All Gram blocks of the operator and boundary features.
 
     The operator block is taken a block of rows at a time: that block's
-    grid products, then at once its pairing with the weights in y, written
+    weight rows (formed now for sine1d), their grid products, then at once
+    their pairing with the weights in y (``FeatureSet.pair``), written
     into the Gram array; no N x G product is kept.
     """
     n, m = fs.n_features, fs.n_boundary
     q, dim = fs.n_quad, fs.space.dim
-    wv, wd = fs.weights_val, fs.weights_der
+    wd = fs.weights_der
 
     g = np.empty((n + m, n + m))
-    block = n if wv.size <= _PAIR_WHOLE_ELEMENTS else _quarter(n)
+    if fs.space.kind == "sine1d":
+        block = max(1, _WEIGHT_BLOCK_ELEMENTS // q)
+    elif n * q ** dim <= _PAIR_WHOLE_ELEMENTS:
+        block = n
+    else:
+        block = _quarter(n)
     for lo in range(0, n, block):
         rows = slice(lo, min(lo + block, n))
-        t = _feature_rows(spec, fs, wv[rows],
-                          None if wd is None else wd[rows])
-        np.matmul(t, wv.T, out=g[rows, :n])
+        wv = fs.value_rows(rows)
+        t = _feature_rows(spec, fs, wv, None if wd is None else wd[rows])
+        fs.pair(t, out=g[rows, :n])
         if wd is not None:
             # pair the remaining y-derivative of K with the fem derivative
             # weights: d/dy K(x, y) = -d1(x - y)
             t = _grid_product(spec, wd[rows], q, dim, "d11")
-            t -= _grid_product(spec, wv[rows], q, dim, "d1")
+            t -= _grid_product(spec, wv, q, dim, "d1")
             g[rows, :n] += t @ wd.T
-        del t
+        del wv, t
 
     k_cb = _operator_blocks(spec, fs, fs.boundary_points)     # N x M
     return _gram(g, k_cb, kernel_matrix(spec, fs.boundary_points), spec, fs)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.fft import next_fast_len
 
-from . import operators
 from .noise import NoisePath, stream
 from .spaces import GridFunction, MeasurementVector, build_test_space, \
     project, sine_synthesis, synthesize
@@ -39,11 +38,13 @@ def manufactured_semilinear_2d(eps: float, L: int, seed: int, nu: float,
     """Seeded manufactured pair (u*, xi) for -nu*Lap(u) + u + sin(pi*u),
     and the L x L sine coefficients of u*.
 
-    u* has random sine coefficients u_ij / (i^2 + j^2)^(1 + eps); the
-    forcing is computed by the spectral Laplacian plus the pointwise
-    nonlinearity on a grid fine enough to carry all L modes per dimension.
-    The coefficients come back as drawn, so a caller can synthesize u* on
-    another grid without projecting it first.
+    u* has random sine coefficients u_ij / (i^2 + j^2)^(1 + eps), sampled
+    on a grid fine enough to carry all L modes per dimension.  The linear
+    part -nu*Lap(u*) + u* of the forcing is synthesized on that grid from
+    the coefficients times nu*lambda_ij + 1, and the pointwise
+    nonlinearity sin(pi*u*) is added to it.  The coefficients come back as
+    drawn, so a caller can synthesize u* on another grid without
+    projecting it first.
     """
     if L < 1 or eps < 0:
         raise ValueError("need L >= 1 and eps >= 0")
@@ -54,9 +55,10 @@ def manufactured_semilinear_2d(eps: float, L: int, seed: int, nu: float,
     coeffs = stream(seed).standard_normal((L, L)) / decay
     space = build_test_space("sine2d", n_per_dim=L)
     u_star = synthesize(coeffs.ravel(), space, n_grid)
-    op = operators.OperatorSpec("semilinear_sine", nu)
-    xi = operators.apply(op, u_star)
-    return u_star, xi, MeasurementVector(coeffs.ravel(), space)
+    xi = synthesize((nu * space.eigenvalues + 1.0) * coeffs.ravel(), space,
+                    n_grid).values
+    xi += np.sin(np.pi * u_star.values)
+    return u_star, GridFunction(xi), MeasurementVector(coeffs.ravel(), space)
 
 
 def spectral_galerkin_spde(family: str, nu: float, sigma: float, dt: float,

@@ -521,3 +521,67 @@ def test_weights_formed_in_place_keep_their_bits(monkeypatch, kind):
         want = phi * (w * fs.c_field) + phi * (nu * sp.eigenvalues)[:, None] \
             * w
     assert np.array_equal(fs.weights_val, want)
+
+
+def _k_cc_long_double(spec, fs):
+    """The sine1d operator block W K W^T in np.longdouble, from sines of
+    exactly reduced arguments sin(pi ((j k) mod 2(q-1)) / (q-1)) and the
+    Matern kernel at the exact offsets (k - l) / (q-1)."""
+    ld = np.longdouble
+    q, n = fs.n_quad, fs.n_features
+    pi = 4 * np.arctan(ld(1))
+    j = np.arange(1, n + 1)[:, None]
+    k = np.arange(q)
+    phi = np.sqrt(ld(2)) * np.sin(pi * ((j * k) % (2 * (q - 1))) / (q - 1))
+    w = np.full(q, 1 / ld(q - 1))
+    w[[0, -1]] /= 2
+    lam = (pi * j) ** 2
+    weights = phi * (w * fs.c_field.astype(ld) + ld(fs.nu_diff) * lam * w)
+    ar = np.sqrt(ld(5)) / ld(spec.length_scale) * \
+        np.abs(k[:, None] - k[None, :]) / (q - 1)
+    kernel = (1 + ar + ar ** 2 / 3) * np.exp(-ar)
+    return weights @ kernel @ weights.T
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("c_kind", ["constant", "varying"])
+def test_dst_pairing_against_long_double_oracle(n, c_kind):
+    # the DST-I pairing of the sine1d operator block is as close to an
+    # extended-precision oracle as the GEMM with the weight rows it
+    # replaces; both pair the same FFT grid products
+    spec = KernelSpec("matern52", 0.2)
+    q = 4 * n + 1
+    x = grid_points(q)
+    c = np.ones(q) if c_kind == "constant" else \
+        1.0 + 0.5 * np.cos(3 * np.pi * x)
+    fs = FeatureSet(build_test_space("sine1d", n), c, 0.01,
+                    np.array([0.0, 1.0]), q)
+    oracle = _k_cc_long_double(spec, fs)
+    scale = np.max(np.abs(oracle))
+
+    dst_k = assemble_features(spec, fs).k_phi_phi[:n, :n]
+    wv = fs.weights_val
+    gemm_k = kernels._grid_product(spec, wv, q, 1) @ wv.T
+    gemm_k = 0.5 * (gemm_k + gemm_k.T)
+    err_dst = float(np.max(np.abs(dst_k - oracle)) / scale)
+    err_gemm = float(np.max(np.abs(gemm_k - oracle)) / scale)
+    assert err_dst <= 1.25 * err_gemm + 1e-15, (err_dst, err_gemm)
+
+
+def test_sine1d_assembly_holds_no_weight_array(monkeypatch):
+    # sine1d features keep no N x G weights: assembly forms their rows a
+    # block at a time and pairs them by DST-I, so FeatureSet and assembly
+    # together peak near the N x N Gram array; the FFT work buffers are cut
+    # to one row so that only the arrays of the assembly count
+    monkeypatch.setattr(kernels, "_FFT_BLOCK_ELEMENTS", 1)
+    n, q = 256, 1025
+    unit = 8 * n * q
+    tracemalloc.start()
+    try:
+        fs = FeatureSet(build_test_space("sine1d", n), np.ones(q), 0.1,
+                        np.array([0.0, 1.0]), q)
+        assemble_features(SPEC, fs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * unit, f"peak {peak / unit:.2f} N x G arrays"

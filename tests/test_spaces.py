@@ -27,6 +27,20 @@ def test_sine1d_basis_values():
     assert np.allclose(phi[:, [0, -1]], 0.0, atol=1e-12)
 
 
+def test_sine1d_basis_values_reduce_the_argument_exactly():
+    # on a grid of 2^p + 1 points the sines agree with long-double sines of
+    # exactly reduced arguments to a few rounding errors at every mode,
+    # where sin(pi j x) would carry an argument error growing with j
+    n, q = 512, 1025
+    phi = spaces.basis_values(build_test_space("sine1d", n), grid_points(q))
+    ld = np.longdouble
+    j = np.arange(1, n + 1)[:, None]
+    k = np.arange(q)[None, :]
+    exact = np.sqrt(ld(2)) * np.sin(4 * np.arctan(ld(1)) *
+                                    ((j * k) % (2 * (q - 1))) / (q - 1))
+    assert np.max(np.abs(phi - exact)) <= 2e-15
+
+
 def test_fem1d_nodes_and_tents():
     sp = build_test_space("fem1d", 3)
     assert sp.h == pytest.approx(0.25)
