@@ -12,16 +12,16 @@ from .errors import DegenerateFeaturesError, DivergenceError, \
     ResolutionTooCoarseError, StageError, UnsupportedExponentError
 from .experiments import ExperimentConfig, run_experiment
 from .gauss_newton import Representer, SolveReport, SolverConfig, evaluate, \
-    gn_step, solve
+    solve
 from .kernels import FeatureSet, GramBlocks, KernelSpec, assemble_features, \
-    evaluate_features, kernel_eval, kernel_matrix
+    evaluate_features, kernel_matrix
 from .metrics import fit_rate, rel_l2_error, space_time_l2_error
-from .noise import NoisePath, aggregate_increments, build_path, \
-    sample_white_noise_spectral, sample_wiener_increment
+from .noise import NoisePath, sample_white_noise_spectral, \
+    sample_wiener_increment
 from .operators import Linearization, OperatorSpec, apply, linearize
 from .reference import closed_form_elliptic_1d, manufactured_semilinear_2d, \
     spectral_galerkin_spde
-from .seminorm import SeminormContext, seminorm, seminorm_squared
+from .seminorm import SeminormContext, seminorm_squared
 from .spaces import GridFunction, MeasurementVector, TestSpace, \
     build_test_space, mass_matrix, project, stiffness_matrix, synthesize
 from .spde import SpdeConfig, Trajectory, integrate

@@ -19,13 +19,13 @@ import scipy
 
 from . import metrics, noise, operators, reference, spde
 from .errors import StageError
-from .gauss_newton import SolverConfig, gn_step, solve
+from .gauss_newton import SolverConfig, constrained_ls_solve, solve
 from .kernels import FeatureSet, KernelSpec, assemble_collocation, \
     assemble_features, evaluate_collocation
 from .seminorm import SeminormContext
 from .spaces import GridFunction, MeasurementVector, build_test_space, \
     grid_points, project, synthesize
-from .spde import SpdeConfig, Trajectory
+from .spde import SpdeConfig
 
 __all__ = ["ExperimentConfig", "run_experiment", "check_thresholds",
            "EXPERIMENTS", "DEFAULTS"]
@@ -107,9 +107,10 @@ def _boundary_1d():
     return np.array([0.0, 1.0])
 
 
-def _boundary_2d(n_per_side: int = 8):
-    """Points along the four edges of the unit square, corners included."""
-    t = np.linspace(0.0, 1.0, n_per_side + 1)
+def _boundary_2d():
+    """Points along the four edges of the unit square, corners included:
+    eight intervals per side."""
+    t = np.linspace(0.0, 1.0, 9)
     edges = [np.column_stack([t, np.zeros_like(t)]),
              np.column_stack([t, np.ones_like(t)]),
              np.column_stack([np.zeros_like(t[1:-1]), t[1:-1]]),
@@ -145,12 +146,12 @@ def _run_elliptic1d(p: dict) -> dict:
                                        _boundary_1d())
         # identity weights: the plain sum of squared pointwise residuals
         ctx0 = SeminormContext.build(build_test_space("sine1d", n), 0.0)
-        rep0, _ = gn_step(ctx0, blocks0, xi_vals, np.zeros(2),
-                          p["gamma_pointwise"])
+        coeffs0, _ = constrained_ls_solve(ctx0, blocks0, xi_vals,
+                                          np.zeros(2), p["gamma_pointwise"])
         # the evaluation matrix in row blocks: no n_quad x (n + 2) array
         estimate0 = GridFunction(np.concatenate([
             evaluate_collocation(kernel, x_col, 1.0, p["nu"],
-                                 _boundary_1d(), y) @ rep0.coefficients
+                                 _boundary_1d(), y) @ coeffs0
             for y in np.array_split(grid_points(cfg.n_quad), 16)]))
     with _stage("metrics"):
         err = metrics.rel_l2_error(estimate, truth)
@@ -189,16 +190,18 @@ def _sine_series_at_nodes(coeffs, space) -> np.ndarray:
     return synthesize(modes, space, n + 2).values[1:-1]
 
 
-def _downsample_1d(x, truth, estimate, max_rows: int = 1025):
-    stride = max(1, (len(x) - 1) // (max_rows - 1))
+def _downsample_1d(x, truth, estimate):
+    """Field rows at a stride that keeps at most 1025 of them."""
+    stride = max(1, (len(x) - 1) // 1024)
     sl = slice(None, None, stride)
     return {"columns": ["x", "truth", "estimate", "error"],
             "data": np.column_stack([x[sl], truth[sl], estimate[sl],
                                      estimate[sl] - truth[sl]])}
 
 
-def _downsample_2d(n_grid, truth, estimate, max_per_dim: int = 65):
-    stride = max(1, (n_grid - 1) // (max_per_dim - 1))
+def _downsample_2d(n_grid, truth, estimate):
+    """Field rows at a stride that keeps at most 65 points per dim."""
+    stride = max(1, (n_grid - 1) // 64)
     x = grid_points(n_grid)
     xs = x[::stride]
     tv = truth[::stride, ::stride]
@@ -339,7 +342,7 @@ def _spde_paths(p: dict, family: str, seed: int, init_coeffs: np.ndarray,
         fine = noise.increment_blocks(seed, "spectral", dt / refine,
                                       n_steps * refine, trunc, refine)
         coarse = np.empty((n_steps, trunc))
-        ref = reference.spectral_galerkin_spde(
+        ref, _ = reference.spectral_galerkin_spde(
             family, p["nu"], p["sigma"], dt / refine, trunc, p["t_final"],
             noise.aggregating(fine, refine, coarse), initial=init_coeffs,
             store_every=refine, n_grid=n_quad)
@@ -403,9 +406,9 @@ def _run_rate_study(p: dict) -> dict:
         blocks = assemble_features(kernel, fs)
 
     def coeffs_for(gamma):
-        rep, _ = gn_step(ctx, blocks, xi.entries, np.zeros(2), gamma,
-                         features=fs, kernel=kernel)
-        grid = GridFunction(blocks.on_grid(rep.coefficients))
+        coeffs, _ = constrained_ls_solve(ctx, blocks, xi.entries,
+                                         np.zeros(2), gamma)
+        grid = GridFunction(blocks.on_grid(coeffs))
         return project(grid, space).entries
 
     with _stage("gamma_sweep"):

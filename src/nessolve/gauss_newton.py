@@ -31,7 +31,7 @@ from .seminorm import SeminormContext, seminorm_squared
 from .spaces import GridFunction, MeasurementVector, TestSpace, project
 
 __all__ = ["SolverConfig", "Representer", "SolveReport", "KKTSystem",
-           "constrained_ls_solve", "gn_step", "solve", "evaluate"]
+           "constrained_ls_solve", "solve", "evaluate"]
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,9 @@ class SolverConfig:
 @dataclass(frozen=True)
 class Representer:
     """A kernel representer u = sum_i alpha_i K(., chi_i) + sum_j beta_j
-    K(., x_j) with its feature set and constraint multipliers."""
+    K(., x_j) with its feature set."""
 
     coefficients: np.ndarray
-    multipliers: np.ndarray
     features: FeatureSet = None
     kernel: KernelSpec = None
 
@@ -220,18 +219,6 @@ def constrained_ls_solve(ctx: SeminormContext, blocks: GramBlocks,
     return KKTSystem(ctx, blocks, gamma).solve(r_entries, g_boundary)
 
 
-def gn_step(ctx: SeminormContext, blocks: GramBlocks, r_entries, g_boundary,
-            gamma: float, features: FeatureSet = None,
-            kernel: KernelSpec = None):
-    """One linearized step; returns (Representer, (misfit, penalty))."""
-    r = r_entries.entries if isinstance(r_entries, MeasurementVector) \
-        else np.asarray(r_entries, dtype=float)
-    kkt = KKTSystem(ctx, blocks, gamma)
-    coeffs, mult = kkt.solve(r, g_boundary)
-    return Representer(coeffs, mult, features, kernel), \
-        kkt.loss_terms(coeffs, r)
-
-
 def solve(op: OperatorSpec, xi: MeasurementVector, cfg: SolverConfig,
           u0: GridFunction = None):
     """Iterate linearize/assemble/step until the loss plateaus.
@@ -264,9 +251,9 @@ def solve(op: OperatorSpec, xi: MeasurementVector, cfg: SolverConfig,
             r = xi.entries
         else:
             r = xi.entries + project(lin.shift, cfg.space).entries
-        coeffs, mult = kkt.solve(r, cfg.g_boundary)
+        coeffs, _ = kkt.solve(r, cfg.g_boundary)
         misfit, penalty = kkt.loss_terms(coeffs, r)
-        rep = Representer(coeffs, mult, fs, cfg.kernel)
+        rep = Representer(coeffs, fs, cfg.kernel)
         u_grid = blocks.on_grid(coeffs).reshape(shape)
         loss = misfit + penalty
         if not np.isfinite(loss):

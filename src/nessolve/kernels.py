@@ -58,7 +58,6 @@ __all__ = [
     "KernelSpec",
     "FeatureSet",
     "GramBlocks",
-    "kernel_eval",
     "kernel_matrix",
     "assemble_features",
     "evaluate_features",
@@ -153,13 +152,6 @@ def _pairwise(spec: KernelSpec, x, y, kind: str = "val") -> np.ndarray:
     if kind == "d11":
         return _matern52_d11(spec, t)
     raise ValueError(f"unknown pairwise kind {kind!r}")
-
-
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Kernel value between two points (scalars or length-d arrays)."""
-    r = np.linalg.norm(np.atleast_1d(np.asarray(x, float)) -
-                       np.atleast_1d(np.asarray(y, float)))
-    return float(_matern52(spec, np.asarray(r)))
 
 
 def kernel_matrix(spec: KernelSpec, x, y=None) -> np.ndarray:
@@ -567,6 +559,17 @@ def _operator_pairing(spec: KernelSpec, t: np.ndarray, left, right,
     return out
 
 
+def _point_coefficients(c_field, x: np.ndarray):
+    """c at the collocation points ``x`` as a column and as a row for
+    ``_operator_pairing``; a scalar ``c_field`` stays a scalar, so no
+    n x n weight array is broadcast from it."""
+    c = np.asarray(c_field, dtype=float)
+    if c.ndim == 0:
+        return float(c), float(c)
+    c = np.broadcast_to(c.ravel(), x.shape)
+    return c[:, None], c[None, :]
+
+
 def assemble_collocation(spec: KernelSpec, points, c_field, nu_diff: float,
                          boundary_points) -> GramBlocks:
     """Gram blocks for pointwise operator features (1D collocation).
@@ -578,15 +581,15 @@ def assemble_collocation(spec: KernelSpec, points, c_field, nu_diff: float,
     seminorm), the pointwise/L2-style alternative to the weak-norm loss.
     """
     x = np.atleast_1d(np.asarray(points, dtype=float))
-    c = np.broadcast_to(np.asarray(c_field, dtype=float).ravel(), x.shape)
+    c_col, c_row = _point_coefficients(c_field, x)
     bp = _as_points(boundary_points)
     if bp.shape[1] != 1:
         raise ValueError("collocation features are 1D only")
     n = x.shape[0]
     g = np.empty((n + bp.shape[0],) * 2)
-    op = (-nu_diff, c[:, None])
+    op = (-nu_diff, c_col)
     _operator_pairing(spec, x[:, None] - x[None, :], op,
-                      (-nu_diff, c[None, :]), out=g[:n, :n])
+                      (-nu_diff, c_row), out=g[:n, :n])
     k_cb = _operator_pairing(spec, x[:, None] - bp[:, 0][None, :], op,
                              _POINT)
     return _gram(g, k_cb, kernel_matrix(spec, bp))
@@ -596,11 +599,11 @@ def evaluate_collocation(spec: KernelSpec, points, c_field, nu_diff: float,
                          boundary_points, eval_points) -> np.ndarray:
     """Evaluation matrix for a collocation representer, E[p, i] = phi_i(y_p)."""
     x = np.atleast_1d(np.asarray(points, dtype=float))
-    c = np.broadcast_to(np.asarray(c_field, dtype=float).ravel(), x.shape)
+    _, c_row = _point_coefficients(c_field, x)
     bp = _as_points(boundary_points)
     y = np.atleast_1d(np.asarray(eval_points, dtype=float))
     op_cols = _operator_pairing(spec, y[:, None] - x[None, :], _POINT,
-                                (-nu_diff, c[None, :]))
+                                (-nu_diff, c_row))
     bd_cols = _matern52(spec, np.abs(y[:, None] - bp[:, 0][None, :]))
     return np.hstack([op_cols, bd_cols])
 

@@ -3,11 +3,13 @@
 Streams are addressed by (seed, step) through the counter-based Philox
 generator: step k of a path is drawn from Philox keyed [k, seed] at counter
 0, so any step can be regenerated without replaying the ones before it and
-coarse/fine runs can share one Brownian path.  ``increment_blocks`` streams
-a path's increments in blocks from one bit generator re-keyed per step, so a
-pipeline holds one block of the fine path at a time; ``build_path``
-materializes the same increments into a ``NoisePath``, and aggregation sums
-groups of fine increments pathwise, over a whole path or block by block.
+coarse/fine runs can share one Brownian path.  The pipelines stream a
+path's increments in blocks (``increment_blocks``) from one bit generator
+re-keyed per step, so they hold one block of the fine path at a time, and
+sum groups of fine increments into coarse ones as the blocks pass
+(``aggregating``).  ``build_path`` and ``aggregate_increments`` give the
+same bits for a whole materialized ``NoisePath``; they are the oracles the
+streamed forms are tested against.
 """
 
 from __future__ import annotations
@@ -84,8 +86,7 @@ def _mass_cholesky(space: TestSpace) -> np.ndarray:
 
 
 def sample_wiener_increment(space_or_L, dt: float,
-                            rng: np.random.Generator,
-                            mass_chol: np.ndarray = None) -> MeasurementVector:
+                            rng: np.random.Generator) -> MeasurementVector:
     """One Wiener increment measured against a test basis.
 
     Spectral mode (integer argument): L independent N(0, dt) sine
@@ -96,11 +97,9 @@ def sample_wiener_increment(space_or_L, dt: float,
     if dt <= 0:
         raise ValueError("dt must be positive")
     if isinstance(space_or_L, TestSpace):
-        space = space_or_L
-        if mass_chol is None:
-            mass_chol = _mass_cholesky(space)
+        space, mass_chol = space_or_L, _mass_cholesky(space_or_L)
     else:
-        space = build_test_space("sine1d", int(space_or_L))
+        space, mass_chol = build_test_space("sine1d", int(space_or_L)), None
     out = np.empty(space.size)
     _wiener_draw(out, dt, rng, mass_chol)
     return MeasurementVector(out, space)

@@ -4,7 +4,9 @@ Closed-form coefficients for the 1D linear elliptic problem, a seeded
 manufactured solution/forcing pair for the 2D semilinear problem, and a
 fine-mesh spectral-Galerkin integrator for the stochastic heat and
 Allen-Cahn equations that consumes the same Brownian paths as the kernel
-runs, streamed block by block.
+runs: an iterable of increment blocks, such as ``noise.increment_blocks``,
+consumed block by block.  The integrator returns its trajectory and, beside
+it, the coefficient history of every stored step.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .noise import NoisePath, stream
+from .noise import stream
 from .spaces import GridFunction, MeasurementVector, build_test_space, \
     project, sine_synthesis, synthesize
 from .spde import Trajectory
@@ -33,22 +35,21 @@ def closed_form_elliptic_1d(xi_coeffs, nu: float) -> MeasurementVector:
     return MeasurementVector(xi / (nu * (np.pi * j) ** 2 + 1.0), space)
 
 
-def manufactured_semilinear_2d(eps: float, L: int, seed: int, nu: float,
-                               n_grid: int = 0):
+def manufactured_semilinear_2d(eps: float, L: int, seed: int, nu: float):
     """Seeded manufactured pair (u*, xi) for -nu*Lap(u) + u + sin(pi*u),
     and the L x L sine coefficients of u*.
 
     u* has random sine coefficients u_ij / (i^2 + j^2)^(1 + eps), sampled
-    on a grid fine enough to carry all L modes per dimension.  The linear
-    part -nu*Lap(u*) + u* of the forcing is synthesized on that grid from
-    the coefficients times nu*lambda_ij + 1, and the pointwise
-    nonlinearity sin(pi*u*) is added to it.  The coefficients come back as
-    drawn, so a caller can synthesize u* on another grid without
-    projecting it first.
+    on the 2L + 3 point grid, fine enough to carry all L modes per
+    dimension.  The linear part -nu*Lap(u*) + u* of the forcing is
+    synthesized on that grid from the coefficients times nu*lambda_ij + 1,
+    and the pointwise nonlinearity sin(pi*u*) is added to it.  The
+    coefficients come back as drawn, so a caller can synthesize u* on
+    another grid without projecting it first.
     """
     if L < 1 or eps < 0:
         raise ValueError("need L >= 1 and eps >= 0")
-    n_grid = n_grid or 2 * L + 3
+    n_grid = 2 * L + 3
     ii, jj = np.meshgrid(np.arange(1, L + 1), np.arange(1, L + 1),
                          indexing="ij")
     decay = (ii.astype(float) ** 2 + jj ** 2) ** (1.0 + eps)
@@ -62,10 +63,9 @@ def manufactured_semilinear_2d(eps: float, L: int, seed: int, nu: float,
 
 
 def spectral_galerkin_spde(family: str, nu: float, sigma: float, dt: float,
-                           L: int, t_final: float,
-                           path=None,
+                           L: int, t_final: float, blocks,
                            initial: np.ndarray = None, store_every: int = 1,
-                           n_grid: int = 0) -> Trajectory:
+                           n_grid: int = 0):
     """Mode-wise semi-implicit Euler on the first L sine modes.
 
     a_j^{k+1} = (a_j^k + dt*fhat_j + sigma*dbeta_j) / (1 + dt*nu*pi^2*j^2),
@@ -80,12 +80,15 @@ def spectral_galerkin_spde(family: str, nu: float, sigma: float, dt: float,
     are stored every ``store_every`` steps and synthesized together on an
     ``n_grid``-point grid (default 2L + 3).
 
-    The increments dbeta come from ``path``: a materialized ``NoisePath``,
-    or an iterable of 2D blocks of consecutive increments with at least L
-    columns, such as ``noise.increment_blocks``.  The stream is consumed
-    block by block as the steps advance, so the fine path is never held
-    whole; it must hold exactly t_final/dt increments.  Without a path the
-    equation is driven by its drift alone.
+    The increments dbeta come from ``blocks``, an iterable of 2D blocks of
+    consecutive increments with at least L columns, such as
+    ``noise.increment_blocks``.  The stream is consumed block by block as
+    the steps advance, so the fine path is never held whole; it must hold
+    exactly t_final/dt increments.
+
+    Returns the ``Trajectory`` of grid values and the (n_stored + 1, L)
+    coefficient history; the grid values keep only the modes the output
+    grid can carry.
     """
     if family not in ("heat", "allen_cahn"):
         raise ValueError(f"unknown SPDE family {family!r}")
@@ -94,15 +97,6 @@ def spectral_galerkin_spde(family: str, nu: float, sigma: float, dt: float,
         raise ValueError("t_final must be an integral number of steps")
     if n_steps % store_every:
         raise ValueError("store_every must divide the step count")
-    if path is None:
-        blocks = [np.zeros((store_every, L))] * (n_steps // store_every)
-    elif isinstance(path, NoisePath):
-        if path.n_steps != n_steps:
-            raise ValueError("noise path length does not match t_final/dt")
-        blocks = (path.records[k:k + store_every]
-                  for k in range(0, n_steps, store_every))
-    else:
-        blocks = path
     space = build_test_space("sine1d", L)
     n_de = next_fast_len(2 * L + 2, real=True) + 1   # dealiasing grid
     n_grid = n_grid or 2 * L + 3
@@ -137,9 +131,6 @@ def spectral_galerkin_spde(family: str, nu: float, sigma: float, dt: float,
         raise ValueError("noise path length does not match t_final/dt")
 
     times = np.arange(n_stored + 1) * (dt * store_every)
-    # grid values keep only the modes the output grid can carry; the full
-    # coefficient history is returned alongside in ``measurements``
-    n_keep = min(L, n_grid - 2)
-    values = sine_synthesis(stored[:, :n_keep], n_grid)
-    return Trajectory(times, values, stored, space)
+    values = sine_synthesis(stored[:, :min(L, n_grid - 2)], n_grid)
+    return Trajectory(times, values), stored
 

@@ -10,7 +10,7 @@ import scipy.linalg
 from .spaces import MeasurementVector, TestSpace, stiffness_matrix, \
     stiffness_diagonal
 
-__all__ = ["SeminormContext", "seminorm", "seminorm_squared"]
+__all__ = ["SeminormContext", "seminorm_squared"]
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,6 @@ def _entries(ctx: SeminormContext, m) -> np.ndarray:
 
 
 def seminorm_squared(ctx: SeminormContext, m) -> float:
+    """The squared discretized dual norm m^T A^{-1} m."""
     v = _entries(ctx, m)
     return float(v @ ctx.apply_inverse(v))
-
-
-def seminorm(ctx: SeminormContext, m) -> float:
-    """The discretized dual norm sqrt(m^T A^{-1} m)."""
-    return float(np.sqrt(max(seminorm_squared(ctx, m), 0.0)))

@@ -81,12 +81,10 @@ class SpdeConfig:
 
 @dataclass
 class Trajectory:
-    """Snapshots of an integration: times, grid values, measurements."""
+    """Snapshots of an integration: times and grid values."""
 
     times: np.ndarray
     values: np.ndarray              # (n_steps+1, n_grid) nodal values
-    measurements: np.ndarray        # (n_steps+1, N) basis projections
-    space: TestSpace
 
 
 def tent_sine_cross_gram(fem_space: TestSpace, n_modes: int) -> np.ndarray:
@@ -161,12 +159,9 @@ def integrate(cfg: SpdeConfig, path: NoisePath = None) -> Trajectory:
 
     times = np.arange(n_steps + 1) * cfg.dt
     values = np.empty((n_steps + 1, cfg.n_quad))
-    measurements = np.empty((n_steps + 1, cfg.space.size))
     values[0] = u
-    measurements[0] = stepper.measure(u)
     for k in range(n_steps):
         dxi = path.increment(k) if path is not None else None
         u = stepper.step(u, dxi)
         values[k + 1] = u
-        measurements[k + 1] = stepper.measure(u)
-    return Trajectory(times, values, measurements, cfg.space)
+    return Trajectory(times, values)

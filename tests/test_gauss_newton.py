@@ -8,7 +8,7 @@ import scipy.linalg
 
 from nessolve.errors import DegenerateFeaturesError
 from nessolve.gauss_newton import KKTSystem, Representer, SolverConfig, \
-    _apply_q, _gram_cholesky, constrained_ls_solve, evaluate, gn_step, solve
+    _apply_q, _gram_cholesky, constrained_ls_solve, evaluate, solve
 from nessolve.kernels import FeatureSet, GramBlocks, KernelSpec, \
     assemble_features
 from nessolve.operators import OperatorSpec
@@ -81,16 +81,20 @@ def test_large_gamma_shrinks_coefficients():
     assert np.linalg.norm(big) <= 1e-4 * np.linalg.norm(small)
 
 
-def test_gn_step_reports_loss_terms():
+def test_loss_terms_match_their_definitions():
+    # misfit (Bc - r)^T A^{-1} (Bc - r) by a dense solve, penalty
+    # gamma c^T G c on the Gram matrix as the KKT system regularized it
     ctx, blocks, r, g, gamma = _tiny_problem()
-    sp = ctx.space
-    rep, (misfit, penalty) = gn_step(
-        ctx, blocks, MeasurementVector(r, sp), g, gamma)
-    assert misfit >= 0 and penalty >= 0
     kkt = KKTSystem(ctx, blocks, gamma)
-    m2, p2 = kkt.loss_terms(rep.coefficients, r)
-    assert misfit == pytest.approx(m2, rel=1e-10)
-    assert penalty == pytest.approx(p2, rel=1e-10)
+    coeffs, _ = kkt.solve(r, g)
+    misfit, penalty = kkt.loss_terms(coeffs, r)
+    resid = blocks.k_chi_phi @ coeffs - r
+    assert misfit == pytest.approx(
+        resid @ np.linalg.solve(ctx.matrix(), resid), rel=1e-10)
+    gram = blocks.k_phi_phi + kkt._reg * np.eye(len(coeffs))
+    assert penalty == pytest.approx(gamma * coeffs @ gram @ coeffs,
+                                    rel=1e-10)
+    assert misfit > 0 and penalty > 0
 
 
 def test_degenerate_gram_raises():
@@ -292,7 +296,7 @@ def test_representer_shape_validation():
     sp = build_test_space("sine1d", 3)
     fs = FeatureSet(sp, np.ones(17), 0.1, BP, 17)
     with pytest.raises(ValueError):
-        Representer(np.zeros(4), np.zeros(2), features=fs)
+        Representer(np.zeros(4), features=fs)
 
 
 def test_solve_peak_memory():

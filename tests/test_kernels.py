@@ -14,7 +14,7 @@ import nessolve.kernels as kernels
 from nessolve.errors import ResolutionTooCoarseError
 from nessolve.kernels import FeatureSet, KernelSpec, assemble_collocation, \
     assemble_features, evaluate_collocation, evaluate_features, \
-    kernel_eval, kernel_matrix
+    kernel_matrix
 from nessolve.spaces import basis_derivatives, basis_values, \
     build_test_space, grid_points, trapezoid_weights
 
@@ -39,19 +39,22 @@ def _k4(t):
     return (A ** 4 / 3.0) * (3.0 - 5.0 * at + at ** 2) * np.exp(-at)
 
 
+def _kernel_at(x, y):
+    return kernel_matrix(SPEC, np.atleast_2d(x), np.atleast_2d(y))[0, 0]
+
+
 def test_kernel_values_and_symmetry():
-    assert kernel_eval(SPEC, 0.3, 0.3) == pytest.approx(1.0)
+    assert _kernel_at(0.3, 0.3) == pytest.approx(1.0)
     r = 0.17
     ar = A * r
-    assert kernel_eval(SPEC, 0.0, r) == \
+    assert _kernel_at(0.0, r) == \
         pytest.approx((1 + ar + ar ** 2 / 3) * np.exp(-ar), rel=1e-14)
-    assert kernel_eval(SPEC, 0.1, 0.6) == kernel_eval(SPEC, 0.6, 0.1)
+    assert _kernel_at(0.1, 0.6) == _kernel_at(0.6, 0.1)
     # 2D radial
     p = np.array([0.1, 0.2])
     q = np.array([0.4, 0.6])
-    assert kernel_eval(SPEC, p, q) == \
-        pytest.approx(kernel_eval(SPEC, 0.0, np.linalg.norm(p - q)),
-                      rel=1e-14)
+    assert _kernel_at(p, q) == \
+        pytest.approx(_kernel_at(0.0, np.linalg.norm(p - q)), rel=1e-14)
 
 
 def test_kernel_spec_validation():
@@ -460,6 +463,29 @@ def test_one_exponential_collocation_matches_derivative_ladder(c_kind):
     e = evaluate_collocation(SPEC, x, c_field, nu, bp, y)
     assert rel(e[:, :n], ev) <= 1e-13
     assert rel(e[:, n:], kernel_matrix(SPEC, y, bp)) <= 1e-13
+
+
+def test_collocation_peak_memory():
+    # a constant c_field stays a scalar, so assembly holds the Gram array
+    # and the offsets t, with no n x n weight array broadcast from c; the
+    # Gram and evaluation matrices keep the bits of the per-point form
+    n = 1024
+    x = np.arange(1, n + 1) / (n + 1.0)
+    bp = np.array([0.0, 1.0])
+    unit = 8 * (n + 2) ** 2
+    tracemalloc.start()
+    try:
+        blocks = assemble_collocation(SPEC, x, 1.0, 0.01, bp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * unit, f"peak {peak / unit:.2f} (n+2)^2 arrays"
+    per_point = assemble_collocation(SPEC, x, np.ones(n), 0.01, bp)
+    assert np.array_equal(blocks.k_phi_phi, per_point.k_phi_phi)
+    y = grid_points(65)
+    assert np.array_equal(
+        evaluate_collocation(SPEC, x, 1.0, 0.01, bp, y),
+        evaluate_collocation(SPEC, x, np.ones(n), 0.01, bp, y))
 
 
 @pytest.mark.parametrize("kind, size, n_quad", [("sine1d", 256, 1025),

@@ -53,9 +53,7 @@ def test_sup_error():
 
 
 def _traj(times, values):
-    sp = build_test_space("sine1d", 2)
-    return Trajectory(np.asarray(times, float), np.asarray(values, float),
-                      np.zeros((len(times), 2)), sp)
+    return Trajectory(np.asarray(times, float), np.asarray(values, float))
 
 
 def test_space_time_l2_error():

@@ -87,29 +87,33 @@ def test_manufactured_truth_from_drawn_coefficients(n_quad):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _still(n_steps, L):
+    """Zero increments for a noise-free run, as one block."""
+    return [np.zeros((n_steps, L))]
+
+
 def test_spectral_heat_recurrence_exact():
     nu, dt, L = 0.5, 0.01, 6
     init = np.zeros(L)
     init[0] = 0.8
-    traj = spectral_galerkin_spde("heat", nu, 0.0, dt, L, 10 * dt,
-                                  initial=init)
+    _, coeffs = spectral_galerkin_spde("heat", nu, 0.0, dt, L, 10 * dt,
+                                       _still(10, L), initial=init)
     denom = 1.0 + dt * nu * np.pi ** 2
     for k in range(11):
-        assert traj.measurements[k, 0] == pytest.approx(0.8 / denom ** k,
-                                                        rel=1e-12)
-    assert np.allclose(traj.measurements[:, 1:], 0.0)
+        assert coeffs[k, 0] == pytest.approx(0.8 / denom ** k, rel=1e-12)
+    assert np.allclose(coeffs[:, 1:], 0.0)
 
 
 def test_spectral_noisy_heat_recurrence():
     nu, dt, L, sigma = 0.2, 0.05, 4, 0.3
     path = build_path(13, "spectral", dt, 8, L)
-    traj = spectral_galerkin_spde("heat", nu, sigma, dt, L, 8 * dt,
-                                  path=path)
+    _, coeffs = spectral_galerkin_spde("heat", nu, sigma, dt, L, 8 * dt,
+                                       [path.records])
     a = np.zeros(L)
     lam = (np.pi * np.arange(1, L + 1)) ** 2
     for k in range(8):
         a = (a + sigma * path.records[k]) / (1.0 + dt * nu * lam)
-        assert np.allclose(traj.measurements[k + 1], a, atol=1e-13)
+        assert np.allclose(coeffs[k + 1], a, atol=1e-13)
 
 
 def test_spectral_allen_cahn_relaxation():
@@ -118,8 +122,9 @@ def test_spectral_allen_cahn_relaxation():
     L = 64
     j = np.arange(1, L + 1)
     init = np.where(j % 2 == 1, np.sqrt(2.0) / (np.pi * j), 0.0)  # u0 = 0.5
-    traj = spectral_galerkin_spde("allen_cahn", 1e-3, 0.0, 1.0 / 256, L, 4.0,
-                                  initial=init, store_every=16)
+    traj, _ = spectral_galerkin_spde("allen_cahn", 1e-3, 0.0, 1.0 / 256, L,
+                                     4.0, _still(1024, L), initial=init,
+                                     store_every=16)
     assert np.all(np.isfinite(traj.values))
     sup = np.abs(traj.values[-1]).max()
     assert 0.98 <= sup <= 1.02
@@ -127,28 +132,31 @@ def test_spectral_allen_cahn_relaxation():
 
 def test_spectral_determinism():
     path = build_path(5, "spectral", 0.01, 10, 8)
-    t1 = spectral_galerkin_spde("heat", 0.1, 0.2, 0.01, 8, 0.1, path=path)
-    t2 = spectral_galerkin_spde("heat", 0.1, 0.2, 0.01, 8, 0.1, path=path)
+    t1, c1 = spectral_galerkin_spde("heat", 0.1, 0.2, 0.01, 8, 0.1,
+                                    [path.records])
+    t2, c2 = spectral_galerkin_spde("heat", 0.1, 0.2, 0.01, 8, 0.1,
+                                    [path.records])
     assert np.array_equal(t1.values, t2.values)
-    assert np.array_equal(t1.measurements, t2.measurements)
+    assert np.array_equal(c1, c2)
 
 
 def test_spectral_validation():
     with pytest.raises(ValueError):
-        spectral_galerkin_spde("wave", 0.1, 0.0, 0.01, 4, 0.1)
+        spectral_galerkin_spde("wave", 0.1, 0.0, 0.01, 4, 0.1, _still(10, 4))
     with pytest.raises(ValueError):
-        spectral_galerkin_spde("heat", 0.1, 0.0, 0.03, 4, 0.1)
+        spectral_galerkin_spde("heat", 0.1, 0.0, 0.03, 4, 0.1, _still(10, 4))
     with pytest.raises(ValueError):
-        spectral_galerkin_spde("heat", 0.1, 0.0, 0.01, 4, 0.1,
+        spectral_galerkin_spde("heat", 0.1, 0.0, 0.01, 4, 0.1, _still(10, 4),
                                store_every=3)
     with pytest.raises(ValueError):
         spectral_galerkin_spde("heat", 0.1, 0.0, 0.01, 4, 0.1,
-                               path=build_path(0, "spectral", 0.01, 5, 4))
+                               [build_path(0, "spectral", 0.01, 5, 4).records])
     with pytest.raises(ValueError):
-        spectral_galerkin_spde("heat", 0.1, 0.0, 0.01, 4, 0.1,
-                               path=build_path(0, "spectral", 0.01, 10, 2))
+        spectral_galerkin_spde(
+            "heat", 0.1, 0.0, 0.01, 4, 0.1,
+            [build_path(0, "spectral", 0.01, 10, 2).records])
     with pytest.raises(ValueError):
-        spectral_galerkin_spde("heat", 0.1, 0.0, 0.01, 4, 0.1,
+        spectral_galerkin_spde("heat", 0.1, 0.0, 0.01, 4, 0.1, _still(10, 4),
                                initial=np.zeros(3))
 
 
@@ -158,11 +166,12 @@ def test_tail_truncation_on_coarse_grids():
     L = 32
     init = np.zeros(L)
     init[-1] = 1.0
-    traj = spectral_galerkin_spde("heat", 0.1, 0.0, 0.01, L, 0.02,
-                                  initial=init, n_grid=17)
+    traj, coeffs = spectral_galerkin_spde("heat", 0.1, 0.0, 0.01, L, 0.02,
+                                          _still(2, L), initial=init,
+                                          n_grid=17)
     assert traj.values.shape[1] == 17
-    assert traj.measurements.shape[1] == L
-    assert traj.measurements[0, -1] == 1.0
+    assert coeffs.shape[1] == L
+    assert coeffs[0, -1] == 1.0
     assert np.allclose(traj.values[0], 0.0)   # mode 32 invisible at 17 points
 
 
@@ -192,15 +201,15 @@ def test_allen_cahn_drift_on_five_smooth_grid(L, monkeypatch):
 
     monkeypatch.setattr(reference, "synthesize", recording_synthesize)
     a0 = _smooth_initial(L)
-    traj = spectral_galerkin_spde("allen_cahn", 0.0, 0.0, 1.0, L, 1.0,
-                                  initial=a0)
+    traj, coeffs = spectral_galerkin_spde("allen_cahn", 0.0, 0.0, 1.0, L,
+                                          1.0, _still(1, L), initial=a0)
     n_intervals = sizes[0] - 1
     assert n_intervals >= 2 * L + 1
     for p in (2, 3, 5):
         while n_intervals % p == 0:
             n_intervals //= p
     assert n_intervals == 1
-    got = traj.measurements[1] - a0
+    got = coeffs[1] - a0
     want = _drift_on_grid(a0, 2 * L + 3)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
     # the default output grid keeps its 2L + 3 columns
@@ -226,17 +235,18 @@ def test_allen_cahn_drift_aliases_on_2L_intervals():
 @pytest.mark.parametrize("family", ["heat", "allen_cahn"])
 def test_streamed_blocks_step_like_the_materialized_path(family):
     # blocks of a wider path drive the first L modes exactly as the whole
-    # NoisePath does
+    # materialized path does as one block
     dt, L, n_steps = 1.0 / 64, 8, 16
     init = _smooth_initial(L)
-    want = spectral_galerkin_spde(family, 0.05, 0.3, dt, L, n_steps * dt,
-                                  build_path(3, "spectral", dt, n_steps, 12),
-                                  initial=init, store_every=4)
-    got = spectral_galerkin_spde(family, 0.05, 0.3, dt, L, n_steps * dt,
-                                 increment_blocks(3, "spectral", dt, n_steps,
-                                                  12, 4),
-                                 initial=init, store_every=4)
-    assert np.array_equal(got.measurements, want.measurements)
+    want, want_coeffs = spectral_galerkin_spde(
+        family, 0.05, 0.3, dt, L, n_steps * dt,
+        [build_path(3, "spectral", dt, n_steps, 12).records],
+        initial=init, store_every=4)
+    got, got_coeffs = spectral_galerkin_spde(
+        family, 0.05, 0.3, dt, L, n_steps * dt,
+        increment_blocks(3, "spectral", dt, n_steps, 12, 4),
+        initial=init, store_every=4)
+    assert np.array_equal(got_coeffs, want_coeffs)
     assert np.array_equal(got.values, want.values)
 
 

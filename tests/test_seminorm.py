@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 
-from nessolve.seminorm import SeminormContext, seminorm, seminorm_squared
+from nessolve.seminorm import SeminormContext, seminorm_squared
 from nessolve.spaces import MeasurementVector, build_test_space, \
     stiffness_matrix
 
 
 def _sine_ctx(n, s):
     return SeminormContext.build(build_test_space("sine1d", n), s)
+
+
+def seminorm(ctx, m):
+    """The dual norm sqrt(m^T A^{-1} m)."""
+    return np.sqrt(seminorm_squared(ctx, m))
 
 
 def test_single_mode_values():

@@ -106,7 +106,7 @@ def test_heat_semigroup_time_order():
                           initial=GridFunction(
                               np.sqrt(2) * np.sin(np.pi * grid)))
         traj = integrate(cfg2)
-        return traj.measurements[-1, 0]
+        return project(GridFunction(traj.values[-1]), space).entries[0]
 
     e1 = abs(final_mode(1.0 / 64) - exact)
     e2 = abs(final_mode(1.0 / 128) - exact)
@@ -128,7 +128,6 @@ def test_integration_determinism():
     t1 = integrate(cfg, path)
     t2 = integrate(cfg, path)
     assert np.array_equal(t1.values, t2.values)
-    assert np.array_equal(t1.measurements, t2.measurements)
 
 
 def test_integrate_path_validation():
@@ -197,8 +196,8 @@ def test_increments_must_be_measured_against_the_scheme_basis():
 
 
 def test_fem_stored_measurements_match_projection():
-    # integrate measures stored states with the Stepper's tent weights;
-    # they must equal project() of the stored grid values bit for bit
+    # the Stepper measures states with its stored tent weights; on the
+    # states of a run they must equal project() bit for bit
     dt = 1.0 / 1024
     cfg = SpdeConfig(family="allen_cahn", nu=0.025, sigma=0.1,
                      t_final=4 * dt, dt=dt,
@@ -207,9 +206,10 @@ def test_fem_stored_measurements_match_projection():
                      initial=GridFunction(np.sin(np.pi * grid_points(65))))
     traj = integrate(cfg, _fem_measured(build_path(5, "spectral", dt, 4, 64),
                                         cfg.space))
-    for k in range(cfg.n_steps + 1):
-        want = project(GridFunction(traj.values[k]), cfg.space).entries
-        assert np.array_equal(traj.measurements[k], want)
+    stepper = Stepper(cfg)
+    for u in traj.values:
+        want = project(GridFunction(u), cfg.space).entries
+        assert np.array_equal(stepper.measure(u), want)
 
 
 def test_heat_step_matches_dgglse_under_refinement():
