@@ -314,7 +314,7 @@ def _run_norm_study(p: dict) -> dict:
     return {"metrics": result, "rows": rows, "fields": fields}
 
 
-def _spde_initial(family: str, n_quad: int, n_modes: int):
+def _spde_initial(n_quad: int, n_modes: int):
     """Initial condition: grid values for the kernel run and sine
     coefficients (orthonormal convention) for the spectral reference."""
     x = grid_points(n_quad)
@@ -357,7 +357,7 @@ def _spde_seed(p: dict, family: str, seed: int):
     and the final grid values of both.  The seed's trajectories and noise
     path are dropped on return, before the next seed's are built."""
     n_quad = 4 * p["n_fem"] + 1
-    init_grid, init_coeffs = _spde_initial(family, n_quad, p["truncation"])
+    init_grid, init_coeffs = _spde_initial(n_quad, p["truncation"])
     coarse_path, ref = _spde_paths(p, family, seed, init_coeffs, n_quad)
     with _stage("kernel_integration"):
         cfg = SpdeConfig(family, p["nu"], p["sigma"], p["t_final"], p["dt"],

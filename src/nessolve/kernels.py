@@ -1,25 +1,26 @@
 """Matern-5/2 kernel and Gram-block assembly for operator/boundary features.
 
 Operator features are weak integrals of the linearized operator applied to
-the kernel: for sine test functions the Laplacian is moved onto the test
-function (exactly, via its eigenvalue), for fem tent functions one
-integration by parts is used.  Either way every feature reduces to weighted
-sums of kernel values (and, for fem, first kernel derivatives) on a uniform
-quadrature grid, so every Gram block is a weight matrix times a pairwise
-kernel matrix.
+the kernel.  For sine test functions the Laplacian is moved onto the test
+function, exactly, via its eigenvalue, so every feature is a weighted sum
+of kernel values on a uniform quadrature grid.  For fem tent functions the
+value part is such a sum too, and the diffusion part nu int phi_i' u' is
+exactly nu (2 u(z_i) - u(z_{i-1}) - u(z_{i+1})) / h at the tent nodes
+z_0..z_{N+1} (``FeatureSet.stiffness``).  So only the value kernel is ever
+integrated, and every Gram block is weight rows, plus for fem that
+three-point stencil, applied to pairwise kernel matrices.
 
 On the grid itself that pairwise matrix depends only on the offset between
 nodes (Toeplitz in 1D, block-Toeplitz in 2D), so the grid-by-grid products
 are correlations computed with FFTs of a circulant embedding of the kernel
 (Dietrich & Newsam, SIAM J. Sci. Comput. 18, 1997); no grid-by-grid matrix
-is ever formed.  With q points per dim, the circulant has period
-next_fast_len(2q-1) in 1D, which keeps the offsets +-(q-1) apart as the odd
-first-derivative kernel needs, and 2(q-1) in 2D, where only the even value
-kernel occurs and folding +(q-1) onto -(q-1) loses nothing.  The 2D
-transforms go one axis at a time, y then x forward and x then y inverse,
-so that neither the zero padding nor the cropped rows are transformed
-along y (see ``_grid_product``).  Products against the boundary points and
-against arbitrary evaluation points are small and stay dense.
+is ever formed.  With q points per dim, the circulant has period 2(q-1) in
+2D, where folding +(q-1) onto -(q-1) loses nothing for the even kernel, and
+next_fast_len(2q-1) in 1D (see ``_grid_product`` for why 1D keeps it).
+The 2D transforms go one axis at a time, y then x forward and x then y
+inverse, so that neither the zero padding nor the cropped rows are
+transformed along y.  Products against the boundary points, the tent nodes
+and arbitrary evaluation points are small and stay dense.
 
 Pointwise collocation features pair the kernel with the operator at both
 points; the derivatives involved share one exponential, so each entry
@@ -31,8 +32,8 @@ weight rows are sines times a diagonal, so pairing with them is a DST-I
 and combining them a sine synthesis (Britanak, Yip & Rao, *Discrete
 Cosine and Sine Transforms*, 2007), and assembly forms the rows a block of
 256 KiB at a time, takes their grid products and pairs them at once.
-sine2d and fem1d features hold one, the weight rows, formed in place over
-the basis values; assembly takes their grid products a quarter of the
+sine2d and fem1d features hold one, the value weight rows, formed in place
+over the basis values; assembly takes their grid products a quarter of the
 rows at a time (all at once when the weights are small) and pairs each
 block with the weights by one GEMM.  Either way the operator block is
 written straight into the Gram array, which is then symmetrized in place.
@@ -48,7 +49,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dst, fft, ifft, irfft, next_fast_len, rfft, rfftn
-from scipy.spatial.distance import cdist
 
 from . import spaces
 from .errors import ResolutionTooCoarseError
@@ -110,23 +110,11 @@ def _matern52(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     return (1.0 + ar + ar ** 2 / 3.0) * np.exp(-ar)
 
 
-def _matern52_d1(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
-    """d/dx K(x, y) for 1D arguments, t = x - y."""
-    a = np.sqrt(5.0) / spec.length_scale
-    at = a * np.abs(t)
-    return -(a ** 2 / 3.0) * t * (1.0 + at) * np.exp(-at)
-
-
-def _matern52_d11(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
-    """Mixed derivative d^2/dxdy K(x, y) for 1D arguments, t = x - y."""
-    a = np.sqrt(5.0) / spec.length_scale
-    at = a * np.abs(t)
-    return (a ** 2 / 3.0) * (1.0 + at - at ** 2) * np.exp(-at)
-
-
 def _matern52_d2(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
     """Second derivative d^2/dx^2 K(x, y), 1D (equals -d^2/dxdy K)."""
-    return -_matern52_d11(spec, t)
+    a = np.sqrt(5.0) / spec.length_scale
+    at = a * np.abs(t)
+    return -((a ** 2 / 3.0) * (1.0 + at - at ** 2) * np.exp(-at))
 
 
 def _matern52_d4(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
@@ -139,32 +127,34 @@ def _matern52_d4(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
     return (a ** 4 / 3.0) * (3.0 - 5.0 * at + at ** 2) * np.exp(-at)
 
 
-def _pairwise(spec: KernelSpec, x, y, kind: str = "val") -> np.ndarray:
-    """Pairwise kernel (or 1D derivative) matrix between two point sets."""
+def _pairwise(spec: KernelSpec, x, y) -> np.ndarray:
+    """Pairwise kernel matrix between two point sets.  The distances take
+    the order of operations of a Euclidean ``cdist``: |x - y| in 1D,
+    sqrt(dx dx + dy dy) in 2D."""
     xp, yp = _as_points(x), _as_points(y)
-    if kind == "val":
-        return _matern52(spec, cdist(xp, yp))
-    if xp.shape[1] != 1:
-        raise ValueError("derivative matrices are 1D only")
-    t = xp[:, 0][:, None] - yp[:, 0][None, :]
-    if kind == "d1":
-        return _matern52_d1(spec, t)
-    if kind == "d11":
-        return _matern52_d11(spec, t)
-    raise ValueError(f"unknown pairwise kind {kind!r}")
+    r = xp[:, 0, None] - yp[None, :, 0]
+    if xp.shape[1] == 1:
+        return _matern52(spec, np.abs(r, out=r))
+    r *= r
+    dy = xp[:, 1, None] - yp[None, :, 1]
+    dy *= dy
+    r += dy
+    return _matern52(spec, np.sqrt(r, out=r))
 
 
 def kernel_matrix(spec: KernelSpec, x, y=None) -> np.ndarray:
-    return _pairwise(spec, x, x if y is None else y, "val")
+    return _pairwise(spec, x, x if y is None else y)
 
 
 @dataclass(frozen=True)
 class FeatureSet:
     """Weak operator features over a quadrature grid plus boundary points.
 
-    The linearized operator is -nu_diff * Laplacian + c(x); ``weights_val``
-    and (for fem) ``weights_der`` encode every feature as a weighted sum of
-    kernel values / first derivatives at the quadrature nodes.
+    The linearized operator is -nu_diff * Laplacian + c(x).  ``weights_val``
+    encodes every feature as a weighted sum of kernel values at the
+    quadrature nodes.  For fem1d that is the value part c u only; the
+    diffusion part is ``stiffness`` applied to values at the tent
+    ``nodes``, so no derivative of the kernel is ever integrated.
 
     sine2d and fem1d features store their weights; the value weights
     overwrite the basis values in place, a block of rows at a time, so
@@ -183,7 +173,6 @@ class FeatureSet:
     boundary_points: np.ndarray
     n_quad: int
     quad_points: np.ndarray = field(default=None, repr=False)
-    weights_der: np.ndarray = field(default=None, repr=False)
     # the value weights, None for sine1d
     _weights: np.ndarray = field(default=None, init=False, repr=False)
 
@@ -211,17 +200,11 @@ class FeatureSet:
             return
 
         wv = spaces.basis_values(sp, pts)
-        wd = None
         if sp.kind == "fem1d":
             wv *= w * c
-            if self.nu_diff != 0.0:
-                wd = spaces.basis_derivatives(sp, pts)
-                wd *= self.nu_diff
-                wd *= w
         else:
             self._weigh(wv, slice(None))
         object.__setattr__(self, "_weights", wv)
-        object.__setattr__(self, "weights_der", wd)
 
     @property
     def n_features(self) -> int:
@@ -230,6 +213,23 @@ class FeatureSet:
     @property
     def n_boundary(self) -> int:
         return self.boundary_points.shape[0]
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The fem1d tent nodes z_0..z_{N+1}, endpoints included."""
+        return np.arange(self.space.size + 2) * self.space.h
+
+    def stiffness(self, f: np.ndarray, axis: int) -> np.ndarray:
+        """nu (2 f_i - f_{i-1} - f_{i+1}) / h along ``axis`` of ``f``, whose
+        N+2 entries there are values at the tent ``nodes``: the diffusion
+        part nu int phi_i' u' of fem feature i, exact for any u with those
+        nodal values, since phi_i' is +-1/h on the two cells of tent i."""
+        f = np.moveaxis(f, axis, 0)
+        out = 2.0 * f[1:-1]
+        out -= f[:-2]
+        out -= f[2:]
+        out *= self.nu_diff / self.space.h
+        return np.moveaxis(out, 0, axis)
 
     @property
     def weights_val(self) -> np.ndarray:
@@ -333,13 +333,14 @@ class GramBlocks:
         """Grid values of the representer with these N + M coefficients,
         equal to ``quad_eval @ coeffs`` up to rounding: one grid product of
         the combined weight row sum_i alpha_i w_i (``FeatureSet.combine``,
-        one or two sine syntheses for sine1d), plus the boundary
-        columns."""
+        one or two sine syntheses for sine1d), plus for fem the stencil
+        rows, plus the boundary columns."""
         fs, n = self.features, self.n_features
         alpha = coeffs[:n]
-        wd = None if fs.weights_der is None \
-            else (alpha @ fs.weights_der)[None]
-        values = _feature_rows(self.spec, fs, fs.combine(alpha)[None], wd)[0]
+        values = _grid_product(self.spec, fs.combine(alpha)[None], fs.n_quad,
+                               fs.space.dim)[0]
+        if fs.space.kind == "fem1d":
+            values += alpha @ _tent_rows(self.spec, fs, fs.quad_points)
         return values + coeffs[n:] @ _pairwise(self.spec, fs.boundary_points,
                                                fs.quad_points)
 
@@ -353,65 +354,60 @@ class GramBlocks:
             return None
         n = self.n_features
         rows = np.empty((n + fs.n_boundary, fs.quad_points.shape[0]))
-        _feature_rows(self.spec, fs, fs.weights_val, fs.weights_der,
+        _grid_product(self.spec, fs.weights_val, fs.n_quad, fs.space.dim,
                       out=rows[:n])
+        if fs.space.kind == "fem1d":
+            rows[:n] += _tent_rows(self.spec, fs, fs.quad_points)
         rows[n:] = _pairwise(self.spec, fs.boundary_points, fs.quad_points)
         return rows.T
 
 
 @functools.lru_cache(maxsize=4)
-def _circulant_spectrum(spec: KernelSpec, n_quad: int, dim: int,
-                        kind: str):
+def _circulant_spectrum(spec: KernelSpec, n_quad: int, dim: int):
     """Period P and conjugate spectrum of the circulant that embeds the
     grid kernel of ``_grid_product``, kept for the last few grids: a
     matrix-free assembly takes one grid product per small block of rows."""
     q = n_quad
-    if dim != 1 and kind != "val":
-        raise ValueError("derivative kernels are 1D only")
     size = 2 * (q - 1) if dim == 2 else next_fast_len(2 * q - 1, real=True)
     j = np.arange(size)
     t = np.where(j < q, j, j - size) / (q - 1)      # signed offsets
     if dim == 2:
         c = _matern52(spec, np.hypot(t[:, None], t[None, :]))
-    elif kind == "val":
-        c = _matern52(spec, np.abs(t))
-    elif kind == "d1":
-        c = _matern52_d1(spec, t)
-    elif kind == "d11":
-        c = _matern52_d11(spec, t)
     else:
-        raise ValueError(f"unknown grid product kind {kind!r}")
+        c = _matern52(spec, np.abs(t))
     c_hat = np.conj(rfftn(c))
     c_hat.flags.writeable = False
     return size, c_hat
 
 
 def _grid_product(spec: KernelSpec, w: np.ndarray, n_quad: int, dim: int,
-                  kind: str = "val", out: np.ndarray = None) -> np.ndarray:
-    """w @ M(grid, grid) on the uniform grid of ``n_quad`` points per dim.
+                  out: np.ndarray = None) -> np.ndarray:
+    """w @ K(grid, grid) on the uniform grid of ``n_quad`` points per dim.
 
-    M[k, l] = f(x_k - x_l) depends only on the lattice offset, so each row
-    of the product is a correlation of the weight row with f sampled at the
-    signed offsets j*h, |j| <= q-1.  Those samples fill a circulant of
-    period P per dim, and the correlation is one product of spectra,
-    cropped back to the grid.  Grid rows are x-major, as in
-    ``grid_points``.  Kinds: ``val`` in 1D and 2D, ``d1`` and ``d11`` in
-    1D.  The product is written into ``out`` when given.
+    K[k, l] = k(x_k - x_l) depends only on the lattice offset, so each row
+    of the product is a correlation of the weight row with the kernel
+    sampled at the signed offsets j*h, |j| <= q-1.  Those samples fill a
+    circulant of period P per dim, and the correlation is one product of
+    spectra, cropped back to the grid.  Grid rows are x-major, as in
+    ``grid_points``.  The product is written into ``out`` when given.
 
-    In 1D, P = next_fast_len(2q-1) >= 2q-1 keeps every positive offset
-    apart from every negative one, as the odd ``d1`` kernel needs.
+    The kernel is even, so P = 2(q-1) is exact in any dimension: offsets j
+    and j - P then share a circulant entry, but within |j| <= q-1 the only
+    such pair is +-(q-1), where the kernel takes one value; so the period
+    is exact for any weights, including rows that do not vanish on the
+    grid edges.  2D uses it.  1D keeps P = next_fast_len(2q-1) >= 2q-1,
+    which keeps every offset apart: the shorter period rounds every 1D
+    grid product differently, and the ill-conditioned elliptic1d solve
+    amplifies that (its ``rel_l2_error`` moved by 3.2e-5 relative).
 
-    In 2D (``val`` only), P = 2(q-1).  Offsets j and j - P then share a
-    circulant entry, but within |j| <= q-1 the only such pair is +-(q-1),
-    where the even kernel takes one value; so the period is exact for any
-    weights, including rows that do not vanish on the grid edges.  The
-    transforms are taken one axis at a time and skip what is zero or
-    cropped: forward, a real FFT along y of the q rows, then an FFT along
-    x zero-padded to P; inverse, an inverse FFT along x kept to its first
-    q rows, then an inverse real FFT along y kept to its first q values.
+    The 2D transforms are taken one axis at a time and skip what is zero
+    or cropped: forward, a real FFT along y of the q rows, then an FFT
+    along x zero-padded to P; inverse, an inverse FFT along x kept to its
+    first q rows, then an inverse real FFT along y kept to its first q
+    values.
     """
     q = n_quad
-    size, c_hat = _circulant_spectrum(spec, q, dim, kind)
+    size, c_hat = _circulant_spectrum(spec, q, dim)
     if out is None:
         out = np.empty((w.shape[0], q ** dim))
     block = max(1, _FFT_BLOCK_ELEMENTS // c_hat.size)
@@ -428,31 +424,23 @@ def _grid_product(spec: KernelSpec, w: np.ndarray, n_quad: int, dim: int,
     return out
 
 
-def _feature_rows(spec: KernelSpec, fs: FeatureSet, wv: np.ndarray,
-                  wd: np.ndarray = None, out: np.ndarray = None) -> np.ndarray:
-    """Weight rows of ``fs`` (or combinations of them) applied in x to
-    K(x, grid_k): row i, column k is chi_i applied to K(., grid_k), that is
-    K(., chi_i) at grid_k.  ``wd`` holds the matching fem derivative rows,
-    or is None.  Written into ``out`` when given."""
-    q, dim = fs.n_quad, fs.space.dim
-    t = _grid_product(spec, wv, q, dim, out=out)
-    if wd is not None:
-        t += _grid_product(spec, wd, q, dim, "d1")
-    return t
+def _tent_rows(spec: KernelSpec, fs: FeatureSet, pts) -> np.ndarray:
+    """D K(z, y) for the points y in ``pts``: row i is the diffusion part
+    of fem feature i applied to K(., y), by the stencil on the nodes z."""
+    return fs.stiffness(_pairwise(spec, fs.nodes, pts), 0)
 
 
 def _operator_blocks(spec: KernelSpec, fs: FeatureSet, right_pts):
     """Features paired with K(., y_l) for the points ``right_pts`` (dense).
 
-    Row i is chi_i applied to K(., y_l); for fem the derivative weights
-    pair with d/dx K(x, y_l).  sine1d pairs by DST-I (``FeatureSet.pair``).
+    Row i is chi_i applied to K(., y_l); for fem the stencil rows are
+    added.  sine1d pairs by DST-I (``FeatureSet.pair``).
     """
     if fs.space.kind == "sine1d":
         return fs.pair(_pairwise(spec, right_pts, fs.quad_points)).T
     val = fs.weights_val @ _pairwise(spec, fs.quad_points, right_pts)
-    if fs.weights_der is not None:
-        val = val + fs.weights_der @ _pairwise(spec, fs.quad_points,
-                                               right_pts, "d1")
+    if fs.space.kind == "fem1d":
+        val += _tent_rows(spec, fs, right_pts)
     return val
 
 
@@ -492,14 +480,15 @@ def _gram(g: np.ndarray, k_cb, k_bb, spec: KernelSpec = None,
 def assemble_features(spec: KernelSpec, fs: FeatureSet) -> GramBlocks:
     """All Gram blocks of the operator and boundary features.
 
-    The operator block is taken a block of rows at a time: that block's
-    weight rows (formed now for sine1d), their grid products, then at once
-    their pairing with the weights in y (``FeatureSet.pair``), written
-    into the Gram array; no N x G product is kept.
+    The value part of the operator block is taken a block of rows at a
+    time: that block's weight rows (formed now for sine1d), their grid
+    products, then at once their pairing with the weights in y
+    (``FeatureSet.pair``), written into the Gram array; no N x G product
+    is kept.  For fem, with D the stencil and E = W K(grid, z), the terms
+    E D^T + D E^T + D K(z, z) D^T are then added.
     """
     n, m = fs.n_features, fs.n_boundary
     q, dim = fs.n_quad, fs.space.dim
-    wd = fs.weights_der
 
     g = np.empty((n + m, n + m))
     if fs.space.kind == "sine1d":
@@ -510,16 +499,16 @@ def assemble_features(spec: KernelSpec, fs: FeatureSet) -> GramBlocks:
         block = _quarter(n)
     for lo in range(0, n, block):
         rows = slice(lo, min(lo + block, n))
-        wv = fs.value_rows(rows)
-        t = _feature_rows(spec, fs, wv, None if wd is None else wd[rows])
+        t = _grid_product(spec, fs.value_rows(rows), q, dim)
         fs.pair(t, out=g[rows, :n])
-        if wd is not None:
-            # pair the remaining y-derivative of K with the fem derivative
-            # weights: d/dy K(x, y) = -d1(x - y)
-            t = _grid_product(spec, wd[rows], q, dim, "d11")
-            t -= _grid_product(spec, wv, q, dim, "d1")
-            g[rows, :n] += t @ wd.T
-        del wv, t
+        del t
+    if fs.space.kind == "fem1d":
+        z = fs.nodes
+        ed = fs.stiffness(fs.weights_val @ _pairwise(spec, fs.quad_points, z),
+                          1)
+        g[:n, :n] += ed
+        g[:n, :n] += ed.T
+        g[:n, :n] += fs.stiffness(_tent_rows(spec, fs, z), 1)
 
     k_cb = _operator_blocks(spec, fs, fs.boundary_points)     # N x M
     return _gram(g, k_cb, kernel_matrix(spec, fs.boundary_points), spec, fs)

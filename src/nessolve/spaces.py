@@ -317,19 +317,3 @@ def sine_rows(modes: np.ndarray, points: np.ndarray) -> np.ndarray:
     r *= np.sqrt(2.0)
     return r
 
-
-def basis_derivatives(space: TestSpace, points: np.ndarray) -> np.ndarray:
-    """First derivatives of tent functions at 1D points, shape (N, P).
-
-    At the kinks the left-limit value is used; the choice is irrelevant for
-    the quadratures this feeds.
-    """
-    if space.kind != "fem1d":
-        raise ValueError("derivative matrix implemented for fem1d only")
-    pts = np.asarray(points, dtype=float)
-    nodes = (np.arange(1, space.size + 1) * space.h)[:, None]
-    d = pts[None, :] - nodes
-    out = np.zeros_like(d)
-    out[(d > -space.h) & (d <= 0)] = 1.0 / space.h
-    out[(d > 0) & (d < space.h)] = -1.0 / space.h
-    return out

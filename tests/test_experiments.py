@@ -226,7 +226,7 @@ def test_streamed_spde_paths_match_the_materialized_path(family):
     dt, refine, trunc = p["dt"], p["refine"], p["truncation"]
     n_steps = int(round(p["t_final"] / dt))
     n_quad = 4 * p["n_fem"] + 1
-    _, init = _spde_initial(family, n_quad, trunc)
+    _, init = _spde_initial(n_quad, trunc)
     coarse, ref = _spde_paths(p, family, 5, init, n_quad)
 
     fine = noise.build_path(5, "spectral", dt / refine, n_steps * refine,

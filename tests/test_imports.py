@@ -1,0 +1,16 @@
+"""Importing the package loads no scipy module it does not need."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # pairwise distances are computed with numpy; scipy.spatial alone
+    # costs about 90 ms of import time
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys, nessolve; assert 'scipy.spatial' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

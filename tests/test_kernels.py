@@ -15,8 +15,8 @@ from nessolve.errors import ResolutionTooCoarseError
 from nessolve.kernels import FeatureSet, KernelSpec, assemble_collocation, \
     assemble_features, evaluate_collocation, evaluate_features, \
     kernel_matrix
-from nessolve.spaces import basis_derivatives, basis_values, \
-    build_test_space, grid_points, trapezoid_weights
+from nessolve.spaces import basis_values, build_test_space, grid_points, \
+    trapezoid_weights
 
 ELL = 0.3
 SPEC = KernelSpec("matern52", ELL)
@@ -66,7 +66,7 @@ def test_kernel_spec_validation():
 
 def test_second_derivative_ladder():
     # diagonal values from the Taylor expansion of the closed form
-    assert -float(kernels._matern52_d11(SPEC, np.asarray(0.0))) == \
+    assert float(kernels._matern52_d2(SPEC, np.asarray(0.0))) == \
         pytest.approx(-A ** 2 / 3.0, rel=1e-13)
     assert float(kernels._matern52_d4(SPEC, np.asarray(0.0))) == \
         pytest.approx(A ** 4, rel=1e-13)
@@ -137,8 +137,9 @@ def test_weak_assembly_matches_strong_form_sine():
 
 
 def test_fem_integration_by_parts_identity():
-    # the fem features integrate by parts once; with exact quadrature the
-    # two forms agree to 1e-8 (tents vanish at the endpoints)
+    # the fem features are the strong form integrated by parts once (the
+    # stencil evaluates nu int phi_i' K' exactly); with exact quadrature
+    # the two forms agree to 1e-8 (tents vanish at the endpoints)
     from scipy.integrate import quad
     sp = build_test_space("fem1d", 4)
     h = sp.h
@@ -170,32 +171,63 @@ def test_fem_integration_by_parts_identity():
             assert strong == pytest.approx(ibp, abs=1e-8)
 
 
-def test_fem_assembly_second_order_convergence():
-    # the assembled fem features converge to the exact strong-form values
-    # at second order in the quadrature spacing
+def _fem_exact_features(sp, nu, cc, spec, bp):
+    """chi_i(K(., y)) for fem tents by adaptive quadrature of the strong
+    form over each tent's two cells, with the kernel rebuilt here."""
+    a = np.sqrt(5.0) / spec.length_scale
+
+    def k(t):
+        at = a * abs(t)
+        return (1.0 + at + at ** 2 / 3.0) * np.exp(-at)
+
+    def k2(t):
+        at = a * abs(t)
+        return -(a ** 2 / 3.0) * (1.0 + at - at ** 2) * np.exp(-at)
+
     from scipy.integrate import quad
-    n = 4
-    sp = build_test_space("fem1d", n)
     h = sp.h
-    nu, cc = 0.1, 1.0
-    bp = np.array([0.0, 1.0])
-    exact = np.empty((n, 2))
-    for i in range(n):
+    exact = np.empty((sp.size, bp.shape[0]))
+    for i in range(sp.size):
         node = (i + 1) * h
         for j, y in enumerate(bp):
             exact[i, j], _ = quad(
                 lambda x: max(0.0, 1.0 - abs(x - node) / h) *
-                (-nu * _k2(x - y) + cc * _k(abs(x - y))),
-                i * h, (i + 2) * h, points=[node], limit=200)
+                (-nu * k2(x - y) + cc * k(x - y)),
+                i * h, (i + 2) * h, points=[node], limit=200,
+                epsabs=1e-14, epsrel=1e-13)
+    return exact
 
-    def err(q):
-        fs = FeatureSet(sp, np.full(q, cc), nu, bp, q)
-        blocks = assemble_features(SPEC, fs)
-        return np.max(np.abs(blocks.k_chi_phi[:, n:] - exact))
 
-    e1, e2 = err(1025), err(4097)
-    assert e2 <= 5e-4
-    assert 3.5 <= e1 / e2 <= 4.5
+def _fem_feature_error(spec, n, q, nu, cc=1.0):
+    sp = build_test_space("fem1d", n)
+    bp = np.array([0.0, 1.0])
+    exact = _fem_exact_features(sp, nu, cc, spec, bp)
+    fs = FeatureSet(sp, np.full(q, cc), nu, bp, q)
+    got = assemble_features(spec, fs).k_chi_phi[:, n:]
+    return np.max(np.abs(got - exact)), np.max(np.abs(exact))
+
+
+def test_fem_assembly_second_order_convergence():
+    # the assembled fem boundary features against the exact strong-form
+    # values: the diffusion part is exact by the tent stencil, so what is
+    # left is the trapezoid rule on the value part, at least second order
+    # in the quadrature spacing.  Measured maximum errors: 3.1e-7 at
+    # q=1025 and 2.0e-8 at q=4097 (by the trapezoid rule on the tent
+    # derivatives they were 5.4e-4 and 1.3e-4); the bounds give a margin
+    # of 2.
+    e1, _ = _fem_feature_error(SPEC, 4, 1025, 0.1)
+    e2, _ = _fem_feature_error(SPEC, 4, 4097, 0.1)
+    assert e1 <= 6.4e-7
+    assert e2 <= 4e-8
+    assert e1 / e2 >= 3.5
+
+
+def test_fem_features_at_heat_size():
+    # the SPDE stepper's size: 64 tents on 257 grid points, whose spacing
+    # 1/256 misses the nodes k/65.  Measured 2.2e-4 of the largest feature
+    # (0.81 by the trapezoid rule on the tent derivatives)
+    err, scale = _fem_feature_error(KernelSpec(), 64, 257, 0.1)
+    assert err <= 1e-3 * scale
 
 
 def test_feature_gram_double_strong_oracle():
@@ -278,8 +310,8 @@ def test_quadrature_doubling_invariance():
 
 
 def _grid_cases():
-    """Small feature sets covering every grid product: sine values in 1D
-    and 2D, and fem with nu_diff != 0 so the d1/d11 products run."""
+    """Small feature sets covering every kind: sine values in 1D and 2D,
+    and fem with nu_diff != 0 so its stencil terms run."""
     rng = np.random.default_rng(3)
     bp1 = np.array([0.0, 1.0])
     bp2 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
@@ -296,20 +328,25 @@ def _grid_cases():
 
 def test_grid_products_match_dense_pairwise():
     # the FFT grid products against the dense pairwise matrices on the
-    # grid, rebuilt here term by term
+    # grid; a fem feature is its value weights on the grid plus the
+    # stiffness stencil D on the tent nodes z, so its oracle is
+    # [W | D] K([grid; z]) [W | D]^T
     for fs in _grid_cases():
         grid, bp = fs.quad_points, fs.boundary_points
-        wv, wd = fs.weights_val, fs.weights_der
-        t_val = wv @ kernels._pairwise(SPEC, grid, grid)
-        k_cb = wv @ kernels._pairwise(SPEC, grid, bp)
-        if wd is not None:
-            d1 = kernels._pairwise(SPEC, grid, grid, "d1")
-            t_val = t_val + wd @ d1
-            k_cb = k_cb + wd @ kernels._pairwise(SPEC, grid, bp, "d1")
-        k_cc = t_val @ wv.T
-        if wd is not None:
-            t_dy = -wv @ d1 + wd @ kernels._pairwise(SPEC, grid, grid, "d11")
-            k_cc = k_cc + t_dy @ wd.T
+        w = fs.weights_val
+        pts = grid
+        if fs.space.kind == "fem1d":
+            n, z = fs.n_features, fs.nodes
+            d = np.zeros((n, n + 2))
+            i = np.arange(n)
+            d[i, i + 1] = 2.0
+            d[i, i] = d[i, i + 2] = -1.0
+            d *= fs.nu_diff / fs.space.h
+            w = np.hstack([w, d])
+            pts = np.concatenate([grid, z])
+        t_val = w @ kernels._pairwise(SPEC, pts, grid)
+        k_cb = w @ kernels._pairwise(SPEC, pts, bp)
+        k_cc = w @ kernels._pairwise(SPEC, pts, pts) @ w.T
         k_cc = 0.5 * (k_cc + k_cc.T)
         quad_eval = np.vstack([t_val, kernels._pairwise(SPEC, bp, grid)]).T
 
@@ -347,32 +384,29 @@ def test_grid_product_2d_period_matches_dense(monkeypatch, q):
     # one row per FFT block gives the same product
     monkeypatch.setattr(kernels, "_FFT_BLOCK_ELEMENTS", 1)
     assert _rel(kernels._grid_product(SPEC, w, q, 2), got) <= 1e-14
-    for kind in ("d1", "d11"):
-        with pytest.raises(ValueError):
-            kernels._grid_product(SPEC, w, q, 2, kind)
 
 
-@pytest.mark.parametrize("q", [9, 10, 17])
-@pytest.mark.parametrize("kind", ["val", "d1", "d11"])
-def test_grid_product_1d_matches_dense(q, kind):
-    # the odd d1 kernel takes opposite signs at +-(q-1), so the 1D
-    # circulant must keep those offsets apart
+# the ids name the value kernel, the one kernel a grid product takes
+@pytest.mark.parametrize("q", [9, 10, 17], ids=lambda q: f"val-{q}")
+def test_grid_product_1d_matches_dense(q):
+    # the 1D circulant of period next_fast_len(2q-1) against the dense
+    # product, for rows that do not vanish on the grid edges
     rng = np.random.default_rng(q)
     grid = grid_points(q)
     w = _edge_rows(rng, 5, q)
-    got = kernels._grid_product(SPEC, w, q, 1, kind)
-    assert _rel(got, w @ kernels._pairwise(SPEC, grid, grid, kind)) <= 1e-12
+    got = kernels._grid_product(SPEC, w, q, 1)
+    assert _rel(got, w @ kernels._pairwise(SPEC, grid, grid)) <= 1e-12
 
 
 def test_assembly_forms_no_grid_by_grid_matrix(monkeypatch):
     dense = kernels._pairwise
 
-    def guarded(spec, x, y, kind="val"):
+    def guarded(spec, x, y):
         n_x = kernels._as_points(x).shape[0]
         n_y = kernels._as_points(y).shape[0]
         if n_x == n_y == grid_size:
             raise AssertionError("grid x grid pairwise matrix formed")
-        return dense(spec, x, y, kind)
+        return dense(spec, x, y)
 
     monkeypatch.setattr(kernels, "_pairwise", guarded)
     for fs in _grid_cases():
@@ -541,8 +575,6 @@ def test_weights_formed_in_place_keep_their_bits(monkeypatch, kind):
     phi = basis_values(sp, fs.quad_points)
     if kind == "fem1d":
         want = phi * (w * fs.c_field)
-        assert np.array_equal(fs.weights_der,
-                              nu * basis_derivatives(sp, fs.quad_points) * w)
     else:
         want = phi * (w * fs.c_field) + phi * (nu * sp.eigenvalues)[:, None] \
             * w
