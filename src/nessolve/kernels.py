@@ -27,19 +27,22 @@ points; the derivatives involved share one exponential, so each entry
 costs one ``exp``.  Both kinds fill one (N+M) x (N+M) Gram array,
 unregularized: ``gauss_newton.KKTSystem`` adds the nugget and any jitter.
 
-Memory.  sine1d features hold no N x G array (G grid points): their
-weight rows are sines times a diagonal, so pairing with them is a DST-I
-and combining them a sine synthesis (Britanak, Yip & Rao, *Discrete
-Cosine and Sine Transforms*, 2007), and assembly forms the rows a block of
-256 KiB at a time, takes their grid products and pairs them at once.
-sine2d and fem1d features hold one, the value weight rows, formed in place
-over the basis values; assembly takes their grid products a quarter of the
+Memory.  Sine features hold no N x G array (G grid points): their
+weight rows are sines times a diagonal.  In 1D, pairing with them is a
+DST-I and combining them a sine synthesis (Britanak, Yip & Rao, *Discrete
+Cosine and Sine Transforms*, 2007); in 2D the sines are separable,
+2 sin(pi i x) sin(pi j y), so both are contractions with the p x q axis
+sines, one axis at a time.  Assembly forms their rows a block of 256 KiB
+at a time, takes their grid products and pairs them at once.  fem1d
+features hold one N x G array, the value weight rows, formed in place over
+the basis values; assembly takes their grid products a quarter of the
 rows at a time (all at once when the weights are small) and pairs each
 block with the weights by one GEMM.  Either way the operator block is
 written straight into the Gram array, which is then symmetrized in place.
 A representer is evaluated on the grid matrix-free
 (``GramBlocks.on_grid``); the dense evaluation matrix ``quad_eval`` is
-formed only when it is read, and so are sine1d's ``weights_val``.
+formed only when it is read, and so are the sine features'
+``weights_val``.
 """
 
 from __future__ import annotations
@@ -70,12 +73,12 @@ __all__ = [
 # that a block's padding, transforms, spectrum product and crop stay in a
 # core's L2 cache; a row larger than that is a block of its own
 _FFT_BLOCK_ELEMENTS = 2 ** 15
-# real elements of one block of weight rows that FeatureSet forms in place,
-# and of one block of sine1d rows that assembly forms, transforms and
-# pairs: 256 KiB, so that the passes over a block stay in L2
+# real elements of one block of sine weight rows that FeatureSet weighs in
+# place, and that assembly forms, transforms and pairs: 256 KiB, so that
+# the passes over a block stay in L2
 _WEIGHT_BLOCK_ELEMENTS = 2 ** 15
-# assembly pairs the grid products of a quarter of the feature rows at a
-# time with the stored weights, and of all rows at once when the N x G
+# assembly pairs the grid products of a quarter of the fem1d feature rows
+# at a time with the stored weights, and of all rows at once when the N x G
 # weights hold at most this many elements (8 MiB): splitting saves little
 # there, and blocks of a few rows go to BLAS's small-matrix kernels, which
 # sum in another order than one GEMM.  Smaller blocks than a quarter
@@ -105,26 +108,18 @@ def _as_points(x) -> np.ndarray:
 
 
 def _matern52(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
-    a = np.sqrt(5.0) / spec.length_scale
-    ar = a * r
-    return (1.0 + ar + ar ** 2 / 3.0) * np.exp(-ar)
-
-
-def _matern52_d2(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
-    """Second derivative d^2/dx^2 K(x, y), 1D (equals -d^2/dxdy K)."""
-    a = np.sqrt(5.0) / spec.length_scale
-    at = a * np.abs(t)
-    return -((a ** 2 / 3.0) * (1.0 + at - at ** 2) * np.exp(-at))
-
-
-def _matern52_d4(spec: KernelSpec, t: np.ndarray) -> np.ndarray:
-    """Fourth derivative d^2/dx^2 d^2/dy^2 K(x, y), 1D.
-
-    Matern-5/2 is exactly C^4 at the diagonal (the first odd term in its
-    Taylor expansion is r^5), so this mixed derivative is continuous."""
-    a = np.sqrt(5.0) / spec.length_scale
-    at = a * np.abs(t)
-    return (a ** 4 / 3.0) * (3.0 - 5.0 * at + at ** 2) * np.exp(-at)
+    """(1 + ar + (ar)^2/3) exp(-ar) at the distances ``r``, which are
+    overwritten: evaluated in place, with the order of operations of that
+    formula, so it holds two temporaries the size of ``r``."""
+    r *= np.sqrt(5.0) / spec.length_scale
+    quad = r ** 2
+    quad /= 3.0
+    out = 1.0 + r
+    out += quad
+    del quad
+    np.negative(r, out=r)
+    out *= np.exp(r, out=r)
+    return out
 
 
 def _pairwise(spec: KernelSpec, x, y) -> np.ndarray:
@@ -156,15 +151,17 @@ class FeatureSet:
     diffusion part is ``stiffness`` applied to values at the tent
     ``nodes``, so no derivative of the kernel is ever integrated.
 
-    sine2d and fem1d features store their weights; the value weights
-    overwrite the basis values in place, a block of rows at a time, so
-    building them holds one N x G array.  sine1d features store none: row
-    i at node x_k is phi_i(x_k) (w_k c_k + nu lambda_i w_k), with
-    phi_i(x_k) = sqrt(2) sin(pi i k / (q-1)), so pairing grid rows with
-    every weight row is a DST-I over the interior nodes (``pair``), a
-    combination of weight rows is a sine synthesis (``combine``), and the
-    rows a grid product needs are formed a block at a time
-    (``value_rows``).  ``weights_val`` is then formed on every read.
+    fem1d features store their weights, formed in place over the basis
+    values, one N x G array.  Sine features store none: row i at node x_k
+    is phi_i(x_k) (w_k c_k + nu lambda_i w_k), so the rows a grid product
+    needs are formed a block at a time (``value_rows``), pairing grid rows
+    with every weight row is a transform of the grid rows (``pair``), and
+    a combination of weight rows is a sine synthesis (``combine``).  In
+    1D, phi_i(x_k) = sqrt(2) sin(pi i k / (q-1)) and the transform is a
+    DST-I over the interior nodes.  In 2D, phi_(i,j)(x_k, y_l) =
+    2 s_ik s_jl with the p x q axis sines s_ik = sin(pi i x_k), so the
+    transform is a contraction with s along y, then along x.
+    ``weights_val`` is then formed on every read.
     """
 
     space: TestSpace
@@ -173,8 +170,10 @@ class FeatureSet:
     boundary_points: np.ndarray
     n_quad: int
     quad_points: np.ndarray = field(default=None, repr=False)
-    # the value weights, None for sine1d
+    # the value weights, fem1d only
     _weights: np.ndarray = field(default=None, init=False, repr=False)
+    # the p x q axis sines sin(pi i x_k), sine2d only
+    _sines: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         sp = self.space
@@ -196,14 +195,14 @@ class FeatureSet:
         object.__setattr__(self, "c_field", c)
         object.__setattr__(self, "boundary_points", bp)
         object.__setattr__(self, "quad_points", pts)
-        if sp.kind == "sine1d":
+        if sp.kind == "sine2d":
+            object.__setattr__(self, "_sines", spaces.axis_sines(
+                sp.n_per_dim, grid_points(self.n_quad)))
+        if sp.kind != "fem1d":
             return
 
         wv = spaces.basis_values(sp, pts)
-        if sp.kind == "fem1d":
-            wv *= w * c
-        else:
-            self._weigh(wv, slice(None))
+        wv *= w * c
         object.__setattr__(self, "_weights", wv)
 
     @property
@@ -233,18 +232,27 @@ class FeatureSet:
 
     @property
     def weights_val(self) -> np.ndarray:
-        """The N x G value weights; for sine1d formed on every read and not
-        kept."""
+        """The N x G value weights; for sine features formed on every read
+        and not kept."""
         return self.value_rows(slice(None))
 
     def value_rows(self, rows: slice) -> np.ndarray:
-        """Rows ``rows`` of the value weights: a view of the stored array,
-        or for sine1d those rows formed now, with the bits of the same rows
-        of ``weights_val``."""
+        """Rows ``rows`` of the value weights: a view of the stored fem1d
+        array, or for sine features those rows formed now, with the bits of
+        the same rows of ``weights_val``.  A sine2d row is the outer
+        product of two rows of the axis sines, times 2: the bits of the
+        same row of ``spaces.basis_values``."""
         if self._weights is not None:
             return self._weights[rows]
-        modes = np.arange(1, self.space.size + 1)[rows]
-        phi = spaces.sine_rows(modes, self.quad_points)
+        if self._sines is None:
+            modes = np.arange(1, self.space.size + 1)[rows]
+            phi = spaces.sine_rows(modes, self.quad_points)
+        else:
+            s, p = self._sines, self.space.n_per_dim
+            r = np.arange(self.space.size)[rows]
+            phi = (s[r // p][:, :, None] * s[r % p][:, None, :]) \
+                .reshape(r.size, -1)
+            phi *= 2.0
         self._weigh(phi, rows)
         return phi
 
@@ -275,12 +283,33 @@ class FeatureSet:
         over the interior nodes, cut to the first N modes; when c is
         constant on the grid that is (sqrt(2)/2)(c_0 + nu lambda) DST-I(t w),
         one transform.
+
+        For sine2d, with each row of ``t`` a q x q array T and s the axis
+        sines, the pairing is
+
+            2 s (w c T) s^T + nu lambda 2 s (w T) s^T,
+
+        the two terms stacked into one GEMM with s^T along y, then one
+        along x.
         """
         if self._weights is not None:
             return np.matmul(t, self._weights.T, out=out)
         n, c = self.n_features, self.c_field
-        w = trapezoid_weights(self.n_quad)[1:-1]
         nu_lam = self.nu_diff * self.space.eigenvalues
+        if self._sines is not None:
+            s, p, q, b = self._sines, self.space.n_per_dim, self.n_quad, len(t)
+            w = trapezoid_weights(q, 2)
+            u = np.empty((2, b, q * q))
+            np.multiply(t, w * c, out=u[0])
+            np.multiply(t, w, out=u[1])
+            v = (u.reshape(-1, q) @ s.T).reshape(2 * b, q, p)    # along y
+            v = v.transpose(0, 2, 1).reshape(-1, q) @ s.T          # along x
+            # v[term, row, i, j]
+            v = v.reshape(2, b, p, p).transpose(0, 1, 3, 2)
+            pairing = v[1] * nu_lam.reshape(p, p)
+            pairing += v[0]
+            return np.multiply(pairing.reshape(b, n), 2.0, out=out)
+        w = trapezoid_weights(self.n_quad)[1:-1]
         s = dst(t[:, 1:-1] * w, type=1, overwrite_x=True)[:, :n]
         if np.all(c == c[0]):
             return np.multiply(s, np.sqrt(2.0) / 2.0 * (c[0] + nu_lam),
@@ -291,19 +320,25 @@ class FeatureSet:
         return np.multiply(s, np.sqrt(2.0) / 2.0, out=out)
 
     def combine(self, alpha: np.ndarray) -> np.ndarray:
-        """The combined weight row alpha @ weights_val; for sine1d
+        """The combined weight row alpha @ weights_val.  For sine1d,
         w c synth(alpha) + w synth(nu lambda alpha), with synth the sine
         synthesis on the grid (one, of (c_0 + nu lambda) alpha, when c is
-        constant)."""
+        constant).  For sine2d, with A the p x p coefficients alpha and s
+        the axis sines, w c 2 s^T A s + w 2 s^T (nu lambda A) s."""
         if self._weights is not None:
             return alpha @ self._weights
         q, c = self.n_quad, self.c_field
-        w = trapezoid_weights(q)
+        w = trapezoid_weights(q, self.space.dim)
         nu_lam = self.nu_diff * self.space.eigenvalues
-        if np.all(c == c[0]):
+        if self._sines is not None:
+            s, p = self._sines, self.space.n_per_dim
+            a = np.stack([alpha, nu_lam * alpha]).reshape(2, p, p)
+            row, diffusion = 2.0 * (s.T @ a @ s).reshape(2, -1)
+        elif np.all(c == c[0]):
             return w * spaces.sine_synthesis((c[0] + nu_lam) * alpha, q)
-        row, diffusion = spaces.sine_synthesis(
-            np.stack([alpha, nu_lam * alpha]), q)
+        else:
+            row, diffusion = spaces.sine_synthesis(
+                np.stack([alpha, nu_lam * alpha]), q)
         row *= w * c
         row += w * diffusion
         return row
@@ -333,8 +368,8 @@ class GramBlocks:
         """Grid values of the representer with these N + M coefficients,
         equal to ``quad_eval @ coeffs`` up to rounding: one grid product of
         the combined weight row sum_i alpha_i w_i (``FeatureSet.combine``,
-        one or two sine syntheses for sine1d), plus for fem the stencil
-        rows, plus the boundary columns."""
+        sine syntheses for sine features), plus for fem the stencil rows,
+        plus the boundary columns."""
         fs, n = self.features, self.n_features
         alpha = coeffs[:n]
         values = _grid_product(self.spec, fs.combine(alpha)[None], fs.n_quad,
@@ -434,13 +469,12 @@ def _operator_blocks(spec: KernelSpec, fs: FeatureSet, right_pts):
     """Features paired with K(., y_l) for the points ``right_pts`` (dense).
 
     Row i is chi_i applied to K(., y_l); for fem the stencil rows are
-    added.  sine1d pairs by DST-I (``FeatureSet.pair``).
+    added.  Sine features pair by their transforms (``FeatureSet.pair``).
     """
-    if fs.space.kind == "sine1d":
+    if fs.space.kind != "fem1d":
         return fs.pair(_pairwise(spec, right_pts, fs.quad_points)).T
     val = fs.weights_val @ _pairwise(spec, fs.quad_points, right_pts)
-    if fs.space.kind == "fem1d":
-        val += _tent_rows(spec, fs, right_pts)
+    val += _tent_rows(spec, fs, right_pts)
     return val
 
 
@@ -481,8 +515,8 @@ def assemble_features(spec: KernelSpec, fs: FeatureSet) -> GramBlocks:
     """All Gram blocks of the operator and boundary features.
 
     The value part of the operator block is taken a block of rows at a
-    time: that block's weight rows (formed now for sine1d), their grid
-    products, then at once their pairing with the weights in y
+    time: that block's weight rows (formed now for sine features), their
+    grid products, then at once their pairing with the weights in y
     (``FeatureSet.pair``), written into the Gram array; no N x G product
     is kept.  For fem, with D the stencil and E = W K(grid, z), the terms
     E D^T + D E^T + D K(z, z) D^T are then added.
@@ -491,8 +525,8 @@ def assemble_features(spec: KernelSpec, fs: FeatureSet) -> GramBlocks:
     q, dim = fs.n_quad, fs.space.dim
 
     g = np.empty((n + m, n + m))
-    if fs.space.kind == "sine1d":
-        block = max(1, _WEIGHT_BLOCK_ELEMENTS // q)
+    if fs.space.kind != "fem1d":
+        block = max(1, _WEIGHT_BLOCK_ELEMENTS // q ** dim)
     elif n * q ** dim <= _PAIR_WHOLE_ELEMENTS:
         block = n
     else:

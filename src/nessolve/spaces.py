@@ -286,10 +286,8 @@ def basis_values(space: TestSpace, points: np.ndarray) -> np.ndarray:
         return sine_rows(np.arange(1, space.size + 1), pts)
     if space.kind == "sine2d":
         p = space.n_per_dim
-        x, y = pts[:, 0], pts[:, 1]
-        i = np.arange(1, p + 1)[:, None]
-        sx = np.sin(np.pi * i * x[None, :])     # p x P
-        sy = np.sin(np.pi * i * y[None, :])
+        sx = axis_sines(p, pts[:, 0])           # p x P
+        sy = axis_sines(p, pts[:, 1])
         out = (sx[:, None, :] * sy[None, :, :]).reshape(p * p, -1)
         out *= 2.0
         return out
@@ -317,3 +315,11 @@ def sine_rows(modes: np.ndarray, points: np.ndarray) -> np.ndarray:
     r *= np.sqrt(2.0)
     return r
 
+
+def axis_sines(n_modes: int, x: np.ndarray) -> np.ndarray:
+    """Values sin(pi i x) of the modes i = 1..n_modes (rows) at the 1D
+    points ``x`` (columns): the factors of the sine2d basis
+    2 sin(pi i x) sin(pi j y), entry by entry, so the sines at a few
+    distinct coordinates have the bits of the same sines at every point."""
+    i = np.arange(1, n_modes + 1)[:, None]
+    return np.sin(np.pi * i * np.asarray(x, dtype=float)[None, :])

@@ -39,6 +39,23 @@ def _k4(t):
     return (A ** 4 / 3.0) * (3.0 - 5.0 * at + at ** 2) * np.exp(-at)
 
 
+def _matern52_d2(spec, t):
+    """Second derivative d^2/dx^2 K(x, y), 1D (equals -d^2/dxdy K)."""
+    a = np.sqrt(5.0) / spec.length_scale
+    at = a * np.abs(t)
+    return -((a ** 2 / 3.0) * (1.0 + at - at ** 2) * np.exp(-at))
+
+
+def _matern52_d4(spec, t):
+    """Fourth derivative d^2/dx^2 d^2/dy^2 K(x, y), 1D.
+
+    Matern-5/2 is exactly C^4 at the diagonal (the first odd term in its
+    Taylor expansion is r^5), so this mixed derivative is continuous."""
+    a = np.sqrt(5.0) / spec.length_scale
+    at = a * np.abs(t)
+    return (a ** 4 / 3.0) * (3.0 - 5.0 * at + at ** 2) * np.exp(-at)
+
+
 def _kernel_at(x, y):
     return kernel_matrix(SPEC, np.atleast_2d(x), np.atleast_2d(y))[0, 0]
 
@@ -66,15 +83,15 @@ def test_kernel_spec_validation():
 
 def test_second_derivative_ladder():
     # diagonal values from the Taylor expansion of the closed form
-    assert float(kernels._matern52_d2(SPEC, np.asarray(0.0))) == \
+    assert float(_matern52_d2(SPEC, np.asarray(0.0))) == \
         pytest.approx(-A ** 2 / 3.0, rel=1e-13)
-    assert float(kernels._matern52_d4(SPEC, np.asarray(0.0))) == \
+    assert float(_matern52_d4(SPEC, np.asarray(0.0))) == \
         pytest.approx(A ** 4, rel=1e-13)
     # d2 matches a central difference of the kernel itself
     h = 1e-5
     for t in (0.0, 0.04, -0.3, 0.77):
         fd = (_k(t + h) - 2 * _k(t) + _k(t - h)) / h ** 2
-        assert float(kernels._matern52_d2(SPEC, np.asarray(t))) == \
+        assert float(_matern52_d2(SPEC, np.asarray(t))) == \
             pytest.approx(fd, rel=1e-4, abs=1e-4)
     # d4 matches a central difference of d2; at the origin the kernel is
     # only C^4 (the |t|^5 Taylor term), so the difference quotient carries
@@ -82,10 +99,10 @@ def test_second_derivative_ladder():
     h = 1e-4
     for t in (0.05, -0.2, 0.6):
         fd = (_k2(t + h) - 2 * _k2(t) + _k2(t - h)) / h ** 2
-        assert float(kernels._matern52_d4(SPEC, np.asarray(t))) == \
+        assert float(_matern52_d4(SPEC, np.asarray(t))) == \
             pytest.approx(fd, rel=1e-5)
     fd0 = (_k2(h) - 2 * _k2(0.0) + _k2(-h)) / h ** 2
-    assert float(kernels._matern52_d4(SPEC, np.asarray(0.0))) == \
+    assert float(_matern52_d4(SPEC, np.asarray(0.0))) == \
         pytest.approx(fd0, rel=2e-3)
 
 
@@ -478,12 +495,12 @@ def test_one_exponential_collocation_matches_derivative_ladder(c_kind):
     t = x[:, None] - x[None, :]
     tb = x[:, None] - bp[None, :]
     ty = y[:, None] - x[None, :]
-    cc = nu ** 2 * kernels._matern52_d4(SPEC, t) \
-        - nu * (c[:, None] + c[None, :]) * kernels._matern52_d2(SPEC, t) \
+    cc = nu ** 2 * _matern52_d4(SPEC, t) \
+        - nu * (c[:, None] + c[None, :]) * _matern52_d2(SPEC, t) \
         + c[:, None] * c[None, :] * kernels._matern52(SPEC, np.abs(t))
-    cb = -nu * kernels._matern52_d2(SPEC, tb) \
+    cb = -nu * _matern52_d2(SPEC, tb) \
         + c[:, None] * kernels._matern52(SPEC, np.abs(tb))
-    ev = -nu * kernels._matern52_d2(SPEC, ty) \
+    ev = -nu * _matern52_d2(SPEC, ty) \
         + c[None, :] * kernels._matern52(SPEC, np.abs(ty))
 
     def rel(got, want):
@@ -582,21 +599,32 @@ def test_weights_formed_in_place_keep_their_bits(monkeypatch, kind):
 
 
 def _k_cc_long_double(spec, fs):
-    """The sine1d operator block W K W^T in np.longdouble, from sines of
+    """The sine operator block W K W^T in np.longdouble, from sines of
     exactly reduced arguments sin(pi ((j k) mod 2(q-1)) / (q-1)) and the
-    Matern kernel at the exact offsets (k - l) / (q-1)."""
+    Matern kernel at the exact offsets between grid nodes, (k - l) / (q-1)
+    per axis."""
     ld = np.longdouble
-    q, n = fs.n_quad, fs.n_features
+    q = fs.n_quad
+    m = fs.space.n_per_dim if fs.space.kind == "sine2d" else fs.n_features
     pi = 4 * np.arctan(ld(1))
-    j = np.arange(1, n + 1)[:, None]
+    j = np.arange(1, m + 1)[:, None]
     k = np.arange(q)
-    phi = np.sqrt(ld(2)) * np.sin(pi * ((j * k) % (2 * (q - 1))) / (q - 1))
+    s = np.sin(pi * ((j * k) % (2 * (q - 1))) / (q - 1))
     w = np.full(q, 1 / ld(q - 1))
     w[[0, -1]] /= 2
     lam = (pi * j) ** 2
-    weights = phi * (w * fs.c_field.astype(ld) + ld(fs.nu_diff) * lam * w)
-    ar = np.sqrt(ld(5)) / ld(spec.length_scale) * \
-        np.abs(k[:, None] - k[None, :]) / (q - 1)
+    offset = np.abs(k[:, None] - k[None, :]).astype(ld)
+    if fs.space.kind == "sine2d":
+        g = q * q
+        s = 2 * (s[:, None, :, None] * s[None, :, None, :]).reshape(m * m, g)
+        w = np.outer(w, w).ravel()
+        lam = (lam + lam.T).reshape(m * m, 1)
+        offset = np.sqrt(offset[:, None, :, None] ** 2 +
+                         offset[None, :, None, :] ** 2).reshape(g, g)
+    else:
+        s = np.sqrt(ld(2)) * s
+    weights = s * (w * fs.c_field.astype(ld) + ld(fs.nu_diff) * lam * w)
+    ar = np.sqrt(ld(5)) / ld(spec.length_scale) * offset / (q - 1)
     kernel = (1 + ar + ar ** 2 / 3) * np.exp(-ar)
     return weights @ kernel @ weights.T
 
@@ -638,6 +666,53 @@ def test_sine1d_assembly_holds_no_weight_array(monkeypatch):
     try:
         fs = FeatureSet(build_test_space("sine1d", n), np.ones(q), 0.1,
                         np.array([0.0, 1.0]), q)
+        assemble_features(SPEC, fs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * unit, f"peak {peak / unit:.2f} N x G arrays"
+
+
+@pytest.mark.parametrize("p", [4, 8])
+@pytest.mark.parametrize("c_kind", ["constant", "varying"])
+def test_separable_pairing_against_long_double_oracle(p, c_kind):
+    # the separable sine pairing of the sine2d operator block is as close
+    # to an extended-precision oracle as the GEMM with the weight rows it
+    # replaces; both pair the same FFT grid products
+    spec = KernelSpec("matern52", 0.2)
+    q = 4 * p + 1
+    x = grid_points(q, 2)
+    c = np.ones(q * q) if c_kind == "constant" else \
+        1.0 + 0.5 * np.cos(3 * np.pi * x[:, 0]) * np.cos(2 * np.pi * x[:, 1])
+    fs = FeatureSet(build_test_space("sine2d", n_per_dim=p), c, 0.01,
+                    np.array([[0.0, 0.0], [1.0, 1.0]]), q)
+    n = fs.n_features
+    oracle = _k_cc_long_double(spec, fs)
+    scale = np.max(np.abs(oracle))
+
+    separable_k = assemble_features(spec, fs).k_phi_phi[:n, :n]
+    wv = fs.weights_val
+    gemm_k = kernels._grid_product(spec, wv, q, 2) @ wv.T
+    gemm_k = 0.5 * (gemm_k + gemm_k.T)
+    err_sep = float(np.max(np.abs(separable_k - oracle)) / scale)
+    err_gemm = float(np.max(np.abs(gemm_k - oracle)) / scale)
+    assert err_sep <= 1.25 * err_gemm + 1e-15, (err_sep, err_gemm)
+
+
+def test_sine2d_assembly_holds_no_weight_array(monkeypatch):
+    # sine2d features keep no N x G weights: assembly forms their rows a
+    # block at a time from the axis sines and pairs them by separable
+    # contractions, so FeatureSet and assembly together peak near the
+    # N x N Gram array; the FFT work buffers are cut to one row so that
+    # only the arrays of the assembly count
+    monkeypatch.setattr(kernels, "_FFT_BLOCK_ELEMENTS", 1)
+    p, q = 16, 65
+    unit = 8 * p * p * q * q
+    bp = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    tracemalloc.start()
+    try:
+        fs = FeatureSet(build_test_space("sine2d", n_per_dim=p),
+                        np.ones(q * q), 0.1, bp, q)
         assemble_features(SPEC, fs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
