@@ -7,9 +7,10 @@ equality-constrained quadratic program
     min_c  (Bc - r)^T A^{-1} (Bc - r) + gamma * c^T G c
     s.t.   C c = g
 
-with one solver, ``KKTSystem``: a null-space QR factorization of the
-whitened least-squares form, taken once per set of Gram blocks, whose
-``solve`` applies the stored factors to the right-hand sides it is given.
+with one solver, ``KKTSystem``: the boundary coefficients are eliminated
+through the constraint and the remaining least-squares problem is factored
+by one triangular-pentagonal QR, once per set of Gram blocks; ``solve``
+applies the stored factors to the right-hand sides it is given.
 The outer loop reuses it while the blocks do not change (linear families);
 the SPDE time stepper solves it once for the identity columns to form its
 solution map.
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas, lapack
 
 from . import operators
 from .errors import DegenerateFeaturesError, DivergenceError
@@ -32,6 +34,9 @@ from .spaces import GridFunction, MeasurementVector, TestSpace, project
 
 __all__ = ["SolverConfig", "Representer", "SolveReport", "KKTSystem",
            "constrained_ls_solve", "solve", "evaluate"]
+
+# block size of the triangular-pentagonal QR (the nb of LAPACK dtpqrt)
+_TPQRT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -100,52 +105,60 @@ class SolveReport:
                 zip(self.misfit_history, self.penalty_history)]
 
 
-def _gram_cholesky(g: np.ndarray):
-    """Lower factor of g plus 1e-10 of its mean diagonal (the nugget of Chen
-    et al., J. Comput. Phys. 2021) and any rung of a jitter ladder; also the
-    diagonal added, absolute and relative.  Tries reuse one work copy."""
+def _penalty_cholesky(g: np.ndarray, n: int, x: np.ndarray, h: np.ndarray):
+    """Upper factor U of P = S11 + rho (I + H^T H), in a new Fortran array,
+    with S11 = G11 - X^T X the Schur complement of the boundary block
+    (X = L22^{-1} G21) and H = G22^{-1} G21; rho is 1e-10 of G's mean
+    diagonal (the nugget of Chen et al., J. Comput. Phys. 2021) plus any
+    rung of a jitter ladder.  Also rho, absolute and as a fraction of the
+    mean diagonal.  Every try refills the same array."""
     nugget = 1e-10 * np.trace(g) / g.shape[0]
-    diag = np.diagonal(g) + nugget
-    scale = diag.mean()
-    work = np.empty_like(g, order="F")
+    scale = (np.diagonal(g) + nugget).mean()
+    g11 = g[:n, :n].T           # G is symmetric: G11 read in Fortran order
+    p = np.empty((n, n), order="F")
     for bump in (0.0, 1e-13, 1e-11, 1e-9):
-        np.copyto(work, g)
-        np.fill_diagonal(work, diag + bump * scale)
+        rho = nugget + bump * scale
+        np.copyto(p, g11)
+        blas.dgemm(-1.0, x, x, beta=1.0, c=p, trans_a=1, overwrite_c=1)
+        blas.dgemm(rho, h, h, beta=1.0, c=p, trans_a=1, overwrite_c=1)
+        p[np.diag_indices(n)] += rho
         try:
-            return (scipy.linalg.cholesky(work, lower=True, overwrite_a=True),
-                    nugget + bump * scale, 1e-10 + bump)
+            return (scipy.linalg.cholesky(p, overwrite_a=True,
+                                          check_finite=False),
+                    rho, 1e-10 + bump)
         except scipy.linalg.LinAlgError:
             continue
     raise DegenerateFeaturesError(
         "feature Gram matrix is not positive definite", block="k_phi_phi")
 
 
-def _apply_q(h: np.ndarray, tau: np.ndarray, c: np.ndarray, side: str,
-             trans: str = "N") -> np.ndarray:
-    """Q c, Q^T c (side "L") or c Q (side "R") for Q held as Householder
-    reflectors (``scipy.linalg.qr(..., mode="raw")``), in place when ``c``
-    is Fortran-ordered."""
-    cq, _, info = scipy.linalg.lapack.dormqr(
-        side, trans, h, tau, c, max(1, 64 * max(c.shape)), overwrite_c=1)
-    if info != 0:
-        raise ValueError(f"dormqr failed (info={info})")
-    return cq
-
-
 class KKTSystem:
-    """The step QP factored once by the null-space method.
+    """The step QP factored once by direct elimination of the boundary
+    coefficients (Bjorck, Numerical Methods for Least Squares Problems,
+    1996, section 5.1).
 
-    With G = L L^T and W the whitening of the test-space energy, the
-    objective is ||S c - d||^2 for S = [W B; sqrt(gamma) L^T] and
-    d = [W r; 0].  A QR of C^T = [Q1 Z] [R1; 0] splits c = Q1 y1 + Z y2;
-    the constraint fixes y1 = R1^{-T} g, and a QR of S Z = U T gives
-    y2 = T^{-1} U^T (d - S Q1 y1) (Golub & Van Loan, Matrix Computations,
-    4th ed., section 6.2).  No normal equations are formed, so the
-    high-frequency features survive in double precision.  Only the factors
-    are kept: Q and U as Householder reflectors, T in the upper triangle of
-    U's raw QR array, and S Q1; each ``solve`` applies them to its
-    right-hand sides.  G is regularized here only, by the nugget plus any
-    jitter rung; ``jitter`` is their sum as a fraction of G's mean diagonal.
+    The coefficients split into N operator ones c_o and M boundary ones
+    c_b, and the Gram matrix G into blocks G11, G12 = G21^T, G22, the last
+    K(boundary, boundary).  The constraint C c = G21 c_o + G22 c_b = g
+    gives c_b = G22^{-1} g - H c_o with H = G22^{-1} G21, so B c = S11 c_o
+    + H^T g with the Schur complement S11 = G11 - G12 G22^{-1} G21, and
+    the penalty gamma c^T (G + rho I) c becomes, up to a constant,
+    gamma (c_o^T P c_o - 2 rho c_o^T H^T G22^{-1} g) with P = S11 +
+    rho (I + H^T H) = U^T U: the cross terms G12 - H^T G22 vanish.  With
+    W the whitening of the test-space energy, c_o is the least-squares
+    solution of
+
+        [sqrt(gamma) U; W S11] c_o = [sqrt(gamma) rho U^{-T} H^T G22^{-1} g;
+                                      W (r - H^T g)],
+
+    factored by one triangular-pentagonal QR (LAPACK ``dtpqrt``), which
+    keeps the triangle of U and costs about 2 N^3 flops.  No normal
+    equations are formed, so the high-frequency features survive in double
+    precision.  A build holds two N x N arrays besides the Gram: R over U
+    and the reflectors over W S11.  Each ``solve`` applies them
+    (``dtpmqrt``) to its right-hand sides.  G is regularized here only, by
+    rho, the nugget plus any jitter rung; ``jitter`` is rho as a fraction
+    of G's mean diagonal.
     """
 
     def __init__(self, ctx: SeminormContext, blocks: GramBlocks,
@@ -153,50 +166,68 @@ class KKTSystem:
         self.ctx = ctx
         self.blocks = blocks
         self.gamma = gamma
-        b, c = blocks.k_chi_phi, blocks.k_x_phi
-        n, self.n_primal = b.shape
-        m = c.shape[0]
-        (self._h, self._tau), self._r1 = scipy.linalg.qr(c.T, mode="raw")
-        r_diag = np.abs(np.diag(self._r1))
-        if not r_diag.min() > self.n_primal * np.finfo(float).eps * \
-                r_diag.max():
+        g = blocks.k_phi_phi
+        n, self.n_primal = blocks.k_chi_phi.shape
+        if not np.isfinite(g).all():
+            raise ValueError("Gram matrix holds a non-finite entry")
+        try:
+            self._l22 = scipy.linalg.cholesky(g[n:, n:], lower=True,
+                                              check_finite=False)
+            pivots = np.diagonal(self._l22)
+            independent = pivots.min() > \
+                self.n_primal * np.finfo(float).eps * pivots.max()
+        except scipy.linalg.LinAlgError:
+            independent = False
+        if not independent:
             raise DegenerateFeaturesError(
                 "boundary features are linearly dependent", block="k_x_phi")
-        chol, self._reg, self.jitter = _gram_cholesky(blocks.k_phi_phi)
-        # Fortran-ordered, so the reflectors and the QR update it in place
-        sq = np.empty((n + self.n_primal, self.n_primal), order="F")
-        sq[:n] = ctx.whiten(b)
-        sq[n:] = chol.T
-        del chol
-        sq[n:] *= np.sqrt(gamma)
-        sq = _apply_q(self._h, self._tau, sq, "R")      # [S Q1, S Z]
-        self._sq1 = sq[:, :m]
-        self._sq1_sq = self._sq1.T @ sq
-        (self._hz, self._tauz), _ = scipy.linalg.qr(
-            sq[:, m:], overwrite_a=True, mode="raw")
+        x = scipy.linalg.solve_triangular(self._l22, g[n:, :n], lower=True)
+        self._h = scipy.linalg.solve_triangular(self._l22, x, trans="T",
+                                                lower=True)
+        # W S11 = W G11 - (W X^T) X, in the Fortran array whiten returns
+        ws11 = np.asfortranarray(ctx.whiten(g[:n, :n].T))
+        blas.dgemm(-1.0, ctx.whiten(x.T), x, beta=1.0, c=ws11,
+                   overwrite_c=1)
+        u, self._reg, self.jitter = _penalty_cholesky(g, n, x, self._h)
+        # the right-hand sides per unit of G22^{-1} g (top) and of g
+        # (bottom), the top one formed before the QR overwrites U
+        self._top_map = scipy.linalg.solve_triangular(u, self._h.T,
+                                                      trans="T")
+        self._top_map *= np.sqrt(gamma) * self._reg
+        self._bottom_map = ctx.whiten(self._h.T)
+        u *= np.sqrt(gamma)
+        self._r, self._v, self._t, info = lapack.dtpqrt(
+            0, min(n, _TPQRT_BLOCK), u, ws11, overwrite_a=1, overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"dtpqrt failed (info={info})")
 
     def solve(self, r_entries: np.ndarray, g_boundary: np.ndarray):
         """Coefficients and multipliers for one right-hand side, or for
         each column of a matrix of them (a vector ``g_boundary`` is shared
         by all columns)."""
-        n = self.blocks.k_chi_phi.shape[0]
-        m, n_z = self._r1.shape[0], self.n_primal - self._r1.shape[0]
+        n, m = self._r.shape[0], self._l22.shape[0]
         w = self.ctx.whiten(r_entries)
         vector = w.ndim == 1
         w = w.reshape(n, -1)
-        y1 = scipy.linalg.solve_triangular(
-            self._r1, np.reshape(g_boundary, (m, -1)), trans="T")
-        d = np.zeros((self._sq1.shape[0], w.shape[1]), order="F")
-        d[:n] = w
-        d -= self._sq1 @ y1
-        y = np.empty((self.n_primal, w.shape[1]), order="F")
-        y[:m] = y1
-        y[m:] = scipy.linalg.solve_triangular(
-            self._hz[:n_z], _apply_q(self._hz, self._tauz, d, "L", "T")[:n_z])
-        # stationarity C^T mu = -2 S^T (S c - d), resolved along Q1
-        grad = self._sq1_sq @ y - self._sq1[:n].T @ w
-        mult = -2.0 * scipy.linalg.solve_triangular(self._r1, grad)
-        coeffs = _apply_q(self._h, self._tau, y, "L")
+        g = np.broadcast_to(np.reshape(g_boundary, (m, -1)), (m, w.shape[1]))
+        e = scipy.linalg.cho_solve((self._l22, True), g)     # G22^{-1} g
+        top = np.asfortranarray(self._top_map @ e)
+        bottom = np.asfortranarray(w - self._bottom_map @ g)
+        top, _, info = lapack.dtpmqrt(0, self._v, self._t, top, bottom,
+                                      trans="T", overwrite_a=1,
+                                      overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"dtpmqrt failed (info={info})")
+        coeffs = np.empty((self.n_primal, w.shape[1]))
+        coeffs[:n] = scipy.linalg.solve_triangular(self._r, top)
+        coeffs[n:] = e - self._h @ coeffs[:n]
+        # the boundary rows of stationarity, 2 B^T A^{-1} (B c - r) +
+        # 2 gamma (G + rho I) c + C^T mu = 0, with C's boundary block G22
+        c_mat = self.blocks.k_x_phi
+        resid = self.blocks.k_chi_phi @ coeffs - np.reshape(r_entries, (n, -1))
+        grad = c_mat[:, :n] @ self.ctx.apply_inverse(resid)
+        grad += self.gamma * (c_mat @ coeffs + self._reg * coeffs[n:])
+        mult = -2.0 * scipy.linalg.cho_solve((self._l22, True), grad)
         if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(mult))):
             raise DegenerateFeaturesError("non-finite step solution",
                                           block="k_phi_phi")

@@ -183,6 +183,9 @@ class FeatureSet:
                 raise ResolutionTooCoarseError(
                     f"{self.n_quad} quadrature points per dim cannot resolve "
                     f"{n_modes} sine modes")
+        elif sp.kind == "fem1d" and self.n_quad - 1 < 2 * (sp.size + 1):
+            raise ResolutionTooCoarseError(
+                "grid too coarse for the tent-function mesh")
         pts = grid_points(self.n_quad, sp.dim)
         w = trapezoid_weights(self.n_quad, sp.dim)
         c = np.broadcast_to(np.asarray(self.c_field, dtype=float).ravel(),

@@ -24,7 +24,7 @@ from .kernels import FeatureSet, KernelSpec, assemble_features
 from .noise import NoisePath
 from .seminorm import SeminormContext
 from .spaces import GridFunction, MeasurementVector, TestSpace, \
-    build_test_space, project, tent_projection_weights
+    build_test_space, project
 
 __all__ = ["SpdeConfig", "Trajectory", "Stepper", "integrate",
            "tent_sine_cross_gram"]
@@ -118,17 +118,13 @@ class Stepper:
         # grid values of the step for each unit measurement, boundary zero
         self.solution_map = self.blocks.quad_eval @ kkt.solve(
             np.eye(cfg.space.size), np.zeros(2))[0]
-        # fem projection of each right-hand side and stored state, formed
-        # once: project() would rebuild the N x G tent matrix on every call
-        self._tent_weights = None
-        if cfg.space.kind == "fem1d":
-            self._tent_weights = tent_projection_weights(cfg.space,
-                                                         cfg.n_quad)
 
     def measure(self, values: np.ndarray) -> np.ndarray:
-        """Projection of solver-grid values onto cfg.space."""
-        if self._tent_weights is not None:
-            return self._tent_weights @ values
+        """Projection of solver-grid values onto cfg.space.  fem1d features
+        with c = 1 store the tents times the trapezoid weights, the matrix
+        of the fem projection, so it is not formed again per call."""
+        if self.cfg.space.kind == "fem1d":
+            return self.features.weights_val @ values
         return project(GridFunction(values), self.cfg.space).entries
 
     def step(self, u_grid: np.ndarray,

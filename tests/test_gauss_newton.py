@@ -8,7 +8,7 @@ import scipy.linalg
 
 from nessolve.errors import DegenerateFeaturesError
 from nessolve.gauss_newton import KKTSystem, Representer, SolverConfig, \
-    _apply_q, _gram_cholesky, constrained_ls_solve, evaluate, solve
+    constrained_ls_solve, evaluate, solve
 from nessolve.kernels import FeatureSet, GramBlocks, KernelSpec, \
     assemble_features
 from nessolve.operators import OperatorSpec
@@ -132,6 +132,118 @@ def test_rank_deficient_constraints_raise():
     assert info.value.block == "k_x_phi"
 
 
+def test_near_duplicate_boundary_features_raise():
+    # a boundary feature scaled by 1 + 1e-8 next to the original, and two
+    # boundary points 1e-12 apart, whose kernel rows agree to rounding
+    ctx, blocks, _, _, gamma = _tiny_problem()
+    n = blocks.n_features
+    idx = np.r_[np.arange(n + 1), n]
+    scaled = blocks.k_phi_phi[np.ix_(idx, idx)]
+    scaled[-1] *= 1.0 + 1e-8
+    scaled[:, -1] *= 1.0 + 1e-8
+    fs = FeatureSet(ctx.space, np.ones(13), 0.05,
+                    np.array([0.0, 1.0, 1.0 - 1e-12]), 13)
+    for bad in (GramBlocks(scaled, n), assemble_features(KER, fs)):
+        with pytest.raises(DegenerateFeaturesError) as info:
+            KKTSystem(ctx, bad, gamma)
+        assert info.value.block == "k_x_phi"
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (0, 3), (3, 4)])
+def test_non_finite_gram_raises(entry):
+    # a NaN in the operator block, the cross block or the boundary block
+    ctx, blocks, _, _, gamma = _tiny_problem()
+    g = blocks.k_phi_phi.copy()
+    g[entry] = g[entry[::-1]] = np.nan
+    with pytest.raises(ValueError):
+        KKTSystem(ctx, GramBlocks(g, blocks.n_features), gamma)
+
+
+def _mp_step(ctx, blocks, r, g, gamma, rho):
+    """The step QP's coefficients in mpmath at 50 digits, from the float64
+    Gram and regularization: its KKT system
+
+        [2 (B^T A^{-1} B + gamma (G + rho I))  C^T] [c ]   [2 B^T A^{-1} r]
+        [C                                     0  ] [mu] = [g             ]
+
+    by LU."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        gram = mp.matrix(blocks.k_phi_phi.tolist())
+        n, n_primal, m = r.shape[0], gram.rows, g.shape[0]
+        b = gram[:n, :]
+        a_inv_b = mp.inverse(mp.matrix(ctx.matrix().tolist())) * b
+        h = 2 * (b.T * a_inv_b)
+        a_inv_b_r = 2 * (a_inv_b.T * mp.matrix(r.tolist()))
+        kkt = mp.zeros(n_primal + m)
+        rhs = mp.zeros(n_primal + m, 1)
+        for i in range(n_primal):
+            for j in range(n_primal):
+                kkt[i, j] = h[i, j] + 2 * gamma * (gram[i, j] + rho * (i == j))
+            for j in range(m):
+                kkt[i, n_primal + j] = kkt[n_primal + j, i] = gram[n + j, i]
+            rhs[i] = a_inv_b_r[i]
+        for j in range(m):
+            rhs[n_primal + j] = g[j]
+        sol = mp.lu_solve(kkt, rhs)
+        return [sol[i] for i in range(n_primal)]
+
+
+@pytest.mark.parametrize("kind,n", [("sine1d", 8), ("sine1d", 16),
+                                    ("sine1d", 32), ("sine1d", 64),
+                                    ("fem1d", 16)])
+def test_step_matches_50_digit_oracle(kind, n):
+    # only the factorization's rounding is measured: the oracle starts from
+    # the same float64 Gram and the KKT system's own rho.  Max grid-value
+    # error over max |u|: the null-space QR this solver replaced read
+    # 1.3e-15, 3.7e-15, 7.8e-14, 3.2e-13 (sine1d, n = 8 to 64) and 4.1e-15
+    # (fem1d); the bound is ten times the largest of them
+    gamma = 1e-12
+    sp = build_test_space(kind, n)
+    fs = FeatureSet(sp, np.ones(4 * n + 1), 0.01, BP, 4 * n + 1)
+    blocks = assemble_features(KER, fs)
+    ctx = SeminormContext.build(sp, 1.0)
+    r = np.random.default_rng(n).standard_normal(n)
+    g = np.array([0.1, -0.2])
+    kkt = KKTSystem(ctx, blocks, gamma)
+    coeffs, _ = kkt.solve(r, g)
+    oracle = _mp_step(ctx, blocks, r, g, gamma, kkt._reg)
+    # the difference taken at 50 digits, then rounded
+    err = np.array([float(c - o) for c, o in zip(coeffs.tolist(), oracle)])
+    e = blocks.quad_eval
+    u = e @ np.array([float(o) for o in oracle])
+    assert np.max(np.abs(e @ err)) <= 3.2e-12 * np.max(np.abs(u))
+
+
+def test_build_peak_memory():
+    # besides the Gram a build holds two N x N arrays, R and the reflectors
+    # of the QR, formed in place over the penalty factor and W S11
+    n = 1024
+    sp = build_test_space("sine1d", n)
+    fs = FeatureSet(sp, np.ones(1), 0.01, BP, 4 * n + 1)
+    blocks = assemble_features(KER, fs)
+    ctx = SeminormContext.build(sp, 1.0)
+    tracemalloc.start()
+    try:
+        kkt = KKTSystem(ctx, blocks, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kkt.jitter == 1e-10
+    unit = 8 * n * n
+    assert peak <= 2.5 * unit, f"peak {peak / unit:.2f} N x N arrays"
+
+
+def _apply_q(h, tau, c, side, trans="N"):
+    """Q c, Q^T c (side "L") or c Q (side "R") for Q held as Householder
+    reflectors (``scipy.linalg.qr(..., mode="raw")``), in place when ``c``
+    is Fortran-ordered."""
+    cq, _, info = scipy.linalg.lapack.dormqr(
+        side, trans, h, tau, c, max(1, 64 * max(c.shape)), overwrite_c=1)
+    assert info == 0, f"dormqr failed (info={info})"
+    return cq
+
+
 def _padded_identity_maps(ctx, blocks, gamma):
     """The solution maps formed by applying the reflectors of the QR of
     S Z to the zero-padded identity of the right-hand sides (the
@@ -221,8 +333,6 @@ def test_gram_jitter_is_reported():
     with pytest.raises(scipy.linalg.LinAlgError):
         scipy.linalg.cholesky(g_dup + 1e-10 * np.trace(g_dup) /
                               g_dup.shape[0] * np.eye(g_dup.shape[0]))
-    _, _, frac = _gram_cholesky(g_dup)
-    assert frac == 1e-10 + 1e-9
     dup_ctx = SeminormContext.build(build_test_space("sine1d", n), 1.0)
     kkt = KKTSystem(dup_ctx, GramBlocks(g_dup, n), gamma)
     assert kkt.jitter == 1e-10 + 1e-9

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.integrate import quad
 
+from nessolve.errors import ResolutionTooCoarseError
 from nessolve.kernels import KernelSpec
 from nessolve.noise import NoisePath, build_path
 from nessolve.spaces import GridFunction, MeasurementVector, basis_values, \
@@ -210,6 +211,15 @@ def test_fem_stored_measurements_match_projection():
     for u in traj.values:
         want = project(GridFunction(u), cfg.space).entries
         assert np.array_equal(stepper.measure(u), want)
+
+
+def test_fem_grid_too_coarse_for_the_tents_raises():
+    # 17 grid points cannot resolve 8 tents (2 (N + 1) = 18 intervals)
+    cfg = SpdeConfig(family="heat", nu=0.025, sigma=0.0, t_final=1.0 / 64,
+                     dt=1.0 / 64, space=build_test_space("fem1d", 8),
+                     n_quad=17)
+    with pytest.raises(ResolutionTooCoarseError):
+        Stepper(cfg)
 
 
 def test_heat_step_matches_dgglse_under_refinement():
