@@ -146,8 +146,8 @@ def _run_elliptic1d(p: dict) -> dict:
                                        _boundary_1d())
         # identity weights: the plain sum of squared pointwise residuals
         ctx0 = SeminormContext.build(build_test_space("sine1d", n), 0.0)
-        coeffs0, _ = constrained_ls_solve(ctx0, blocks0, xi_vals,
-                                          np.zeros(2), p["gamma_pointwise"])
+        coeffs0 = constrained_ls_solve(ctx0, blocks0, xi_vals,
+                                       np.zeros(2), p["gamma_pointwise"])
         # the evaluation matrix in row blocks: no n_quad x (n + 2) array
         estimate0 = GridFunction(np.concatenate([
             evaluate_collocation(kernel, x_col, 1.0, p["nu"],
@@ -406,8 +406,8 @@ def _run_rate_study(p: dict) -> dict:
         blocks = assemble_features(kernel, fs)
 
     def coeffs_for(gamma):
-        coeffs, _ = constrained_ls_solve(ctx, blocks, xi.entries,
-                                         np.zeros(2), gamma)
+        coeffs = constrained_ls_solve(ctx, blocks, xi.entries,
+                                      np.zeros(2), gamma)
         grid = GridFunction(blocks.on_grid(coeffs))
         return project(grid, space).entries
 

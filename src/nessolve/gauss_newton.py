@@ -202,9 +202,8 @@ class KKTSystem:
             raise ValueError(f"dtpqrt failed (info={info})")
 
     def solve(self, r_entries: np.ndarray, g_boundary: np.ndarray):
-        """Coefficients and multipliers for one right-hand side, or for
-        each column of a matrix of them (a vector ``g_boundary`` is shared
-        by all columns)."""
+        """Coefficients for one right-hand side, or for each column of a
+        matrix of them (a vector ``g_boundary`` is shared by all columns)."""
         n, m = self._r.shape[0], self._l22.shape[0]
         w = self.ctx.whiten(r_entries)
         vector = w.ndim == 1
@@ -221,19 +220,10 @@ class KKTSystem:
         coeffs = np.empty((self.n_primal, w.shape[1]))
         coeffs[:n] = scipy.linalg.solve_triangular(self._r, top)
         coeffs[n:] = e - self._h @ coeffs[:n]
-        # the boundary rows of stationarity, 2 B^T A^{-1} (B c - r) +
-        # 2 gamma (G + rho I) c + C^T mu = 0, with C's boundary block G22
-        c_mat = self.blocks.k_x_phi
-        resid = self.blocks.k_chi_phi @ coeffs - np.reshape(r_entries, (n, -1))
-        grad = c_mat[:, :n] @ self.ctx.apply_inverse(resid)
-        grad += self.gamma * (c_mat @ coeffs + self._reg * coeffs[n:])
-        mult = -2.0 * scipy.linalg.cho_solve((self._l22, True), grad)
-        if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(mult))):
+        if not np.all(np.isfinite(coeffs)):
             raise DegenerateFeaturesError("non-finite step solution",
                                           block="k_phi_phi")
-        if vector:
-            return coeffs[:, 0], mult[:, 0]
-        return coeffs, mult
+        return coeffs[:, 0] if vector else coeffs
 
     def loss_terms(self, coeffs: np.ndarray, r_entries: np.ndarray):
         resid = self.blocks.k_chi_phi @ coeffs - r_entries
@@ -246,7 +236,7 @@ class KKTSystem:
 def constrained_ls_solve(ctx: SeminormContext, blocks: GramBlocks,
                          r_entries: np.ndarray, g_boundary: np.ndarray,
                          gamma: float):
-    """One-shot solve of the step QP: (coefficients, multipliers)."""
+    """One-shot solve of the step QP: its coefficients."""
     return KKTSystem(ctx, blocks, gamma).solve(r_entries, g_boundary)
 
 
@@ -282,7 +272,7 @@ def solve(op: OperatorSpec, xi: MeasurementVector, cfg: SolverConfig,
             r = xi.entries
         else:
             r = xi.entries + project(lin.shift, cfg.space).entries
-        coeffs, _ = kkt.solve(r, cfg.g_boundary)
+        coeffs = kkt.solve(r, cfg.g_boundary)
         misfit, penalty = kkt.loss_terms(coeffs, r)
         rep = Representer(coeffs, fs, cfg.kernel)
         u_grid = blocks.on_grid(coeffs).reshape(shape)

@@ -35,14 +35,17 @@ Cosine and Sine Transforms*, 2007); in 2D the sines are separable,
 sines, one axis at a time.  Assembly forms their rows a block of 256 KiB
 at a time, takes their grid products and pairs them at once.  fem1d
 features hold one N x G array, the value weight rows, formed in place over
-the basis values; assembly takes their grid products a quarter of the
-rows at a time (all at once when the weights are small) and pairs each
-block with the weights by one GEMM.  Either way the operator block is
+the basis values; assembly takes the grid products of all rows and pairs
+them with the weights by one GEMM.  Every pairing of the weights with
+kernel values, on the grid or against the boundary points and tent nodes,
+goes through ``FeatureSet.pair``.  Either way the operator block is
 written straight into the Gram array, which is then symmetrized in place.
-A representer is evaluated on the grid matrix-free
-(``GramBlocks.on_grid``); the dense evaluation matrix ``quad_eval`` is
-formed only when it is read, and so are the sine features'
-``weights_val``.
+
+Grid values of representers are taken one way only, matrix-free
+(``GramBlocks.on_grid``): one grid product per combined weight row, for a
+coefficient vector or for each column of a matrix of them.  No solver path
+forms the G x (N+M) evaluation matrix; ``quad_eval`` builds it from
+``on_grid`` on the identity when read.
 """
 
 from __future__ import annotations
@@ -77,13 +80,6 @@ _FFT_BLOCK_ELEMENTS = 2 ** 15
 # place, and that assembly forms, transforms and pairs: 256 KiB, so that
 # the passes over a block stay in L2
 _WEIGHT_BLOCK_ELEMENTS = 2 ** 15
-# assembly pairs the grid products of a quarter of the fem1d feature rows
-# at a time with the stored weights, and of all rows at once when the N x G
-# weights hold at most this many elements (8 MiB): splitting saves little
-# there, and blocks of a few rows go to BLAS's small-matrix kernels, which
-# sum in another order than one GEMM.  Smaller blocks than a quarter
-# re-pack the GEMM's shared G x N operand on every call.
-_PAIR_WHOLE_ELEMENTS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -323,25 +319,30 @@ class FeatureSet:
         return np.multiply(s, np.sqrt(2.0) / 2.0, out=out)
 
     def combine(self, alpha: np.ndarray) -> np.ndarray:
-        """The combined weight row alpha @ weights_val.  For sine1d,
+        """The combined weight rows alpha^T @ weights_val: one row for a
+        vector ``alpha``, one per column of an N x K matrix.  For sine1d,
         w c synth(alpha) + w synth(nu lambda alpha), with synth the sine
-        synthesis on the grid (one, of (c_0 + nu lambda) alpha, when c is
-        constant).  For sine2d, with A the p x p coefficients alpha and s
-        the axis sines, w c 2 s^T A s + w 2 s^T (nu lambda A) s."""
+        synthesis on the grid of each column, all in one stacked DST-I (one
+        synthesis, of (c_0 + nu lambda) alpha, when c is constant).  For
+        sine2d, with A the p x p coefficients of a column and s the axis
+        sines, w c 2 s^T A s + w 2 s^T (nu lambda A) s, batched over the
+        columns."""
+        a = alpha.T
         if self._weights is not None:
-            return alpha @ self._weights
+            return a @ self._weights
         q, c = self.n_quad, self.c_field
         w = trapezoid_weights(q, self.space.dim)
         nu_lam = self.nu_diff * self.space.eigenvalues
         if self._sines is not None:
             s, p = self._sines, self.space.n_per_dim
-            a = np.stack([alpha, nu_lam * alpha]).reshape(2, p, p)
-            row, diffusion = 2.0 * (s.T @ a @ s).reshape(2, -1)
+            b = np.stack([a, nu_lam * a]).reshape(2, -1, p, p)
+            row, diffusion = 2.0 * (s.T @ b @ s).reshape(
+                (2,) + a.shape[:-1] + (-1,))
         elif np.all(c == c[0]):
-            return w * spaces.sine_synthesis((c[0] + nu_lam) * alpha, q)
+            return w * spaces.sine_synthesis((c[0] + nu_lam) * a, q)
         else:
             row, diffusion = spaces.sine_synthesis(
-                np.stack([alpha, nu_lam * alpha]), q)
+                np.stack([a, nu_lam * a]), q)
         row *= w * c
         row += w * diffusion
         return row
@@ -369,35 +370,26 @@ class GramBlocks:
 
     def on_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """Grid values of the representer with these N + M coefficients,
-        equal to ``quad_eval @ coeffs`` up to rounding: one grid product of
-        the combined weight row sum_i alpha_i w_i (``FeatureSet.combine``,
-        sine syntheses for sine features), plus for fem the stencil rows,
-        plus the boundary columns."""
+        or the G x K values of an (N+M) x K matrix of coefficient columns:
+        one grid product per combined weight row sum_i alpha_i w_i
+        (``FeatureSet.combine``, sine syntheses for sine features), plus
+        for fem the stencil rows, plus the boundary columns."""
         fs, n = self.features, self.n_features
-        alpha = coeffs[:n]
-        values = _grid_product(self.spec, fs.combine(alpha)[None], fs.n_quad,
-                               fs.space.dim)[0]
+        rows = fs.combine(coeffs[:n])
+        values = _grid_product(self.spec, rows.reshape(-1, rows.shape[-1]),
+                               fs.n_quad, fs.space.dim).reshape(rows.shape)
         if fs.space.kind == "fem1d":
-            values += alpha @ _tent_rows(self.spec, fs, fs.quad_points)
-        return values + coeffs[n:] @ _pairwise(self.spec, fs.boundary_points,
-                                               fs.quad_points)
+            values += coeffs[:n].T @ _tent_rows(self.spec, fs, fs.quad_points)
+        values += coeffs[n:].T @ _pairwise(self.spec, fs.boundary_points,
+                                           fs.quad_points)
+        return values.T
 
     @property
     def quad_eval(self) -> np.ndarray:
-        """The dense G x (N+M) evaluation matrix, values = quad_eval @
-        coefficients, formed on every read and not kept; None for
-        collocation blocks."""
-        fs = self.features
-        if fs is None:
-            return None
-        n = self.n_features
-        rows = np.empty((n + fs.n_boundary, fs.quad_points.shape[0]))
-        _grid_product(self.spec, fs.weights_val, fs.n_quad, fs.space.dim,
-                      out=rows[:n])
-        if fs.space.kind == "fem1d":
-            rows[:n] += _tent_rows(self.spec, fs, fs.quad_points)
-        rows[n:] = _pairwise(self.spec, fs.boundary_points, fs.quad_points)
-        return rows.T
+        """The dense G x (N+M) evaluation matrix, ``on_grid`` of the
+        identity, formed on every read.  No solver path reads it; it stays
+        for the span hooks of ``benchmarks/spans.py``."""
+        return self.on_grid(np.eye(self.k_phi_phi.shape[0]))
 
 
 @functools.lru_cache(maxsize=4)
@@ -471,26 +463,20 @@ def _tent_rows(spec: KernelSpec, fs: FeatureSet, pts) -> np.ndarray:
 def _operator_blocks(spec: KernelSpec, fs: FeatureSet, right_pts):
     """Features paired with K(., y_l) for the points ``right_pts`` (dense).
 
-    Row i is chi_i applied to K(., y_l); for fem the stencil rows are
-    added.  Sine features pair by their transforms (``FeatureSet.pair``).
+    Row i is chi_i applied to K(., y_l): the weights paired with the
+    kernel columns (``FeatureSet.pair``), plus for fem the stencil rows.
     """
-    if fs.space.kind != "fem1d":
-        return fs.pair(_pairwise(spec, right_pts, fs.quad_points)).T
-    val = fs.weights_val @ _pairwise(spec, fs.quad_points, right_pts)
-    val += _tent_rows(spec, fs, right_pts)
+    val = fs.pair(_pairwise(spec, right_pts, fs.quad_points)).T
+    if fs.space.kind == "fem1d":
+        val += _tent_rows(spec, fs, right_pts)
     return val
-
-
-def _quarter(n: int) -> int:
-    """Rows per block when an N-row array is worked on a block at a time."""
-    return max(1, -(-n // 4))
 
 
 def _symmetrize(a: np.ndarray) -> None:
     """a <- (a + a^T) / 2 in place, one pair of row and column blocks at a
     time; the same bits as forming the sum whole."""
     n = a.shape[0]
-    block = _quarter(n)
+    block = max(1, -(-n // 4))
     for lo in range(0, n, block):
         rows = slice(lo, lo + block)
         for lo2 in range(lo, n, block):
@@ -528,12 +514,8 @@ def assemble_features(spec: KernelSpec, fs: FeatureSet) -> GramBlocks:
     q, dim = fs.n_quad, fs.space.dim
 
     g = np.empty((n + m, n + m))
-    if fs.space.kind != "fem1d":
-        block = max(1, _WEIGHT_BLOCK_ELEMENTS // q ** dim)
-    elif n * q ** dim <= _PAIR_WHOLE_ELEMENTS:
-        block = n
-    else:
-        block = _quarter(n)
+    block = n if fs.space.kind == "fem1d" else \
+        max(1, _WEIGHT_BLOCK_ELEMENTS // q ** dim)
     for lo in range(0, n, block):
         rows = slice(lo, min(lo + block, n))
         t = _grid_product(spec, fs.value_rows(rows), q, dim)
@@ -541,10 +523,9 @@ def assemble_features(spec: KernelSpec, fs: FeatureSet) -> GramBlocks:
         del t
     if fs.space.kind == "fem1d":
         z = fs.nodes
-        ed = fs.stiffness(fs.weights_val @ _pairwise(spec, fs.quad_points, z),
-                          1)
-        g[:n, :n] += ed
-        g[:n, :n] += ed.T
+        de = fs.stiffness(fs.pair(_pairwise(spec, z, fs.quad_points)), 0)
+        g[:n, :n] += de.T
+        g[:n, :n] += de
         g[:n, :n] += fs.stiffness(_tent_rows(spec, fs, z), 1)
 
     k_cb = _operator_blocks(spec, fs, fs.boundary_points)     # N x M

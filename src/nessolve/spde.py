@@ -5,12 +5,13 @@ u_k + dt*f(u_k) + sigma*dxi_k with the weak-norm kernel solver: the
 Gauss-Newton step QP of a linear elliptic operator with diffusion dt*nu.
 The operator is time-independent, so ``Stepper`` assembles its Gram blocks,
 factors one ``KKTSystem`` and solves it once for the identity columns of
-the right-hand side: the product with the grid evaluation matrix is the
-solution map from measurements to grid values (n_quad x N).  Each step then
-costs one projection of the right-hand side and one product with that
-map, instead of a solve from the factors.  The reaction term (u - u^3 for
-Allen-Cahn) is treated explicitly.  Noise increments must be measured
-against the scheme's own basis (see ``tent_sine_cross_gram``).
+the right-hand side; the grid values of those N coefficient columns
+(``GramBlocks.on_grid``, matrix-free) are the solution map from
+measurements to grid values (n_quad x N).  Each step then costs one
+projection of the right-hand side and one product with that map, instead
+of a solve from the factors.  The reaction term (u - u^3 for Allen-Cahn)
+is treated explicitly.  Noise increments must be measured against the
+scheme's own basis (see ``tent_sine_cross_gram``).
 """
 
 from __future__ import annotations
@@ -116,8 +117,8 @@ class Stepper:
         self.blocks = assemble_features(cfg.kernel, self.features)
         kkt = KKTSystem(self.ctx, self.blocks, cfg.gamma)
         # grid values of the step for each unit measurement, boundary zero
-        self.solution_map = self.blocks.quad_eval @ kkt.solve(
-            np.eye(cfg.space.size), np.zeros(2))[0]
+        self.solution_map = self.blocks.on_grid(
+            kkt.solve(np.eye(cfg.space.size), np.zeros(2)))
 
     def measure(self, values: np.ndarray) -> np.ndarray:
         """Projection of solver-grid values onto cfg.space.  fem1d features

@@ -164,8 +164,8 @@ def _check_kkt_oracle():
     y = np.linalg.solve(z.T @ q @ z,
                         -z.T @ (q @ c_p - 2.0 * b.T @ a_inv @ r))
     oracle = c_p + z @ y
-    coeffs, _ = constrained_ls_solve(ctx, blocks, r, g, gamma)
-    kkt_coeffs, _ = KKTSystem(ctx, blocks, gamma).solve(r, g)
+    coeffs = constrained_ls_solve(ctx, blocks, r, g, gamma)
+    kkt_coeffs = KKTSystem(ctx, blocks, gamma).solve(r, g)
     tol = 1e-8 * max(1.0, np.abs(oracle).max())
     ok = np.max(np.abs(coeffs - oracle)) <= tol and \
         np.max(np.abs(kkt_coeffs - oracle)) <= tol

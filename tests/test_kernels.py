@@ -343,30 +343,35 @@ def _grid_cases():
     ]
 
 
-def test_grid_products_match_dense_pairwise():
-    # the FFT grid products against the dense pairwise matrices on the
-    # grid; a fem feature is its value weights on the grid plus the
-    # stiffness stencil D on the tent nodes z, so its oracle is
-    # [W | D] K([grid; z]) [W | D]^T
-    for fs in _grid_cases():
-        grid, bp = fs.quad_points, fs.boundary_points
-        w = fs.weights_val
-        pts = grid
-        if fs.space.kind == "fem1d":
-            n, z = fs.n_features, fs.nodes
-            d = np.zeros((n, n + 2))
-            i = np.arange(n)
-            d[i, i + 1] = 2.0
-            d[i, i] = d[i, i + 2] = -1.0
-            d *= fs.nu_diff / fs.space.h
-            w = np.hstack([w, d])
-            pts = np.concatenate([grid, z])
-        t_val = w @ kernels._pairwise(SPEC, pts, grid)
-        k_cb = w @ kernels._pairwise(SPEC, pts, bp)
-        k_cc = w @ kernels._pairwise(SPEC, pts, pts) @ w.T
-        k_cc = 0.5 * (k_cc + k_cc.T)
-        quad_eval = np.vstack([t_val, kernels._pairwise(SPEC, bp, grid)]).T
+def _dense_blocks(fs):
+    """The operator block, the operator-boundary block and the G x (N+M)
+    grid evaluation matrix from dense pairwise kernel matrices.  A fem
+    feature is its value weights on the grid plus the stiffness stencil D
+    on the tent nodes z, so its rows are [W | D] against K([grid; z], .)."""
+    grid, bp = fs.quad_points, fs.boundary_points
+    w = fs.weights_val
+    pts = grid
+    if fs.space.kind == "fem1d":
+        n, z = fs.n_features, fs.nodes
+        d = np.zeros((n, n + 2))
+        i = np.arange(n)
+        d[i, i + 1] = 2.0
+        d[i, i] = d[i, i + 2] = -1.0
+        d *= fs.nu_diff / fs.space.h
+        w = np.hstack([w, d])
+        pts = np.concatenate([grid, z])
+    t_val = w @ kernels._pairwise(SPEC, pts, grid)
+    k_cb = w @ kernels._pairwise(SPEC, pts, bp)
+    k_cc = w @ kernels._pairwise(SPEC, pts, pts) @ w.T
+    k_cc = 0.5 * (k_cc + k_cc.T)
+    quad_eval = np.vstack([t_val, kernels._pairwise(SPEC, bp, grid)]).T
+    return k_cc, k_cb, quad_eval
 
+
+def test_grid_products_match_dense_pairwise():
+    # the FFT grid products against the dense pairwise matrices on the grid
+    for fs in _grid_cases():
+        k_cc, k_cb, quad_eval = _dense_blocks(fs)
         blocks = assemble_features(SPEC, fs)
         n = fs.n_features
         for got, want in [(blocks.k_chi_phi[:, :n], k_cc),
@@ -564,21 +569,25 @@ def test_feature_assembly_peak_memory(monkeypatch, kind, size, n_quad):
     assert peak <= 3.0 * unit, f"peak {peak / unit:.2f} N x G arrays"
 
 
-def test_on_grid_matches_dense_evaluation(monkeypatch):
+def test_on_grid_matches_dense_evaluation():
     # the matrix-free grid evaluation against the dense matrix it replaces
     rng = np.random.default_rng(5)
     for fs in _grid_cases():
         blocks = assemble_features(SPEC, fs)
+        quad_eval = _dense_blocks(fs)[2]
         c = rng.standard_normal(fs.n_features + fs.n_boundary)
-        want = blocks.quad_eval @ c
+        want = quad_eval @ c
         assert np.max(np.abs(blocks.on_grid(c) - want)) <= \
             1e-12 * np.abs(want).max()
-        # the operator block paired a quarter of the rows at a time
-        monkeypatch.setattr(kernels, "_PAIR_WHOLE_ELEMENTS", 0)
-        blocked = assemble_features(SPEC, fs).k_phi_phi
-        monkeypatch.undo()
-        assert _rel(blocked, blocks.k_phi_phi) <= 1e-14
-        assert np.array_equal(blocked, blocked.T)
+        # a matrix of coefficient columns gives the columns' values; its
+        # GEMMs and stacked transforms round apart from the vector path's
+        # by a few ulps (2.6e-16 of the largest value on these cases)
+        cols = rng.standard_normal((fs.n_features + fs.n_boundary, 3))
+        got = blocks.on_grid(cols)
+        want = np.column_stack([blocks.on_grid(cols[:, j])
+                                for j in range(3)])
+        assert got.shape == want.shape
+        assert _rel(got, want) <= 1e-14
 
 
 @pytest.mark.parametrize("kind", ["sine1d", "sine2d", "fem1d"])

@@ -5,7 +5,9 @@ import pytest
 import scipy.linalg
 from scipy.integrate import quad
 
+import nessolve.kernels as kernels
 from nessolve.errors import ResolutionTooCoarseError
+from nessolve.gauss_newton import KKTSystem
 from nessolve.kernels import KernelSpec
 from nessolve.noise import NoisePath, build_path
 from nessolve.spaces import GridFunction, MeasurementVector, basis_values, \
@@ -20,6 +22,17 @@ def _sine_cfg(**kw):
                 kernel=KernelSpec("matern52", 0.05), gamma=1e-12)
     base.update(kw)
     return SpdeConfig(**base)
+
+
+def _dense_quad_eval(stepper):
+    """The stepper's G x (N+M) grid evaluation matrix, formed densely: the
+    grid products of the weight rows plus the stencil rows, then the
+    boundary columns."""
+    fs, spec = stepper.features, stepper.cfg.kernel
+    rows = kernels._grid_product(spec, fs.weights_val, fs.n_quad, 1)
+    rows += kernels._tent_rows(spec, fs, fs.quad_points)
+    return np.vstack([rows, kernels._pairwise(spec, fs.boundary_points,
+                                              fs.quad_points)]).T
 
 
 def test_config_validation():
@@ -247,7 +260,7 @@ def test_heat_step_matches_dgglse_under_refinement():
     out = scipy.linalg.lapack.dgglse(stack, blocks.k_x_phi.copy(), d,
                                      np.zeros(2))
     assert out[-1] == 0
-    ref = blocks.quad_eval @ out[3]
+    ref = _dense_quad_eval(stepper) @ out[3]
     assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
@@ -270,3 +283,22 @@ def test_fem_step_matches_per_step_projection():
     m = basis_values(space, x) @ (trapezoid_weights(cfg.n_quad) * rhs)
     want = stepper.solution_map @ (m + cfg.sigma * dxi.entries)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("family, nu", [("heat", 0.025),
+                                        ("allen_cahn", 1e-4)])
+def test_solution_map_matches_dense_evaluation(family, nu):
+    # the map formed from on_grid columns, at the heat and allen_cahn
+    # defaults, against the dense evaluation matrix times the solved
+    # coefficients; they differ by 9.9e-14 and 3.0e-13 of the largest entry
+    dt = 2.0 ** -10
+    cfg = SpdeConfig(family=family, nu=nu, sigma=0.1, t_final=dt, dt=dt,
+                     space=build_test_space("fem1d", 64),
+                     kernel=KernelSpec("matern52", 0.05), gamma=1e-10)
+    stepper = Stepper(cfg)
+    coeffs = KKTSystem(stepper.ctx, stepper.blocks, cfg.gamma).solve(
+        np.eye(cfg.space.size), np.zeros(2))
+    want = _dense_quad_eval(stepper) @ coeffs
+    assert stepper.solution_map.shape == want.shape
+    assert np.max(np.abs(stepper.solution_map - want)) <= \
+        1e-12 * np.max(np.abs(want))
