@@ -43,9 +43,12 @@ def main(argv=None) -> int:
         if not isinstance(file_cfg, dict):
             print("config file must be a mapping", file=sys.stderr)
             return 1
-    seed = args.seed if args.seed is not None else file_cfg.pop("seed", None)
-    out_dir = args.out or file_cfg.pop("out", None)
-    full_scale = args.full_scale or bool(file_cfg.pop("full_scale", False))
+    file_seed = file_cfg.pop("seed", None)
+    file_out = file_cfg.pop("out", None)
+    file_full_scale = bool(file_cfg.pop("full_scale", False))
+    seed = args.seed if args.seed is not None else file_seed
+    out_dir = args.out or file_out
+    full_scale = args.full_scale or file_full_scale
     if seed is None:
         print("a seed is required (--seed or 'seed:' in the config)",
               file=sys.stderr)

@@ -24,7 +24,7 @@ from .kernels import FeatureSet, KernelSpec, assemble_collocation, \
     assemble_features, evaluate_collocation
 from .seminorm import SeminormContext
 from .spaces import GridFunction, MeasurementVector, build_test_space, \
-    grid_points, project, synthesize
+    default_n_quad, grid_points, project, synthesize
 from .spde import SpdeConfig
 
 __all__ = ["ExperimentConfig", "run_experiment", "check_thresholds",
@@ -356,7 +356,7 @@ def _spde_seed(p: dict, family: str, seed: int):
     """Space-time error of one seed's kernel run against its reference,
     and the final grid values of both.  The seed's trajectories and noise
     path are dropped on return, before the next seed's are built."""
-    n_quad = 4 * p["n_fem"] + 1
+    n_quad = default_n_quad(build_test_space("fem1d", p["n_fem"]))
     init_grid, init_coeffs = _spde_initial(n_quad, p["truncation"])
     coarse_path, ref = _spde_paths(p, family, seed, init_coeffs, n_quad)
     with _stage("kernel_integration"):
@@ -400,9 +400,10 @@ def _run_rate_study(p: dict) -> dict:
     op = operators.OperatorSpec("linear_elliptic", p["nu"])
     ctx = SeminormContext.build(space, s)
     with _stage("assembly"):
-        lin = operators.linearize(op, GridFunction(np.zeros(4 * n + 1)))
+        n_quad = default_n_quad(space)
+        lin = operators.linearize(op, GridFunction(np.zeros(n_quad)))
         fs = FeatureSet(space, lin.c_field.values, lin.nu_diff,
-                        _boundary_1d(), 4 * n + 1)
+                        _boundary_1d(), n_quad)
         blocks = assemble_features(kernel, fs)
 
     def coeffs_for(gamma):

@@ -30,7 +30,8 @@ from .kernels import FeatureSet, GramBlocks, KernelSpec, assemble_features, \
     evaluate_features
 from .operators import OperatorSpec
 from .seminorm import SeminormContext, seminorm_squared
-from .spaces import GridFunction, MeasurementVector, TestSpace, project
+from .spaces import GridFunction, MeasurementVector, TestSpace, \
+    default_n_quad, project
 
 __all__ = ["SolverConfig", "Representer", "SolveReport", "KKTSystem",
            "constrained_ls_solve", "solve", "evaluate"]
@@ -60,10 +61,8 @@ class SolverConfig:
             raise ValueError("need at least one iteration")
         bp = np.atleast_1d(np.asarray(self.boundary_points, dtype=float))
         object.__setattr__(self, "boundary_points", bp)
-        n_modes = self.space.n_per_dim if self.space.kind == "sine2d" \
-            else self.space.size
-        n_quad = self.n_quad or 4 * n_modes + 1
-        object.__setattr__(self, "n_quad", n_quad)
+        object.__setattr__(self, "n_quad",
+                           self.n_quad or default_n_quad(self.space))
         m = bp.shape[0]
         g = np.zeros(m) if self.g_boundary is None \
             else np.asarray(self.g_boundary, dtype=float)

@@ -1,14 +1,14 @@
 """Matern-5/2 kernel and Gram-block assembly for operator/boundary features.
 
 Operator features are weak integrals of the linearized operator applied to
-the kernel.  For sine test functions the Laplacian is moved onto the test
-function, exactly, via its eigenvalue, so every feature is a weighted sum
-of kernel values on a uniform quadrature grid.  For fem tent functions the
-value part is such a sum too, and the diffusion part nu int phi_i' u' is
-exactly nu (2 u(z_i) - u(z_{i-1}) - u(z_{i+1})) / h at the tent nodes
-z_0..z_{N+1} (``FeatureSet.stiffness``).  So only the value kernel is ever
-integrated, and every Gram block is weight rows, plus for fem that
-three-point stencil, applied to pairwise kernel matrices.
+the kernel.  Every feature is a weighted sum of kernel values on a uniform
+quadrature grid, one weight row per feature.  For sine test functions the
+Laplacian is moved onto the test function, exactly, via its eigenvalue.
+For fem tent functions the diffusion part nu int phi_i' u' is exactly
+nu (2 u(z_i) - u(z_{i-1}) - u(z_{i+1})) / h at the tent nodes z_k = k h,
+which the grid is required to contain, so it is three grid deltas in the
+weight row.  So only the value kernel is ever integrated, and every Gram
+block is weight rows applied to pairwise kernel matrices.
 
 On the grid itself that pairwise matrix depends only on the offset between
 nodes (Toeplitz in 1D, block-Toeplitz in 2D), so the grid-by-grid products
@@ -19,8 +19,8 @@ is ever formed.  With q points per dim, the circulant has period 2(q-1) in
 next_fast_len(2q-1) in 1D (see ``_grid_product`` for why 1D keeps it).
 The 2D transforms go one axis at a time, y then x forward and x then y
 inverse, so that neither the zero padding nor the cropped rows are
-transformed along y.  Products against the boundary points, the tent nodes
-and arbitrary evaluation points are small and stay dense.
+transformed along y.  Products against the boundary points and arbitrary
+evaluation points are small and stay dense.
 
 Pointwise collocation features pair the kernel with the operator at both
 points; the derivatives involved share one exponential, so each entry
@@ -32,14 +32,13 @@ weight rows are sines times a diagonal.  In 1D, pairing with them is a
 DST-I and combining them a sine synthesis (Britanak, Yip & Rao, *Discrete
 Cosine and Sine Transforms*, 2007); in 2D the sines are separable,
 2 sin(pi i x) sin(pi j y), so both are contractions with the p x q axis
-sines, one axis at a time.  Assembly forms their rows a block of 256 KiB
-at a time, takes their grid products and pairs them at once.  fem1d
-features hold one N x G array, the value weight rows, formed in place over
-the basis values; assembly takes the grid products of all rows and pairs
-them with the weights by one GEMM.  Every pairing of the weights with
-kernel values, on the grid or against the boundary points and tent nodes,
-goes through ``FeatureSet.pair``.  Either way the operator block is
-written straight into the Gram array, which is then symmetrized in place.
+sines, one axis at a time.  fem features hold one N x G array, their
+weight rows, formed in place over the basis values, and pair by GEMM.
+Assembly forms or reads the rows a block of 256 KiB at a time, takes their
+grid products and pairs them at once.  Every pairing of the weights with
+kernel values, on the grid or against the boundary points, goes through
+``FeatureSet.pair``.  The operator block is written straight into the
+Gram array, which is then symmetrized in place.
 
 Grid values of representers are taken one way only, matrix-free
 (``GramBlocks.on_grid``): one grid product per combined weight row, for a
@@ -141,13 +140,15 @@ def kernel_matrix(spec: KernelSpec, x, y=None) -> np.ndarray:
 class FeatureSet:
     """Weak operator features over a quadrature grid plus boundary points.
 
-    The linearized operator is -nu_diff * Laplacian + c(x).  ``weights_val``
-    encodes every feature as a weighted sum of kernel values at the
-    quadrature nodes.  For fem1d that is the value part c u only; the
-    diffusion part is ``stiffness`` applied to values at the tent
-    ``nodes``, so no derivative of the kernel is ever integrated.
+    The linearized operator is -nu_diff * Laplacian + c(x).  Every feature
+    is a row of weights on the kernel values at the quadrature nodes
+    (``value_rows``).  A fem row is the tent times w c, plus the diffusion
+    part nu (2 delta_{z_i} - delta_{z_{i-1}} - delta_{z_{i+1}}) / h at the
+    tent nodes, exact since phi_i' is +-1/h on the two cells of tent i; so
+    the grid spacing must divide h, and no derivative of the kernel is
+    ever integrated.
 
-    fem1d features store their weights, formed in place over the basis
+    fem features store their weights, formed in place over the basis
     values, one N x G array.  Sine features store none: row i at node x_k
     is phi_i(x_k) (w_k c_k + nu lambda_i w_k), so the rows a grid product
     needs are formed a block at a time (``value_rows``), pairing grid rows
@@ -157,7 +158,6 @@ class FeatureSet:
     DST-I over the interior nodes.  In 2D, phi_(i,j)(x_k, y_l) =
     2 s_ik s_jl with the p x q axis sines s_ik = sin(pi i x_k), so the
     transform is a contraction with s along y, then along x.
-    ``weights_val`` is then formed on every read.
     """
 
     space: TestSpace
@@ -166,7 +166,7 @@ class FeatureSet:
     boundary_points: np.ndarray
     n_quad: int
     quad_points: np.ndarray = field(default=None, repr=False)
-    # the value weights, fem1d only
+    # the weight rows, fem only
     _weights: np.ndarray = field(default=None, init=False, repr=False)
     # the p x q axis sines sin(pi i x_k), sine2d only
     _sines: np.ndarray = field(default=None, init=False, repr=False)
@@ -179,9 +179,12 @@ class FeatureSet:
                 raise ResolutionTooCoarseError(
                     f"{self.n_quad} quadrature points per dim cannot resolve "
                     f"{n_modes} sine modes")
-        elif sp.kind == "fem1d" and self.n_quad - 1 < 2 * (sp.size + 1):
+        elif sp.kind == "fem1d" and (self.n_quad - 1 < 2 * (sp.size + 1) or
+                                     (self.n_quad - 1) % (sp.size + 1)):
             raise ResolutionTooCoarseError(
-                "grid too coarse for the tent-function mesh")
+                f"{self.n_quad} grid points cannot hold the nodes of "
+                f"{sp.size} tents: need {sp.size + 1} m + 1 points, m >= 2 "
+                f"an integer")
         pts = grid_points(self.n_quad, sp.dim)
         w = trapezoid_weights(self.n_quad, sp.dim)
         c = np.broadcast_to(np.asarray(self.c_field, dtype=float).ravel(),
@@ -202,6 +205,13 @@ class FeatureSet:
 
         wv = spaces.basis_values(sp, pts)
         wv *= w * c
+        # the diffusion part as deltas: tent node z_k is grid node k r
+        r = (self.n_quad - 1) // (sp.size + 1)
+        i = np.arange(sp.size)
+        d = self.nu_diff / sp.h
+        wv[i, (i + 1) * r] += 2.0 * d
+        wv[i, i * r] -= d
+        wv[i, (i + 2) * r] -= d
         object.__setattr__(self, "_weights", wv)
 
     @property
@@ -212,35 +222,13 @@ class FeatureSet:
     def n_boundary(self) -> int:
         return self.boundary_points.shape[0]
 
-    @property
-    def nodes(self) -> np.ndarray:
-        """The fem1d tent nodes z_0..z_{N+1}, endpoints included."""
-        return np.arange(self.space.size + 2) * self.space.h
-
-    def stiffness(self, f: np.ndarray, axis: int) -> np.ndarray:
-        """nu (2 f_i - f_{i-1} - f_{i+1}) / h along ``axis`` of ``f``, whose
-        N+2 entries there are values at the tent ``nodes``: the diffusion
-        part nu int phi_i' u' of fem feature i, exact for any u with those
-        nodal values, since phi_i' is +-1/h on the two cells of tent i."""
-        f = np.moveaxis(f, axis, 0)
-        out = 2.0 * f[1:-1]
-        out -= f[:-2]
-        out -= f[2:]
-        out *= self.nu_diff / self.space.h
-        return np.moveaxis(out, 0, axis)
-
-    @property
-    def weights_val(self) -> np.ndarray:
-        """The N x G value weights; for sine features formed on every read
-        and not kept."""
-        return self.value_rows(slice(None))
-
     def value_rows(self, rows: slice) -> np.ndarray:
-        """Rows ``rows`` of the value weights: a view of the stored fem1d
-        array, or for sine features those rows formed now, with the bits of
-        the same rows of ``weights_val``.  A sine2d row is the outer
-        product of two rows of the axis sines, times 2: the bits of the
-        same row of ``spaces.basis_values``."""
+        """Rows ``rows`` of the weights W on the kernel values: a view of
+        the stored fem array, or for sine features those rows formed now,
+        entry by entry, so a block of rows has the bits of the same rows of
+        the whole.  A sine2d row is the outer product of two rows of the
+        axis sines, times 2: the bits of the same row of
+        ``spaces.basis_values``."""
         if self._weights is not None:
             return self._weights[rows]
         if self._sines is None:
@@ -271,7 +259,7 @@ class FeatureSet:
             b += a
 
     def pair(self, t: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """t @ weights_val.T for rows ``t`` of values on the grid, written
+        """t @ W.T for rows ``t`` of values on the grid, written
         into ``out`` when given.
 
         For sine1d, row i of the weights is sqrt(2) sin(pi i k/(q-1)) times
@@ -319,7 +307,7 @@ class FeatureSet:
         return np.multiply(s, np.sqrt(2.0) / 2.0, out=out)
 
     def combine(self, alpha: np.ndarray) -> np.ndarray:
-        """The combined weight rows alpha^T @ weights_val: one row for a
+        """The combined weight rows alpha^T @ W: one row for a
         vector ``alpha``, one per column of an N x K matrix.  For sine1d,
         w c synth(alpha) + w synth(nu lambda alpha), with synth the sine
         synthesis on the grid of each column, all in one stacked DST-I (one
@@ -373,13 +361,11 @@ class GramBlocks:
         or the G x K values of an (N+M) x K matrix of coefficient columns:
         one grid product per combined weight row sum_i alpha_i w_i
         (``FeatureSet.combine``, sine syntheses for sine features), plus
-        for fem the stencil rows, plus the boundary columns."""
+        the boundary columns."""
         fs, n = self.features, self.n_features
         rows = fs.combine(coeffs[:n])
         values = _grid_product(self.spec, rows.reshape(-1, rows.shape[-1]),
                                fs.n_quad, fs.space.dim).reshape(rows.shape)
-        if fs.space.kind == "fem1d":
-            values += coeffs[:n].T @ _tent_rows(self.spec, fs, fs.quad_points)
         values += coeffs[n:].T @ _pairwise(self.spec, fs.boundary_points,
                                            fs.quad_points)
         return values.T
@@ -454,22 +440,11 @@ def _grid_product(spec: KernelSpec, w: np.ndarray, n_quad: int, dim: int,
     return out
 
 
-def _tent_rows(spec: KernelSpec, fs: FeatureSet, pts) -> np.ndarray:
-    """D K(z, y) for the points y in ``pts``: row i is the diffusion part
-    of fem feature i applied to K(., y), by the stencil on the nodes z."""
-    return fs.stiffness(_pairwise(spec, fs.nodes, pts), 0)
-
-
 def _operator_blocks(spec: KernelSpec, fs: FeatureSet, right_pts):
-    """Features paired with K(., y_l) for the points ``right_pts`` (dense).
-
-    Row i is chi_i applied to K(., y_l): the weights paired with the
-    kernel columns (``FeatureSet.pair``), plus for fem the stencil rows.
-    """
-    val = fs.pair(_pairwise(spec, right_pts, fs.quad_points)).T
-    if fs.space.kind == "fem1d":
-        val += _tent_rows(spec, fs, right_pts)
-    return val
+    """Features paired with K(., y_l) for the points ``right_pts`` (dense):
+    row i is chi_i applied to K(., y_l), the weights paired with the kernel
+    columns (``FeatureSet.pair``)."""
+    return fs.pair(_pairwise(spec, right_pts, fs.quad_points)).T
 
 
 def _symmetrize(a: np.ndarray) -> None:
@@ -503,30 +478,21 @@ def _gram(g: np.ndarray, k_cb, k_bb, spec: KernelSpec = None,
 def assemble_features(spec: KernelSpec, fs: FeatureSet) -> GramBlocks:
     """All Gram blocks of the operator and boundary features.
 
-    The value part of the operator block is taken a block of rows at a
-    time: that block's weight rows (formed now for sine features), their
-    grid products, then at once their pairing with the weights in y
-    (``FeatureSet.pair``), written into the Gram array; no N x G product
-    is kept.  For fem, with D the stencil and E = W K(grid, z), the terms
-    E D^T + D E^T + D K(z, z) D^T are then added.
+    The operator block is taken a block of rows at a time: that block's
+    weight rows (formed now for sine features), their grid products, then
+    at once their pairing with the weights in y (``FeatureSet.pair``),
+    written into the Gram array; no N x G product is kept.
     """
     n, m = fs.n_features, fs.n_boundary
     q, dim = fs.n_quad, fs.space.dim
 
     g = np.empty((n + m, n + m))
-    block = n if fs.space.kind == "fem1d" else \
-        max(1, _WEIGHT_BLOCK_ELEMENTS // q ** dim)
+    block = max(1, _WEIGHT_BLOCK_ELEMENTS // q ** dim)
     for lo in range(0, n, block):
         rows = slice(lo, min(lo + block, n))
         t = _grid_product(spec, fs.value_rows(rows), q, dim)
         fs.pair(t, out=g[rows, :n])
         del t
-    if fs.space.kind == "fem1d":
-        z = fs.nodes
-        de = fs.stiffness(fs.pair(_pairwise(spec, z, fs.quad_points)), 0)
-        g[:n, :n] += de.T
-        g[:n, :n] += de
-        g[:n, :n] += fs.stiffness(_tent_rows(spec, fs, z), 1)
 
     k_cb = _operator_blocks(spec, fs, fs.boundary_points)     # N x M
     return _gram(g, k_cb, kernel_matrix(spec, fs.boundary_points), spec, fs)

@@ -33,9 +33,6 @@ class SeminormContext:
         a = stiffness_matrix(space, s)
         return cls(space, s, chol=scipy.linalg.cholesky(a, lower=True))
 
-    def matrix(self) -> np.ndarray:
-        return stiffness_matrix(self.space, self.s)
-
     def apply_inverse(self, m: np.ndarray) -> np.ndarray:
         """A^{-1} m via the diagonal shortcut or triangular solves."""
         m = np.asarray(m, dtype=float)

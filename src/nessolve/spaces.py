@@ -25,6 +25,7 @@ __all__ = [
     "GridFunction",
     "MeasurementVector",
     "build_test_space",
+    "default_n_quad",
     "stiffness_matrix",
     "mass_matrix",
     "project",
@@ -139,6 +140,15 @@ def build_test_space(kind: str, size: int = 0, n_per_dim: int = 0) -> TestSpace:
             raise ValueError("fem1d requires size >= 1")
         return TestSpace(kind, size, h=1.0 / (size + 1))
     raise ValueError(f"unknown test space kind {kind!r}")
+
+
+def default_n_quad(space: TestSpace) -> int:
+    """Quadrature grid points per dim when none are given: 4p + 1 for p
+    sine modes per dim, and 4(N + 1) + 1 for N fem tents, so that every
+    tent node k / (N + 1) is a grid node."""
+    if space.kind == "fem1d":
+        return 4 * (space.size + 1) + 1
+    return 4 * (space.n_per_dim if space.kind == "sine2d" else space.size) + 1
 
 
 def stiffness_matrix(space: TestSpace, s: float) -> np.ndarray:

@@ -25,7 +25,7 @@ from .kernels import FeatureSet, KernelSpec, assemble_features
 from .noise import NoisePath
 from .seminorm import SeminormContext
 from .spaces import GridFunction, MeasurementVector, TestSpace, \
-    build_test_space, project
+    build_test_space, default_n_quad, project, tent_projection_weights
 
 __all__ = ["SpdeConfig", "Trajectory", "Stepper", "integrate",
            "tent_sine_cross_gram"]
@@ -64,7 +64,7 @@ class SpdeConfig:
         if self.kernel is None:
             object.__setattr__(self, "kernel", KernelSpec())
         if self.n_quad == 0:
-            object.__setattr__(self, "n_quad", 4 * self.space.size + 1)
+            object.__setattr__(self, "n_quad", default_n_quad(self.space))
 
     @property
     def n_steps(self) -> int:
@@ -119,13 +119,14 @@ class Stepper:
         # grid values of the step for each unit measurement, boundary zero
         self.solution_map = self.blocks.on_grid(
             kkt.solve(np.eye(cfg.space.size), np.zeros(2)))
+        # the matrix of the fem projection, formed once, not per step
+        self._tents = tent_projection_weights(cfg.space, cfg.n_quad) \
+            if cfg.space.kind == "fem1d" else None
 
     def measure(self, values: np.ndarray) -> np.ndarray:
-        """Projection of solver-grid values onto cfg.space.  fem1d features
-        with c = 1 store the tents times the trapezoid weights, the matrix
-        of the fem projection, so it is not formed again per call."""
-        if self.cfg.space.kind == "fem1d":
-            return self.features.weights_val @ values
+        """Projection of solver-grid values onto cfg.space."""
+        if self._tents is not None:
+            return self._tents @ values
         return project(GridFunction(values), self.cfg.space).entries
 
     def step(self, u_grid: np.ndarray,

@@ -22,7 +22,7 @@ from nessolve.noise import sample_wiener_increment, stream
 from nessolve.operators import OperatorSpec, apply, laplacian, linearize
 from nessolve.seminorm import SeminormContext, seminorm_squared
 from nessolve.spaces import GridFunction, MeasurementVector, \
-    build_test_space, grid_points
+    build_test_space, grid_points, stiffness_matrix
 
 SEED = 7
 
@@ -157,7 +157,7 @@ def _check_kkt_oracle():
     g = np.array([0.1, -0.2])
     gamma = 1e-3
     b, c_mat = blocks.k_chi_phi, blocks.k_x_phi
-    a_inv = np.linalg.inv(ctx.matrix())
+    a_inv = np.linalg.inv(stiffness_matrix(ctx.space, ctx.s))
     q = 2.0 * (b.T @ a_inv @ b + gamma * blocks.k_phi_phi)
     c_p = np.linalg.lstsq(c_mat, g, rcond=None)[0]
     z = scipy.linalg.null_space(c_mat)

@@ -18,7 +18,7 @@ from nessolve.errors import StageError
 from nessolve.experiments import DEFAULTS, EXPERIMENTS, ExperimentConfig, \
     _sine_series_at_nodes, _spde_initial, _spde_paths, check_thresholds, \
     run_experiment
-from nessolve.spaces import build_test_space
+from nessolve.spaces import build_test_space, default_n_quad
 from nessolve.spde import tent_sine_cross_gram
 
 SMALL = {
@@ -203,6 +203,21 @@ def test_cli_run_with_config(tmp_path, capsys):
     assert (tmp_path / "out" / "results.json").exists()
 
 
+def test_cli_flags_win_over_the_same_keys_in_the_config(tmp_path, capsys):
+    # seed, out and full_scale set in the file and by a flag: the flags win
+    f = tmp_path / "cfg.yaml"
+    yaml.safe_dump(dict(SMALL["rate_study"], seed=3, full_scale=False,
+                        out=str(tmp_path / "file_out")), f.open("w"))
+    out = tmp_path / "flag_out"
+    code = main(["rate_study", "--config", str(f), "--seed", "7",
+                 "--out", str(out), "--full-scale"])
+    capsys.readouterr()
+    assert code == 0
+    config = json.loads((out / "results.json").read_text())["config"]
+    assert config["seed"] == 7 and config["full_scale"] is True
+    assert not (tmp_path / "file_out").exists()
+
+
 def test_cli_check_flags_violations(tmp_path, capsys):
     f = tmp_path / "cfg.yaml"
     yaml.safe_dump({"n_modes": 64, "truncation": 256, "gamma": 1e-2},
@@ -225,7 +240,7 @@ def test_streamed_spde_paths_match_the_materialized_path(family):
     p["refine"] = 4
     dt, refine, trunc = p["dt"], p["refine"], p["truncation"]
     n_steps = int(round(p["t_final"] / dt))
-    n_quad = 4 * p["n_fem"] + 1
+    n_quad = default_n_quad(build_test_space("fem1d", p["n_fem"]))
     _, init = _spde_initial(n_quad, trunc)
     coarse, ref = _spde_paths(p, family, 5, init, n_quad)
 

@@ -13,7 +13,8 @@ from nessolve.kernels import FeatureSet, GramBlocks, KernelSpec, \
     assemble_features
 from nessolve.operators import OperatorSpec
 from nessolve.seminorm import SeminormContext
-from nessolve.spaces import MeasurementVector, build_test_space, grid_points
+from nessolve.spaces import MeasurementVector, build_test_space, \
+    default_n_quad, grid_points, stiffness_matrix
 
 KER = KernelSpec("matern52", 0.2)
 BP = np.array([0.0, 1.0])
@@ -34,7 +35,7 @@ def _null_space_oracle(ctx, blocks, r, g, gamma):
     """Dense reduced-space solve of the step QP, independent of the solver."""
     b = blocks.k_chi_phi
     c_mat = blocks.k_x_phi
-    a_inv = np.linalg.inv(ctx.matrix())
+    a_inv = np.linalg.inv(stiffness_matrix(ctx.space, ctx.s))
     q = 2.0 * (b.T @ a_inv @ b + gamma * blocks.k_phi_phi)
     b_lin = -2.0 * b.T @ a_inv @ r
     c_p = np.linalg.lstsq(c_mat, g, rcond=None)[0]
@@ -90,8 +91,9 @@ def test_loss_terms_match_their_definitions():
     coeffs = kkt.solve(r, g)
     misfit, penalty = kkt.loss_terms(coeffs, r)
     resid = blocks.k_chi_phi @ coeffs - r
-    assert misfit == pytest.approx(
-        resid @ np.linalg.solve(ctx.matrix(), resid), rel=1e-10)
+    a = stiffness_matrix(ctx.space, ctx.s)
+    assert misfit == pytest.approx(resid @ np.linalg.solve(a, resid),
+                                   rel=1e-10)
     gram = blocks.k_phi_phi + kkt._reg * np.eye(len(coeffs))
     assert penalty == pytest.approx(gamma * coeffs @ gram @ coeffs,
                                     rel=1e-10)
@@ -170,7 +172,8 @@ def _mp_step(ctx, blocks, r, g, gamma, rho):
         gram = mp.matrix(blocks.k_phi_phi.tolist())
         n, n_primal, m = r.shape[0], gram.rows, g.shape[0]
         b = gram[:n, :]
-        a_inv_b = mp.inverse(mp.matrix(ctx.matrix().tolist())) * b
+        a = stiffness_matrix(ctx.space, ctx.s)
+        a_inv_b = mp.inverse(mp.matrix(a.tolist())) * b
         h = 2 * (b.T * a_inv_b)
         a_inv_b_r = 2 * (a_inv_b.T * mp.matrix(r.tolist()))
         kkt = mp.zeros(n_primal + m)
@@ -198,7 +201,8 @@ def test_step_matches_50_digit_oracle(kind, n):
     # (fem1d); the bound is ten times the largest of them
     gamma = 1e-12
     sp = build_test_space(kind, n)
-    fs = FeatureSet(sp, np.ones(4 * n + 1), 0.01, BP, 4 * n + 1)
+    q = default_n_quad(sp)
+    fs = FeatureSet(sp, np.ones(q), 0.01, BP, q)
     blocks = assemble_features(KER, fs)
     ctx = SeminormContext.build(sp, 1.0)
     r = np.random.default_rng(n).standard_normal(n)
@@ -286,7 +290,8 @@ def test_identity_solves_match_padded_identity_formation(n):
 def test_matrix_of_right_hand_sides_matches_column_solves(kind):
     # fem spaces whiten through the Cholesky factor of the energy Gram
     sp = build_test_space(kind, 8)
-    fs = FeatureSet(sp, np.ones(33), 0.05, BP, 33)
+    q = default_n_quad(sp)
+    fs = FeatureSet(sp, np.ones(q), 0.05, BP, q)
     ctx = SeminormContext.build(sp, 1.0)
     kkt = KKTSystem(ctx, assemble_features(KER, fs), 1e-6)
     rng = np.random.default_rng(11)

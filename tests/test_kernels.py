@@ -227,24 +227,26 @@ def _fem_feature_error(spec, n, q, nu, cc=1.0):
 def test_fem_assembly_second_order_convergence():
     # the assembled fem boundary features against the exact strong-form
     # values: the diffusion part is exact by the tent stencil, so what is
-    # left is the trapezoid rule on the value part, at least second order
-    # in the quadrature spacing.  Measured maximum errors: 3.1e-7 at
-    # q=1025 and 2.0e-8 at q=4097 (by the trapezoid rule on the tent
-    # derivatives they were 5.4e-4 and 1.3e-4); the bounds give a margin
-    # of 2.
-    e1, _ = _fem_feature_error(SPEC, 4, 1025, 0.1)
-    e2, _ = _fem_feature_error(SPEC, 4, 4097, 0.1)
+    # left is the trapezoid rule on the value part, second order in the
+    # quadrature spacing on grids that hold the tent nodes.  Measured
+    # maximum errors: 6.4e-8 at q=1026 and 4.0e-9 at q=4096, ratio 16
+    # (3.1e-7 and 2.0e-8 at q=1025 and 4097, whose nodes miss the kinks,
+    # which the bounds were set from; 5.4e-4 and 1.3e-4 by the trapezoid
+    # rule on the tent derivatives)
+    e1, _ = _fem_feature_error(SPEC, 4, 1026, 0.1)
+    e2, _ = _fem_feature_error(SPEC, 4, 4096, 0.1)
     assert e1 <= 6.4e-7
     assert e2 <= 4e-8
     assert e1 / e2 >= 3.5
 
 
 def test_fem_features_at_heat_size():
-    # the SPDE stepper's size: 64 tents on 257 grid points, whose spacing
-    # 1/256 misses the nodes k/65.  Measured 2.2e-4 of the largest feature
-    # (0.81 by the trapezoid rule on the tent derivatives)
-    err, scale = _fem_feature_error(KernelSpec(), 64, 257, 0.1)
-    assert err <= 1e-3 * scale
+    # the SPDE stepper's size: 64 tents on 261 grid points, whose nodes
+    # include the tent nodes k/65.  Measured 9.9e-6 of the largest feature
+    # (2.2e-4 on 257 points, whose spacing 1/256 misses the tent nodes;
+    # 0.81 by the trapezoid rule on the tent derivatives)
+    err, scale = _fem_feature_error(KernelSpec(), 64, 261, 0.1)
+    assert err <= 2e-5 * scale
 
 
 def test_feature_gram_double_strong_oracle():
@@ -328,7 +330,7 @@ def test_quadrature_doubling_invariance():
 
 def _grid_cases():
     """Small feature sets covering every kind: sine values in 1D and 2D,
-    and fem with nu_diff != 0 so its stencil terms run."""
+    and fem with nu_diff != 0 so its stencil weights count."""
     rng = np.random.default_rng(3)
     bp1 = np.array([0.0, 1.0])
     bp2 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
@@ -338,31 +340,20 @@ def _grid_cases():
                    0.2, bp1, 65),
         FeatureSet(build_test_space("sine2d", n_per_dim=4),
                    1.0 + rng.random(17 ** 2), 0.1, bp2, 17),
-        FeatureSet(build_test_space("fem1d", 8), 1.0 + rng.random(65),
-                   0.3, bp1, 65),
+        FeatureSet(build_test_space("fem1d", 8), 1.0 + rng.random(73),
+                   0.3, bp1, 73),
     ]
 
 
 def _dense_blocks(fs):
     """The operator block, the operator-boundary block and the G x (N+M)
-    grid evaluation matrix from dense pairwise kernel matrices.  A fem
-    feature is its value weights on the grid plus the stiffness stencil D
-    on the tent nodes z, so its rows are [W | D] against K([grid; z], .)."""
+    grid evaluation matrix from the weight rows W of every kind and dense
+    pairwise kernel matrices."""
     grid, bp = fs.quad_points, fs.boundary_points
-    w = fs.weights_val
-    pts = grid
-    if fs.space.kind == "fem1d":
-        n, z = fs.n_features, fs.nodes
-        d = np.zeros((n, n + 2))
-        i = np.arange(n)
-        d[i, i + 1] = 2.0
-        d[i, i] = d[i, i + 2] = -1.0
-        d *= fs.nu_diff / fs.space.h
-        w = np.hstack([w, d])
-        pts = np.concatenate([grid, z])
-    t_val = w @ kernels._pairwise(SPEC, pts, grid)
-    k_cb = w @ kernels._pairwise(SPEC, pts, bp)
-    k_cc = w @ kernels._pairwise(SPEC, pts, pts) @ w.T
+    w = fs.value_rows(slice(None))
+    t_val = w @ kernels._pairwise(SPEC, grid, grid)
+    k_cb = w @ kernels._pairwise(SPEC, grid, bp)
+    k_cc = t_val @ w.T
     k_cc = 0.5 * (k_cc + k_cc.T)
     quad_eval = np.vstack([t_val, kernels._pairwise(SPEC, bp, grid)]).T
     return k_cc, k_cb, quad_eval
@@ -600,11 +591,19 @@ def test_weights_formed_in_place_keep_their_bits(monkeypatch, kind):
     w = trapezoid_weights(fs.n_quad, sp.dim)
     phi = basis_values(sp, fs.quad_points)
     if kind == "fem1d":
-        want = phi * (w * fs.c_field)
+        # the diffusion stencil nu (2, -1, -1) / h at the grid nodes that
+        # are tent nodes z_i, z_{i-1} and z_{i+1}
+        at = np.rint(np.arange(sp.size + 2) * sp.h * (fs.n_quad - 1))
+        at = at.astype(int)
+        stencil = np.zeros_like(phi)
+        i = np.arange(sp.size)
+        stencil[i, at[1:-1]] = 2.0 * (nu / sp.h)
+        stencil[i, at[:-2]] = stencil[i, at[2:]] = -(nu / sp.h)
+        want = phi * (w * fs.c_field) + stencil
     else:
         want = phi * (w * fs.c_field) + phi * (nu * sp.eigenvalues)[:, None] \
             * w
-    assert np.array_equal(fs.weights_val, want)
+    assert np.array_equal(fs.value_rows(slice(None)), want)
 
 
 def _k_cc_long_double(spec, fs):
@@ -655,7 +654,7 @@ def test_dst_pairing_against_long_double_oracle(n, c_kind):
     scale = np.max(np.abs(oracle))
 
     dst_k = assemble_features(spec, fs).k_phi_phi[:n, :n]
-    wv = fs.weights_val
+    wv = fs.value_rows(slice(None))
     gemm_k = kernels._grid_product(spec, wv, q, 1) @ wv.T
     gemm_k = 0.5 * (gemm_k + gemm_k.T)
     err_dst = float(np.max(np.abs(dst_k - oracle)) / scale)
@@ -700,7 +699,7 @@ def test_separable_pairing_against_long_double_oracle(p, c_kind):
     scale = np.max(np.abs(oracle))
 
     separable_k = assemble_features(spec, fs).k_phi_phi[:n, :n]
-    wv = fs.weights_val
+    wv = fs.value_rows(slice(None))
     gemm_k = kernels._grid_product(spec, wv, q, 2) @ wv.T
     gemm_k = 0.5 * (gemm_k + gemm_k.T)
     err_sep = float(np.max(np.abs(separable_k - oracle)) / scale)

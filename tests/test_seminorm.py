@@ -87,8 +87,8 @@ def test_whiten_consistency_sine():
     m = rng.standard_normal(9)
     w = ctx.whiten(m)
     assert float(w @ w) == pytest.approx(seminorm_squared(ctx, m), rel=1e-13)
-    assert np.allclose(ctx.apply_inverse(m), np.linalg.solve(ctx.matrix(), m),
-                       rtol=1e-12)
+    assert np.allclose(ctx.apply_inverse(m), np.linalg.solve(
+        stiffness_matrix(ctx.space, ctx.s), m), rtol=1e-12)
 
 
 def test_measurement_validation():

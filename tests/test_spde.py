@@ -26,13 +26,13 @@ def _sine_cfg(**kw):
 
 def _dense_quad_eval(stepper):
     """The stepper's G x (N+M) grid evaluation matrix, formed densely: the
-    grid products of the weight rows plus the stencil rows, then the
+    weight rows against the pairwise kernel matrix of the grid, then the
     boundary columns."""
     fs, spec = stepper.features, stepper.cfg.kernel
-    rows = kernels._grid_product(spec, fs.weights_val, fs.n_quad, 1)
-    rows += kernels._tent_rows(spec, fs, fs.quad_points)
+    grid = fs.quad_points
+    rows = fs.value_rows(slice(None)) @ kernels._pairwise(spec, grid, grid)
     return np.vstack([rows, kernels._pairwise(spec, fs.boundary_points,
-                                              fs.quad_points)]).T
+                                              grid)]).T
 
 
 def test_config_validation():
@@ -210,14 +210,14 @@ def test_increments_must_be_measured_against_the_scheme_basis():
 
 
 def test_fem_stored_measurements_match_projection():
-    # the Stepper measures states with its stored tent weights; on the
-    # states of a run they must equal project() bit for bit
+    # the Stepper measures states with the tent projection matrix it formed
+    # once; on the states of a run they must equal project() bit for bit
     dt = 1.0 / 1024
     cfg = SpdeConfig(family="allen_cahn", nu=0.025, sigma=0.1,
                      t_final=4 * dt, dt=dt,
                      space=build_test_space("fem1d", 16),
                      kernel=KernelSpec("matern52", 0.1), gamma=1e-10,
-                     initial=GridFunction(np.sin(np.pi * grid_points(65))))
+                     initial=GridFunction(np.sin(np.pi * grid_points(69))))
     traj = integrate(cfg, _fem_measured(build_path(5, "spectral", dt, 4, 64),
                                         cfg.space))
     stepper = Stepper(cfg)
@@ -227,12 +227,14 @@ def test_fem_stored_measurements_match_projection():
 
 
 def test_fem_grid_too_coarse_for_the_tents_raises():
-    # 17 grid points cannot resolve 8 tents (2 (N + 1) = 18 intervals)
-    cfg = SpdeConfig(family="heat", nu=0.025, sigma=0.0, t_final=1.0 / 64,
-                     dt=1.0 / 64, space=build_test_space("fem1d", 8),
-                     n_quad=17)
-    with pytest.raises(ResolutionTooCoarseError):
-        Stepper(cfg)
+    # 17 grid points cannot resolve 8 tents (2 (N + 1) = 18 intervals);
+    # 65 points, spacing 1/64, miss the tent nodes k/9
+    for n_quad in (17, 65):
+        cfg = SpdeConfig(family="heat", nu=0.025, sigma=0.0,
+                         t_final=1.0 / 64, dt=1.0 / 64,
+                         space=build_test_space("fem1d", 8), n_quad=n_quad)
+        with pytest.raises(ResolutionTooCoarseError):
+            Stepper(cfg)
 
 
 def test_heat_step_matches_dgglse_under_refinement():
@@ -290,7 +292,7 @@ def test_fem_step_matches_per_step_projection():
 def test_solution_map_matches_dense_evaluation(family, nu):
     # the map formed from on_grid columns, at the heat and allen_cahn
     # defaults, against the dense evaluation matrix times the solved
-    # coefficients; they differ by 9.9e-14 and 3.0e-13 of the largest entry
+    # coefficients; they differ by 1.4e-13 and 2.3e-13 of the largest entry
     dt = 2.0 ** -10
     cfg = SpdeConfig(family=family, nu=nu, sigma=0.1, t_final=dt, dt=dt,
                      space=build_test_space("fem1d", 64),
