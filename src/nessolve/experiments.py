@@ -339,8 +339,8 @@ def _spde_paths(p: dict, family: str, seed: int, init_coeffs: np.ndarray,
     dt, refine, trunc = p["dt"], p["refine"], p["truncation"]
     n_steps = int(round(p["t_final"] / dt))
     with _stage("reference"):
-        fine = noise.increment_blocks(seed, "spectral", dt / refine,
-                                      n_steps * refine, trunc, refine)
+        fine = noise.increment_blocks(seed, dt / refine, n_steps * refine,
+                                      trunc, refine)
         coarse = np.empty((n_steps, trunc))
         ref, _ = reference.spectral_galerkin_spde(
             family, p["nu"], p["sigma"], dt / refine, trunc, p["t_final"],
@@ -348,8 +348,7 @@ def _spde_paths(p: dict, family: str, seed: int, init_coeffs: np.ndarray,
             store_every=refine, n_grid=n_quad)
     fem = build_test_space("fem1d", p["n_fem"])
     cross = spde.tent_sine_cross_gram(fem, trunc)
-    return noise.NoisePath(seed, "fem", dt, n_steps, fem,
-                           coarse @ cross.T), ref
+    return noise.NoisePath(dt, fem, coarse @ cross.T), ref
 
 
 def _spde_seed(p: dict, family: str, seed: int):

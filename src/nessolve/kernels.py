@@ -174,11 +174,7 @@ class FeatureSet:
     def __post_init__(self):
         sp = self.space
         if sp.kind in ("sine1d", "sine2d"):
-            n_modes = sp.n_per_dim if sp.kind == "sine2d" else sp.size
-            if self.n_quad < 2 * n_modes + 2:
-                raise ResolutionTooCoarseError(
-                    f"{self.n_quad} quadrature points per dim cannot resolve "
-                    f"{n_modes} sine modes")
+            spaces._check_sine_resolution(sp, self.n_quad)
         elif sp.kind == "fem1d" and (self.n_quad - 1 < 2 * (sp.size + 1) or
                                      (self.n_quad - 1) % (sp.size + 1)):
             raise ResolutionTooCoarseError(

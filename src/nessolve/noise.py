@@ -1,5 +1,11 @@
 """Seeded rough forcings: spectral white noise and Wiener increments.
 
+Every increment is drawn one way: L independent N(0, dt) coefficients in
+the orthonormal sine basis.  A run measured against another basis gets the
+same Brownian path through that basis's exact cross Gram with the sines
+(``spde.tent_sine_cross_gram`` for fem1d tents), so the kernel run and the
+spectral reference are driven by one path.
+
 Streams are addressed by (seed, step) through the counter-based Philox
 generator: step k of a path is drawn from Philox keyed [k, seed] at counter
 0, so any step can be regenerated without replaying the ones before it and
@@ -17,10 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .spaces import MeasurementVector, TestSpace, build_test_space, \
-    mass_matrix
+from .spaces import MeasurementVector, TestSpace, build_test_space
 
 __all__ = ["NoisePath", "sample_white_noise_spectral",
            "sample_wiener_increment", "build_path", "increment_blocks",
@@ -69,39 +73,14 @@ def sample_white_noise_spectral(L: int, seed: int) -> MeasurementVector:
     return MeasurementVector(stream(seed).standard_normal(L), space)
 
 
-def _wiener_draw(out: np.ndarray, dt: float, rng: np.random.Generator,
-                 mass_chol: np.ndarray = None):
-    """Fill ``out`` with the coefficients of one increment: N(0, dt)
-    i.i.d., or with covariance dt times the mass matrix when its Cholesky
-    factor is given."""
-    if mass_chol is None:
-        rng.standard_normal(out=out)
-        out *= np.sqrt(dt)
-    else:
-        out[:] = np.sqrt(dt) * (mass_chol @ rng.standard_normal(out.size))
-
-
-def _mass_cholesky(space: TestSpace) -> np.ndarray:
-    return scipy.linalg.cholesky(mass_matrix(space), lower=True)
-
-
-def sample_wiener_increment(space_or_L, dt: float,
+def sample_wiener_increment(L: int, dt: float,
                             rng: np.random.Generator) -> MeasurementVector:
-    """One Wiener increment measured against a test basis.
-
-    Spectral mode (integer argument): L independent N(0, dt) sine
-    coefficients.  Fem mode (TestSpace argument): measurements with
-    covariance dt times the tent-function mass matrix, drawn through its
-    Cholesky factor.
-    """
+    """One Wiener increment: L independent N(0, dt) sine coefficients."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if isinstance(space_or_L, TestSpace):
-        space, mass_chol = space_or_L, _mass_cholesky(space_or_L)
-    else:
-        space, mass_chol = build_test_space("sine1d", int(space_or_L)), None
-    out = np.empty(space.size)
-    _wiener_draw(out, dt, rng, mass_chol)
+    space = build_test_space("sine1d", int(L))
+    out = rng.standard_normal(space.size)
+    out *= np.sqrt(dt)
     return MeasurementVector(out, space)
 
 
@@ -109,33 +88,25 @@ def sample_wiener_increment(space_or_L, dt: float,
 class NoisePath:
     """A full set of per-step increment coefficient vectors."""
 
-    seed: int
-    mode: str                       # spectral | fem
     dt: float
-    n_steps: int
     space: TestSpace
-    records: np.ndarray = field(repr=False, default=None)
+    records: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.mode not in ("spectral", "fem"):
-            raise ValueError(f"unknown noise mode {self.mode!r}")
-        if self.records.shape != (self.n_steps, self.space.size):
-            raise ValueError("record shape does not match path metadata")
+        if self.records.ndim != 2 or \
+                self.records.shape[1] != self.space.size:
+            raise ValueError("records must be (n_steps, space.size)")
+
+    @property
+    def n_steps(self) -> int:
+        return self.records.shape[0]
 
     def increment(self, step: int) -> MeasurementVector:
         return MeasurementVector(self.records[step], self.space)
 
 
-def _path_space(mode: str, size: int) -> TestSpace:
-    if mode == "spectral":
-        return build_test_space("sine1d", size)
-    if mode == "fem":
-        return build_test_space("fem1d", size)
-    raise ValueError(f"unknown noise mode {mode!r}")
-
-
-def increment_blocks(seed: int, mode: str, dt: float, n_steps: int,
-                     size: int, block: int = 1):
+def increment_blocks(seed: int, dt: float, n_steps: int, size: int,
+                     block: int = 1):
     """Iterator over the increments of a path, ``block`` steps at a time.
 
     Yields consecutive ``(block, size)`` arrays (the last may be shorter)
@@ -146,36 +117,33 @@ def increment_blocks(seed: int, mode: str, dt: float, n_steps: int,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if n_steps < 1 or block < 1:
-        raise ValueError("need at least one step and one step per block")
-    space = _path_space(mode, size)
+    if n_steps < 1 or block < 1 or size < 1:
+        raise ValueError("need at least one step, mode and step per block")
     seed = _stream_key(seed, n_steps - 1)[0]
-    mass_chol = _mass_cholesky(space) if mode == "fem" else None
-    return _draw_blocks(seed, dt, n_steps, size, block, mass_chol)
+    return _draw_blocks(seed, dt, n_steps, size, block)
 
 
-def _draw_blocks(seed, dt, n_steps, size, block, mass_chol):
+def _draw_blocks(seed, dt, n_steps, size, block):
     bitgen = np.random.Philox()
     rng = np.random.Generator(bitgen)
     for start in range(0, n_steps, block):
         rows = np.empty((min(block, n_steps - start), size))
         for i, row in enumerate(rows):
             rekey(bitgen, seed, start + i)
-            _wiener_draw(row, dt, rng, mass_chol)
+            rng.standard_normal(out=row)
+            row *= np.sqrt(dt)
         yield rows
 
 
-def build_path(seed: int, mode: str, dt: float, n_steps: int,
-               size: int) -> NoisePath:
+def build_path(seed: int, dt: float, n_steps: int, size: int) -> NoisePath:
     """Materialize a path of ``n_steps`` increments with ``size`` modes.
 
     Step k is drawn from the (seed, k) stream, so a fine path at dt/m over
     m*n_steps steps and the paths aggregated from it are reproducible from
     the seed alone.  This is ``increment_blocks`` drawn as one block.
     """
-    records, = increment_blocks(seed, mode, dt, n_steps, size, n_steps)
-    return NoisePath(seed, mode, dt, n_steps, _path_space(mode, size),
-                     records)
+    records, = increment_blocks(seed, dt, n_steps, size, n_steps)
+    return NoisePath(dt, build_test_space("sine1d", size), records)
 
 
 def _group_sums(records: np.ndarray, factor: int) -> np.ndarray:
@@ -192,8 +160,7 @@ def aggregate_increments(path: NoisePath, factor: int) -> NoisePath:
     """Sum blocks of ``factor`` consecutive fine increments."""
     if factor == 1:
         return path
-    return NoisePath(path.seed, path.mode, path.dt * factor,
-                     path.n_steps // factor, path.space,
+    return NoisePath(path.dt * factor, path.space,
                      _group_sums(path.records, factor))
 
 

@@ -6,7 +6,8 @@ fine-mesh spectral-Galerkin integrator for the stochastic heat and
 Allen-Cahn equations that consumes the same Brownian paths as the kernel
 runs: an iterable of increment blocks, such as ``noise.increment_blocks``,
 consumed block by block.  The integrator returns its trajectory and, beside
-it, the coefficient history of every stored step.
+it, the coefficient history of every stored step in the modes the output
+grid carries.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ def spectral_galerkin_spde(family: str, nu: float, sigma: float, dt: float,
     the steps advance, so the fine path is never held whole; it must hold
     exactly t_final/dt increments.
 
-    Returns the ``Trajectory`` of grid values and the (n_stored + 1, L)
-    coefficient history; the grid values keep only the modes the output
+    Returns the ``Trajectory`` of grid values and the coefficient history,
+    (n_stored + 1, min(L, n_grid - 2)): both keep only the modes the output
     grid can carry.
     """
     if family not in ("heat", "allen_cahn"):
@@ -109,8 +110,9 @@ def spectral_galerkin_spde(family: str, nu: float, sigma: float, dt: float,
         raise ValueError("initial coefficients must have length L")
 
     n_stored = n_steps // store_every
-    stored = np.empty((n_stored + 1, L))
-    stored[0] = a
+    n_kept = min(L, n_grid - 2)
+    stored = np.empty((n_stored + 1, n_kept))
+    stored[0] = a[:n_kept]
     k = 0
     for block in blocks:
         if k + block.shape[0] > n_steps:
@@ -126,11 +128,11 @@ def spectral_galerkin_spde(family: str, nu: float, sigma: float, dt: float,
             a = (a + dt * fhat + incr) / denom
             k += 1
             if k % store_every == 0:
-                stored[k // store_every] = a
+                stored[k // store_every] = a[:n_kept]
     if k != n_steps:
         raise ValueError("noise path length does not match t_final/dt")
 
     times = np.arange(n_stored + 1) * (dt * store_every)
-    values = sine_synthesis(stored[:, :min(L, n_grid - 2)], n_grid)
+    values = sine_synthesis(stored, n_grid)
     return Trajectory(times, values), stored
 

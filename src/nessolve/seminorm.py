@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .spaces import MeasurementVector, TestSpace, stiffness_matrix, \
-    stiffness_diagonal
+from .spaces import MeasurementVector, TestSpace, stiffness_matrix
 
 __all__ = ["SeminormContext", "seminorm_squared"]
 
@@ -28,8 +27,10 @@ class SeminormContext:
 
     @classmethod
     def build(cls, space: TestSpace, s: float) -> "SeminormContext":
+        if s < 0:
+            raise ValueError("exponent must be nonnegative")
         if space.kind in ("sine1d", "sine2d"):
-            return cls(space, s, diag=stiffness_diagonal(space, s))
+            return cls(space, s, diag=space.eigenvalues ** s)
         a = stiffness_matrix(space, s)
         return cls(space, s, chol=scipy.linalg.cholesky(a, lower=True))
 

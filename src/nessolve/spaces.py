@@ -175,13 +175,6 @@ def stiffness_matrix(space: TestSpace, s: float) -> np.ndarray:
     raise ValueError(f"unknown kind {space.kind!r}")
 
 
-def stiffness_diagonal(space: TestSpace, s: float) -> np.ndarray:
-    """Diagonal of the stiffness matrix for sine kinds (exact O(N) path)."""
-    if space.kind not in ("sine1d", "sine2d"):
-        raise ValueError("diagonal shortcut only applies to sine bases")
-    return space.eigenvalues ** s
-
-
 def mass_matrix(space: TestSpace) -> np.ndarray:
     """L2 Gram matrix of the basis (identity for orthonormal sine bases)."""
     if space.kind in ("sine1d", "sine2d"):

@@ -46,7 +46,6 @@ class SpdeConfig:
     space: TestSpace = None         # measurement basis (fem1d default)
     kernel: KernelSpec = None
     gamma: float = 1e-8
-    s: float = 1.0
     n_quad: int = 0
     initial: GridFunction = None
     allow_cfl_violation: bool = False
@@ -111,7 +110,7 @@ class Stepper:
                 f"CFL product {cfg.cfl_product:g} exceeds the bound "
                 f"{_CFL_BOUND:g}; relax it explicitly to proceed")
         self.cfg = cfg
-        self.ctx = SeminormContext.build(cfg.space, cfg.s)
+        self.ctx = SeminormContext.build(cfg.space, 1.0)
         self.features = FeatureSet(cfg.space, np.ones(1), cfg.dt * cfg.nu,
                                    np.array([0.0, 1.0]), cfg.n_quad)
         self.blocks = assemble_features(cfg.kernel, self.features)

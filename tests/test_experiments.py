@@ -244,8 +244,7 @@ def test_streamed_spde_paths_match_the_materialized_path(family):
     _, init = _spde_initial(n_quad, trunc)
     coarse, ref = _spde_paths(p, family, 5, init, n_quad)
 
-    fine = noise.build_path(5, "spectral", dt / refine, n_steps * refine,
-                            trunc)
+    fine = noise.build_path(5, dt / refine, n_steps * refine, trunc)
     want, _ = reference.spectral_galerkin_spde(
         family, p["nu"], p["sigma"], dt / refine, trunc, p["t_final"],
         [fine.records], initial=init, store_every=refine, n_grid=n_quad)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from nessolve.noise import NoisePath, aggregate_increments, build_path, \
     sample_white_noise_spectral, sample_wiener_increment, stream
 from nessolve.noise import aggregating, increment_blocks, rekey
-from nessolve.spaces import build_test_space, mass_matrix
+from nessolve.spaces import build_test_space
 
 
 def test_stream_addressing():
@@ -60,19 +60,6 @@ def test_wiener_spectral_covariance():
     assert np.abs(off).max() <= 0.03 * dt
 
 
-def test_wiener_fem_covariance():
-    sp = build_test_space("fem1d", 4)
-    m = mass_matrix(sp)
-    dt = 0.5
-    rng = stream(77)
-    n = 100_000
-    draws = np.empty((n, 4))
-    for i in range(n):
-        draws[i] = sample_wiener_increment(sp, dt, rng).entries
-    cov = np.cov(draws.T)
-    assert np.allclose(cov, dt * m, rtol=0.05, atol=0.05 * dt * sp.h / 6)
-
-
 def test_wiener_rejects_bad_dt():
     with pytest.raises(ValueError):
         sample_wiener_increment(3, 0.0, stream(0))
@@ -81,32 +68,26 @@ def test_wiener_rejects_bad_dt():
 
 
 def test_build_path_determinism():
-    p1 = build_path(5, "spectral", 0.01, 8, 6)
-    p2 = build_path(5, "spectral", 0.01, 8, 6)
+    p1 = build_path(5, 0.01, 8, 6)
+    p2 = build_path(5, 0.01, 8, 6)
     assert np.array_equal(p1.records, p2.records)
     assert np.array_equal(p1.increment(3).entries, p1.records[3])
-    fem = build_path(5, "fem", 0.01, 4, 6)
-    assert fem.space.kind == "fem1d"
     with pytest.raises(ValueError):
-        build_path(5, "sobol", 0.01, 4, 6)
-    with pytest.raises(ValueError):
-        build_path(5, "spectral", 0.0, 4, 6)
+        build_path(5, 0.0, 4, 6)
 
 
-@pytest.mark.parametrize("mode", ["spectral", "fem"])
-def test_build_path_matches_per_step_increments(mode):
+def test_build_path_matches_per_step_increments():
     # build_path draws each step without the per-step wrappers; step k must
     # still be the increment sampled from the (seed, k) stream
     seed, dt, size = 17, 1.0 / 64, 12
-    path = build_path(seed, mode, dt, 6, size)
-    arg = path.space if mode == "fem" else size
+    path = build_path(seed, dt, 6, size)
     for k in range(6):
-        one = sample_wiener_increment(arg, dt, stream(seed, k)).entries
+        one = sample_wiener_increment(size, dt, stream(seed, k)).entries
         assert np.array_equal(path.records[k], one)
 
 
 def test_aggregation_telescopes_exactly():
-    fine = build_path(9, "spectral", 1.0 / 64, 16, 3)
+    fine = build_path(9, 1.0 / 64, 16, 3)
     coarse = aggregate_increments(fine, 4)
     assert coarse.n_steps == 4
     assert coarse.dt == pytest.approx(4.0 / 64)
@@ -128,7 +109,7 @@ def test_aggregated_variance():
     n = 10_000
     vals = np.empty(n)
     for seed in range(n):
-        fine = build_path(seed, "spectral", dt_fine, 4, 1)
+        fine = build_path(seed, dt_fine, 4, 1)
         vals[seed] = aggregate_increments(fine, 4).records[0, 0]
     assert vals.var() == pytest.approx(4 * dt_fine, rel=0.05)
 
@@ -136,9 +117,8 @@ def test_aggregated_variance():
 def test_path_metadata_validation():
     sp = build_test_space("sine1d", 3)
     with pytest.raises(ValueError):
-        NoisePath(0, "spectral", 0.1, 4, sp, records=np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        NoisePath(0, "quasi", 0.1, 4, sp, records=np.zeros((4, 3)))
+        NoisePath(0.1, sp, np.zeros((4, 2)))
+    assert NoisePath(0.1, sp, np.zeros((4, 3))).n_steps == 4
 
 _WORD = st.one_of(st.integers(0, 2 ** 64 - 1),
                   st.integers(2 ** 64 - 4, 2 ** 64 - 1),
@@ -173,46 +153,43 @@ def test_stream_keys_outside_64_bits_are_rejected():
             rekey(bitgen, seed, step)
     for seed in (2 ** 64, -1):
         with pytest.raises(ValueError):
-            increment_blocks(seed, "spectral", 0.1, 4, 3)
+            increment_blocks(seed, 0.1, 4, 3)
     with pytest.raises(ValueError):
-        increment_blocks(0, "spectral", 0.1, 2 ** 64 + 1, 3)
+        increment_blocks(0, 0.1, 2 ** 64 + 1, 3)
     edge = 2 ** 64 - 1
     assert np.array_equal(stream(edge, edge).standard_normal(3),
                           np.random.Generator(np.random.Philox(
                               key=2 ** 128 - 1)).standard_normal(3))
 
 
-@pytest.mark.parametrize("mode", ["spectral", "fem"])
 @pytest.mark.parametrize("block", [1, 3, 4, 11])
-def test_increment_blocks_are_the_path_rows(mode, block):
+def test_increment_blocks_are_the_path_rows(block):
     seed, dt, n_steps, size = 23, 1.0 / 32, 10, 7
-    path = build_path(seed, mode, dt, n_steps, size)
-    blocks = list(increment_blocks(seed, mode, dt, n_steps, size, block))
+    path = build_path(seed, dt, n_steps, size)
+    blocks = list(increment_blocks(seed, dt, n_steps, size, block))
     assert [b.shape[0] for b in blocks[:-1]] == [block] * (len(blocks) - 1)
     assert np.array_equal(np.concatenate(blocks), path.records)
 
 
 def test_increment_blocks_validation():
     with pytest.raises(ValueError):
-        increment_blocks(0, "sobol", 0.1, 4, 3)
+        increment_blocks(0, 0.0, 4, 3)
     with pytest.raises(ValueError):
-        increment_blocks(0, "spectral", 0.0, 4, 3)
+        increment_blocks(0, 0.1, 0, 3)
     with pytest.raises(ValueError):
-        increment_blocks(0, "spectral", 0.1, 0, 3)
-    with pytest.raises(ValueError):
-        increment_blocks(0, "spectral", 0.1, 4, 3, block=0)
+        increment_blocks(0, 0.1, 4, 3, block=0)
 
 
 @pytest.mark.parametrize("block_groups", [1, 2])
 def test_aggregating_matches_aggregate_increments(block_groups):
     seed, dt, factor, size = 4, 1.0 / 64, 4, 5
-    fine = build_path(seed, "spectral", dt, 16, size)
+    fine = build_path(seed, dt, 16, size)
     coarse = np.empty((4, size))
     passed = list(aggregating(increment_blocks(
-        seed, "spectral", dt, 16, size, factor * block_groups),
+        seed, dt, 16, size, factor * block_groups),
         factor, coarse))
     assert np.array_equal(np.concatenate(passed), fine.records)
     assert np.array_equal(coarse, aggregate_increments(fine, factor).records)
     with pytest.raises(ValueError):
-        list(aggregating(increment_blocks(seed, "spectral", dt, 16, size, 3),
+        list(aggregating(increment_blocks(seed, dt, 16, size, 3),
                          factor, coarse))

@@ -1,5 +1,7 @@
 """Tests for the independent ground-truth generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.fft import dst
@@ -106,7 +108,7 @@ def test_spectral_heat_recurrence_exact():
 
 def test_spectral_noisy_heat_recurrence():
     nu, dt, L, sigma = 0.2, 0.05, 4, 0.3
-    path = build_path(13, "spectral", dt, 8, L)
+    path = build_path(13, dt, 8, L)
     _, coeffs = spectral_galerkin_spde("heat", nu, sigma, dt, L, 8 * dt,
                                        [path.records])
     a = np.zeros(L)
@@ -131,7 +133,7 @@ def test_spectral_allen_cahn_relaxation():
 
 
 def test_spectral_determinism():
-    path = build_path(5, "spectral", 0.01, 10, 8)
+    path = build_path(5, 0.01, 10, 8)
     t1, c1 = spectral_galerkin_spde("heat", 0.1, 0.2, 0.01, 8, 0.1,
                                     [path.records])
     t2, c2 = spectral_galerkin_spde("heat", 0.1, 0.2, 0.01, 8, 0.1,
@@ -150,29 +152,50 @@ def test_spectral_validation():
                                store_every=3)
     with pytest.raises(ValueError):
         spectral_galerkin_spde("heat", 0.1, 0.0, 0.01, 4, 0.1,
-                               [build_path(0, "spectral", 0.01, 5, 4).records])
+                               [build_path(0, 0.01, 5, 4).records])
     with pytest.raises(ValueError):
         spectral_galerkin_spde(
             "heat", 0.1, 0.0, 0.01, 4, 0.1,
-            [build_path(0, "spectral", 0.01, 10, 2).records])
+            [build_path(0, 0.01, 10, 2).records])
     with pytest.raises(ValueError):
         spectral_galerkin_spde("heat", 0.1, 0.0, 0.01, 4, 0.1, _still(10, 4),
                                initial=np.zeros(3))
 
 
 def test_tail_truncation_on_coarse_grids():
-    # grid values keep only the modes the grid carries; the coefficient
-    # history still records all of them
+    # grid values and the coefficient history keep only the
+    # min(L, n_grid - 2) = 15 modes the grid carries
     L = 32
     init = np.zeros(L)
     init[-1] = 1.0
+    init[14] = 0.5
     traj, coeffs = spectral_galerkin_spde("heat", 0.1, 0.0, 0.01, L, 0.02,
                                           _still(2, L), initial=init,
                                           n_grid=17)
     assert traj.values.shape[1] == 17
-    assert coeffs.shape[1] == L
-    assert coeffs[0, -1] == 1.0
-    assert np.allclose(traj.values[0], 0.0)   # mode 32 invisible at 17 points
+    assert coeffs.shape == (3, 15)
+    assert coeffs[0, -1] == 0.5 and np.all(coeffs[0, :-1] == 0.0)
+    # mode 32 is invisible at 17 points: only mode 15 is synthesized
+    want = 0.5 * np.sqrt(2.0) * np.sin(15 * np.pi * np.linspace(0, 1, 17))
+    assert np.allclose(traj.values[0], want, rtol=0.0, atol=1e-14)
+
+
+def test_history_holds_only_the_output_grid_modes():
+    # L = 2048 modes over 256 stored steps on a 261-point grid: the history
+    # keeps 259 columns (0.5 MiB), not all 2048 (4 MiB)
+    L, n_steps = 2048, 256
+    tracemalloc.start()
+    try:
+        traj, coeffs = spectral_galerkin_spde(
+            "heat", 0.01, 0.1, 1.0 / n_steps, L, 1.0,
+            increment_blocks(1, 1.0 / n_steps, n_steps, L, 16),
+            n_grid=261)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coeffs.shape == (n_steps + 1, 259)
+    assert traj.values.shape == (n_steps + 1, 261)
+    assert peak <= 3 * 2 ** 20
 
 
 def _drift_on_grid(a, n_points):
@@ -240,11 +263,11 @@ def test_streamed_blocks_step_like_the_materialized_path(family):
     init = _smooth_initial(L)
     want, want_coeffs = spectral_galerkin_spde(
         family, 0.05, 0.3, dt, L, n_steps * dt,
-        [build_path(3, "spectral", dt, n_steps, 12).records],
+        [build_path(3, dt, n_steps, 12).records],
         initial=init, store_every=4)
     got, got_coeffs = spectral_galerkin_spde(
         family, 0.05, 0.3, dt, L, n_steps * dt,
-        increment_blocks(3, "spectral", dt, n_steps, 12, 4),
+        increment_blocks(3, dt, n_steps, 12, 4),
         initial=init, store_every=4)
     assert np.array_equal(got_coeffs, want_coeffs)
     assert np.array_equal(got.values, want.values)
@@ -255,8 +278,8 @@ def test_streamed_path_validation():
         spectral_galerkin_spde("heat", 0.1, 0.1, 0.01, 4, 0.1, blocks)
 
     with pytest.raises(ValueError):      # too few steps
-        run(increment_blocks(0, "spectral", 0.01, 9, 4, 3))
+        run(increment_blocks(0, 0.01, 9, 4, 3))
     with pytest.raises(ValueError):      # too many steps
-        run(increment_blocks(0, "spectral", 0.01, 11, 4, 5))
+        run(increment_blocks(0, 0.01, 11, 4, 5))
     with pytest.raises(ValueError):      # too few modes
-        run(increment_blocks(0, "spectral", 0.01, 10, 3, 5))
+        run(increment_blocks(0, 0.01, 10, 3, 5))

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from nessolve.errors import StageError
+from nessolve.experiments import ExperimentConfig, run_experiment
 from nessolve.seminorm import SeminormContext, seminorm_squared
 from nessolve.spaces import MeasurementVector, build_test_space, \
     stiffness_matrix
@@ -98,3 +100,20 @@ def test_measurement_validation():
     other = build_test_space("sine1d", 5)
     with pytest.raises(ValueError):
         seminorm(ctx, MeasurementVector(np.zeros(5), other))
+
+
+@pytest.mark.parametrize("kind, size", [("sine1d", 4), ("sine2d", 9),
+                                        ("fem1d", 4)])
+def test_negative_exponent_rejected(kind, size):
+    # sine kinds used to return the weights lambda^s for s < 0 unchecked
+    with pytest.raises(ValueError, match="nonnegative"):
+        SeminormContext.build(build_test_space(kind, size), -0.5)
+
+
+def test_norm_study_rejects_negative_exponent():
+    cfg = ExperimentConfig("norm_study", 7, params={
+        "n_per_dim": 8, "truncation": 56, "measurement_grid": 33,
+        "s_values": [-1.0]})
+    with pytest.raises(StageError) as info:
+        run_experiment(cfg)
+    assert type(info.value.cause) is ValueError

@@ -129,7 +129,7 @@ def test_heat_semigroup_time_order():
 
 
 def test_boundary_values_vanish():
-    path = build_path(4, "spectral", 1.0 / 256, 4, 32)
+    path = build_path(4, 1.0 / 256, 4, 32)
     cfg = _sine_cfg(sigma=0.5, t_final=4.0 / 256)
     traj = integrate(cfg, path)
     assert np.max(np.abs(traj.values[:, 0])) <= 1e-8
@@ -137,7 +137,7 @@ def test_boundary_values_vanish():
 
 
 def test_integration_determinism():
-    path = build_path(21, "spectral", 1.0 / 256, 4, 32)
+    path = build_path(21, 1.0 / 256, 4, 32)
     cfg = _sine_cfg(sigma=0.1, t_final=4.0 / 256)
     t1 = integrate(cfg, path)
     t2 = integrate(cfg, path)
@@ -147,9 +147,9 @@ def test_integration_determinism():
 def test_integrate_path_validation():
     cfg = _sine_cfg(sigma=0.1, t_final=4.0 / 256)
     with pytest.raises(ValueError):
-        integrate(cfg, build_path(0, "spectral", 1.0 / 256, 3, 32))
+        integrate(cfg, build_path(0, 1.0 / 256, 3, 32))
     with pytest.raises(ValueError):
-        integrate(cfg, build_path(0, "spectral", 1.0 / 128, 4, 32))
+        integrate(cfg, build_path(0, 1.0 / 128, 4, 32))
 
 
 def test_tent_sine_cross_gram_quadrature_oracle():
@@ -173,9 +173,8 @@ def test_tent_sine_cross_gram_quadrature_oracle():
 
 def _fem_measured(path: NoisePath, space) -> NoisePath:
     """A spectral path measured against fem tents by the exact cross gram."""
-    return NoisePath(path.seed, "fem", path.dt, path.n_steps, space,
-                     path.records @ tent_sine_cross_gram(
-                         space, path.space.size).T)
+    return NoisePath(path.dt, space, path.records @ tent_sine_cross_gram(
+        space, path.space.size).T)
 
 
 def test_fem_measurement_path():
@@ -185,7 +184,7 @@ def test_fem_measurement_path():
     cfg = SpdeConfig(family="heat", nu=0.025, sigma=0.1, t_final=4 * dt,
                      dt=dt, space=build_test_space("fem1d", 16),
                      kernel=KernelSpec("matern52", 0.1), gamma=1e-10)
-    path = _fem_measured(build_path(3, "spectral", dt, 4, 64), cfg.space)
+    path = _fem_measured(build_path(3, dt, 4, 64), cfg.space)
     t1 = integrate(cfg, path)
     t2 = integrate(cfg, path)
     assert np.all(np.isfinite(t1.values))
@@ -200,8 +199,8 @@ def test_increments_must_be_measured_against_the_scheme_basis():
                      dt=dt, space=build_test_space("fem1d", 16),
                      kernel=KernelSpec("matern52", 0.1), gamma=1e-10)
     sine = _sine_cfg(sigma=0.1, t_final=4.0 / 256)
-    for cfg, path in ((fem, build_path(3, "spectral", dt, 4, 64)),
-                      (sine, build_path(3, "spectral", 1.0 / 256, 4, 64))):
+    for cfg, path in ((fem, build_path(3, dt, 4, 64)),
+                      (sine, build_path(3, 1.0 / 256, 4, 64))):
         with pytest.raises(ValueError, match="increments measured"):
             integrate(cfg, path)
         u = np.zeros(cfg.n_quad)
@@ -218,7 +217,7 @@ def test_fem_stored_measurements_match_projection():
                      space=build_test_space("fem1d", 16),
                      kernel=KernelSpec("matern52", 0.1), gamma=1e-10,
                      initial=GridFunction(np.sin(np.pi * grid_points(69))))
-    traj = integrate(cfg, _fem_measured(build_path(5, "spectral", dt, 4, 64),
+    traj = integrate(cfg, _fem_measured(build_path(5, dt, 4, 64),
                                         cfg.space))
     stepper = Stepper(cfg)
     for u in traj.values:
