@@ -331,24 +331,26 @@ def _spde_paths(p: dict, family: str, seed: int, init_coeffs: np.ndarray,
     fine increments.
 
     Each block of ``refine`` fine steps drives the reference and is summed
-    into the coarse step it makes up, so no more than one block of the fine
-    path is held at a time.  The blocks are drawn as the reference consumes
-    them, so the draws and their failures count under the reference stage.
-    The coarse path is returned measured on the kernel run's tents.
+    into the coarse step it makes up, and a few coarse steps at a time are
+    measured on the kernel run's tents by the tent-sine cross Gram, formed
+    first.  So no more than one block of the fine path, and no (n_steps, L)
+    coarse array, is held at a time.  The blocks are drawn as the reference
+    consumes them, so the draws and their failures count under the
+    reference stage.
     """
     dt, refine, trunc = p["dt"], p["refine"], p["truncation"]
     n_steps = int(round(p["t_final"] / dt))
+    fem = build_test_space("fem1d", p["n_fem"])
+    cross = spde.tent_sine_cross_gram(fem, trunc)
+    measured = np.empty((n_steps, fem.size))
     with _stage("reference"):
         fine = noise.increment_blocks(seed, dt / refine, n_steps * refine,
                                       trunc, refine)
-        coarse = np.empty((n_steps, trunc))
         ref, _ = reference.spectral_galerkin_spde(
             family, p["nu"], p["sigma"], dt / refine, trunc, p["t_final"],
-            noise.aggregating(fine, refine, coarse), initial=init_coeffs,
-            store_every=refine, n_grid=n_quad)
-    fem = build_test_space("fem1d", p["n_fem"])
-    cross = spde.tent_sine_cross_gram(fem, trunc)
-    return noise.NoisePath(dt, fem, coarse @ cross.T), ref
+            noise.aggregating(fine, refine, cross, measured),
+            initial=init_coeffs, store_every=refine, n_grid=n_quad)
+    return noise.NoisePath(dt, fem, measured), ref
 
 
 def _spde_seed(p: dict, family: str, seed: int):

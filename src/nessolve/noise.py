@@ -11,9 +11,11 @@ generator: step k of a path is drawn from Philox keyed [k, seed] at counter
 0, so any step can be regenerated without replaying the ones before it and
 coarse/fine runs can share one Brownian path.  The pipelines stream a
 path's increments in blocks (``increment_blocks``) from one bit generator
-re-keyed per step, so they hold one block of the fine path at a time, and
-sum groups of fine increments into coarse ones as the blocks pass
-(``aggregating``).  ``build_path`` and ``aggregate_increments`` give the
+re-keyed per step, so they hold one block of the fine path at a time.
+As the blocks pass, ``aggregating`` sums groups of fine increments into
+coarse ones and measures a few coarse ones at a time against another
+basis, so the coarse path is held only as measured there (64 tents, not
+2048 sine modes).  ``build_path`` and ``aggregate_increments`` give the
 same bits for a whole materialized ``NoisePath``; they are the oracles the
 streamed forms are tested against.
 """
@@ -146,6 +148,13 @@ def build_path(seed: int, dt: float, n_steps: int, size: int) -> NoisePath:
     return NoisePath(dt, build_test_space("sine1d", size), records)
 
 
+# coarse increments summed before each product with the cross Gram: 64
+# rows of 2048 modes are 1 MiB, the Gram's own size.  Each product reads
+# the whole Gram, so smaller buffers cost time: with 16 rows a default
+# heat call ran about 4% slower than with one product over the path
+_COARSE_ROWS = 64
+
+
 def _group_sums(records: np.ndarray, factor: int) -> np.ndarray:
     """Sums of consecutive groups of ``factor`` rows, each accumulated row
     by row in order; the coarse increments are these bits wherever the
@@ -164,18 +173,32 @@ def aggregate_increments(path: NoisePath, factor: int) -> NoisePath:
                      _group_sums(path.records, factor))
 
 
-def aggregating(blocks, factor: int, out: np.ndarray):
-    """Pass ``blocks`` of fine increments through unchanged, first writing
-    the sums of each block's groups of ``factor`` rows into the next rows
-    of ``out``.
+def aggregating(blocks, factor: int, cross: np.ndarray, out: np.ndarray):
+    """Pass ``blocks`` of fine increments through unchanged, measuring the
+    coarse path they make up against the rows of ``cross`` as they pass.
 
-    Every block must hold whole groups.  Once the blocks are consumed,
-    ``out`` holds the records ``aggregate_increments`` would give for the
-    whole path, bit for bit, without the fine path ever being held.
+    Each block's groups of ``factor`` rows are summed into a buffer of
+    ``_COARSE_ROWS`` coarse increments, and each full buffer, then the
+    last part-filled one, is multiplied by ``cross.T`` into the next rows
+    of ``out``.  Every block must hold whole groups.  Once the blocks are
+    consumed, ``out`` holds ``aggregate_increments(path, factor).records @
+    cross.T`` for the whole path, without the fine or the coarse path ever
+    being held.  Every product has the buffer's rows, so all round alike.
+    OpenBLAS rounds a GEMM's rows the same whatever their count once the
+    product is large enough (small ones take other kernels), so at the
+    pipelines' sizes (2048 modes, 64 tents, 8 coarse steps or more)
+    ``out`` has the bits of the one product over the whole path.
     """
+    buf = np.zeros((_COARSE_ROWS, cross.shape[1]))
     row = 0
     for rows in blocks:
-        sums = _group_sums(rows, factor)
-        out[row:row + sums.shape[0]] = sums
-        row += sums.shape[0]
+        for sums in _group_sums(rows, factor):
+            buf[row % _COARSE_ROWS] = sums
+            row += 1
+            if row % _COARSE_ROWS == 0:
+                np.matmul(buf, cross.T, out=out[row - _COARSE_ROWS:row])
         yield rows
+    held = row % _COARSE_ROWS
+    if held:
+        # the whole buffer, so that this product rounds like the others
+        out[row - held:row] = (buf @ cross.T)[:held]

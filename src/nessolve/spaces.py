@@ -210,8 +210,9 @@ def project(f: GridFunction, space: TestSpace) -> MeasurementVector:
         _check_sine_resolution(space, v.shape[0])
         n = v.shape[0] - 1
         p = space.n_per_dim
-        c = dst(dst(v[1:-1, 1:-1], type=1, axis=0), type=1, axis=1)
-        c = c[:p, :p] / (2.0 * n * n)
+        # only the first p rows of the axis-0 pass carry modes
+        rows = dst(v[1:-1, 1:-1], type=1, axis=0)[:p]
+        c = dst(rows, type=1, axis=1)[:, :p] / (2.0 * n * n)
         return MeasurementVector(c.ravel(), space)
     if space.kind == "fem1d":
         if v.ndim != 1:
@@ -250,10 +251,14 @@ def synthesize(coeffs, space: TestSpace, n_points: int) -> GridFunction:
         p = space.n_per_dim
         if p > n - 1:
             raise ResolutionTooCoarseError("grid cannot carry all modes")
+        # the axis-0 pass runs over the p columns that carry modes only
+        cols = np.zeros((n - 1, p))
+        cols[:p] = c.reshape(p, p)
         pad = np.zeros((n - 1, n - 1))
-        pad[:p, :p] = c.reshape(p, p)
+        pad[:, :p] = dst(cols, type=1, axis=0, overwrite_x=True)
         out = np.zeros((n_points, n_points))
-        out[1:-1, 1:-1] = dst(dst(pad, type=1, axis=0), type=1, axis=1) / 2.0
+        np.divide(dst(pad, type=1, axis=1, overwrite_x=True), 2.0,
+                  out=out[1:-1, 1:-1])
         return GridFunction(out)
     if space.kind == "fem1d":
         nodes = np.concatenate([[0.0], (np.arange(1, space.size + 1)) * space.h,
@@ -269,7 +274,9 @@ def sine_synthesis(coeffs: np.ndarray, n_points: int) -> np.ndarray:
     ``n_points``, for each row of ``coeffs`` along its last axis.
 
     A stack of rows takes one DST-I along the last axis, which gives the
-    same bits as synthesizing the rows one at a time.
+    same bits as synthesizing the rows one at a time.  It runs in place over
+    the zero-padded coefficients and is scaled straight into the result, so
+    the pad and the result are the only arrays of the output's size.
     """
     c = np.asarray(coeffs, dtype=float)
     n = n_points - 1
@@ -278,7 +285,8 @@ def sine_synthesis(coeffs: np.ndarray, n_points: int) -> np.ndarray:
     pad = np.zeros(c.shape[:-1] + (n - 1,))
     pad[..., :c.shape[-1]] = c
     out = np.zeros(c.shape[:-1] + (n_points,))
-    out[..., 1:-1] = dst(pad, type=1, axis=-1) * (np.sqrt(2.0) / 2.0)
+    np.multiply(dst(pad, type=1, axis=-1, overwrite_x=True),
+                np.sqrt(2.0) / 2.0, out=out[..., 1:-1])
     return out
 
 

@@ -98,7 +98,11 @@ def tent_sine_cross_gram(fem_space: TestSpace, n_modes: int) -> np.ndarray:
     nodes = np.arange(1, fem_space.size + 1) * h
     k = np.pi * np.arange(1, n_modes + 1)
     amp = np.sqrt(2.0) * 2.0 * (1.0 - np.cos(k * h)) / (h * k ** 2)
-    return np.sin(np.outer(nodes, k)) * amp[None, :]
+    # formed in place: no second array of the Gram's size is made
+    out = np.outer(nodes, k)
+    np.sin(out, out=out)
+    out *= amp
+    return out
 
 
 class Stepper:

@@ -273,6 +273,28 @@ def test_heat_pipeline_never_holds_the_fine_path():
     assert peak < fine_bytes / 2, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
+def test_heat_coarse_path_is_measured_on_the_tents_as_it_streams():
+    # at default heat size the coarse path in sine modes would be a 16 MiB
+    # (n_steps, L) array; it is measured on the tents a few rows at a time
+    # instead, with the bits of the one product over the whole path
+    p = ExperimentConfig("heat", 7).resolved()
+    dt, refine, trunc = p["dt"], p["refine"], p["truncation"]
+    n_steps = int(round(p["t_final"] / dt))
+    n_quad = default_n_quad(build_test_space("fem1d", p["n_fem"]))
+    _, init = _spde_initial(n_quad, trunc)
+    tracemalloc.start()
+    try:
+        coarse, _ = _spde_paths(p, "heat", 7, init, n_quad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n_steps * trunc, f"peak {peak / 2 ** 20:.1f} MiB"
+    sums = noise.aggregate_increments(
+        noise.build_path(7, dt / refine, n_steps * refine, trunc), refine)
+    cross = tent_sine_cross_gram(coarse.space, trunc)
+    assert np.array_equal(coarse.records, sums.records @ cross.T)
+
+
 def test_spde_seeds_do_not_hold_each_others_data():
     # each seed's reference, trajectory and noise path are dropped before
     # the next seed's are built, so the peak does not grow with seeds

@@ -1,11 +1,14 @@
 """Tests for error metrics and rate fitting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nessolve.metrics import fit_rate, l2_norm, rel_l2_error, sup_error, \
     space_time_l2_error
-from nessolve.spaces import GridFunction, build_test_space, grid_points
+from nessolve.spaces import GridFunction, build_test_space, grid_points, \
+    trapezoid_weights
 from nessolve.spde import Trajectory
 
 
@@ -79,6 +82,49 @@ def test_space_time_subset_alignment():
     bad = _traj(np.array([0.0, 0.3, 1.0]), fine.values[:3])
     with pytest.raises(ValueError):
         space_time_l2_error(bad, fine)
+
+
+def _whole_array_error(coarse, fine):
+    # the formula on whole arrays: the aligned reference rows copied out,
+    # then squared differences and squares of the same size
+    idx = np.searchsorted(fine.times, coarse.times)
+    va, vb = coarse.values, fine.values[idx]
+    wt = trapezoid_weights(len(idx)) * (coarse.times[-1] - coarse.times[0])
+    wx = trapezoid_weights(va.shape[1])
+    return float(np.sqrt((wt @ ((va - vb) ** 2 @ wx)) /
+                         (wt @ (vb ** 2 @ wx))))
+
+
+def _random_pair(n_coarse, n_points, refine):
+    # coarse stamps every ``refine``-th fine one
+    rng = np.random.default_rng(n_coarse)
+    fine_t = np.linspace(0.0, 1.0, (n_coarse - 1) * refine + 1)
+    fine = _traj(fine_t, rng.standard_normal((len(fine_t), n_points)))
+    coarse = _traj(fine_t[::refine],
+                   rng.standard_normal((n_coarse, n_points)))
+    return coarse, fine
+
+
+@pytest.mark.parametrize("n_coarse, n_points, refine",
+                         [(5, 9, 1), (129, 33, 2), (513, 261, 4)])
+def test_space_time_error_in_row_blocks_is_the_whole_array_formula(
+        n_coarse, n_points, refine):
+    coarse, fine = _random_pair(n_coarse, n_points, refine)
+    want = _whole_array_error(coarse, fine)
+    assert space_time_l2_error(coarse, fine) == want
+    if refine > 1:
+        assert space_time_l2_error(fine, coarse) == want
+
+
+def test_space_time_error_forms_no_trajectory_sized_array():
+    coarse, fine = _random_pair(513, 261, 4)
+    tracemalloc.start()
+    try:
+        space_time_l2_error(coarse, fine)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < coarse.values.nbytes, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_fit_rate():

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from nessolve.noise import NoisePath, aggregate_increments, build_path, \
     sample_white_noise_spectral, sample_wiener_increment, stream
-from nessolve.noise import aggregating, increment_blocks, rekey
+from nessolve.noise import _COARSE_ROWS, aggregating, increment_blocks, \
+    rekey
 from nessolve.spaces import build_test_space
 
 
@@ -182,14 +183,18 @@ def test_increment_blocks_validation():
 
 @pytest.mark.parametrize("block_groups", [1, 2])
 def test_aggregating_matches_aggregate_increments(block_groups):
+    # measured against the identity, the streamed coarse rows are the sums
+    # themselves; the path fills the buffer once and leaves a part-filled one
     seed, dt, factor, size = 4, 1.0 / 64, 4, 5
-    fine = build_path(seed, dt, 16, size)
-    coarse = np.empty((4, size))
+    n_coarse = _COARSE_ROWS + 4
+    n_fine = factor * n_coarse
+    fine = build_path(seed, dt, n_fine, size)
+    coarse = np.empty((n_coarse, size))
     passed = list(aggregating(increment_blocks(
-        seed, dt, 16, size, factor * block_groups),
-        factor, coarse))
+        seed, dt, n_fine, size, factor * block_groups),
+        factor, np.eye(size), coarse))
     assert np.array_equal(np.concatenate(passed), fine.records)
     assert np.array_equal(coarse, aggregate_increments(fine, factor).records)
     with pytest.raises(ValueError):
-        list(aggregating(increment_blocks(seed, dt, 16, size, 3),
-                         factor, coarse))
+        list(aggregating(increment_blocks(seed, dt, n_fine, size, 3),
+                         factor, np.eye(size), coarse))

@@ -1,7 +1,10 @@
 """Tests for test-space construction, Gram matrices, and transforms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.fft import dst
 
 from nessolve.errors import ResolutionTooCoarseError, UnsupportedExponentError
 from nessolve.spaces import GridFunction, MeasurementVector, \
@@ -235,3 +238,40 @@ def test_stacked_sine_synthesis_matches_rows():
     assert np.array_equal(spaces.sine_synthesis(coeffs, 513), want)
     with pytest.raises(ResolutionTooCoarseError):
         spaces.sine_synthesis(coeffs, 256)
+
+
+def test_sine_synthesis_holds_one_array_besides_its_result():
+    # a default heat history: 1025 stored steps of the 259 modes its
+    # 261-point grid carries.  The DST-I runs in place over the padded
+    # coefficients and is scaled straight into the result, so the peak is
+    # the pad and the result (4.13 MiB here; three output-size arrays
+    # besides the result read 6.09 MiB)
+    coeffs = np.random.default_rng(5).standard_normal((1025, 259))
+    tracemalloc.start()
+    try:
+        out = spaces.sine_synthesis(coeffs, 261)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 1025 * 261 * 8
+    assert peak < 2.2 * out.nbytes
+
+
+@pytest.mark.parametrize("p, n_points", [(3, 9), (16, 65), (20, 43)])
+def test_sine2d_transforms_match_the_full_two_axis_dst(p, n_points):
+    # synthesize and project transform only the rows and columns that carry
+    # modes; the bits are those of both DST-I passes over the whole grid
+    rng = np.random.default_rng(p)
+    space = build_test_space("sine2d", n_per_dim=p)
+    c = rng.standard_normal((p, p))
+    n = n_points - 1
+    pad = np.zeros((n - 1, n - 1))
+    pad[:p, :p] = c
+    want = np.zeros((n_points, n_points))
+    want[1:-1, 1:-1] = dst(dst(pad, type=1, axis=0), type=1, axis=1) / 2.0
+    assert np.array_equal(synthesize(c.ravel(), space, n_points).values,
+                          want)
+    v = rng.standard_normal((n_points, n_points))
+    full = dst(dst(v[1:-1, 1:-1], type=1, axis=0), type=1, axis=1)
+    assert np.array_equal(project(GridFunction(v), space).entries,
+                          (full[:p, :p] / (2.0 * n * n)).ravel())
