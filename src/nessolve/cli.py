@@ -45,7 +45,11 @@ def main(argv=None) -> int:
             return 1
     file_seed = file_cfg.pop("seed", None)
     file_out = file_cfg.pop("out", None)
-    file_full_scale = bool(file_cfg.pop("full_scale", False))
+    file_full_scale = file_cfg.pop("full_scale", False)
+    if not isinstance(file_full_scale, bool):
+        # bool("false") is True: only a YAML boolean means what it says
+        raise ValueError(f"config key 'full_scale' must be true or false, "
+                         f"got {file_full_scale!r}")
     seed = args.seed if args.seed is not None else file_seed
     out_dir = args.out or file_out
     full_scale = args.full_scale or file_full_scale

@@ -407,11 +407,15 @@ def _run_rate_study(p: dict) -> dict:
                         _boundary_1d(), n_quad)
         blocks = assemble_features(kernel, fs)
 
+    # chi_i(u) = (c + nu lambda_i) <phi_i, u>, and chi_i of the
+    # representer is row i of the Gram matrix times its coefficients, so
+    # the sine coefficients of the solution are read without a grid
+    scale = lin.c_field.values[0] + lin.nu_diff * space.eigenvalues
+
     def coeffs_for(gamma):
         coeffs = constrained_ls_solve(ctx, blocks, xi.entries,
                                       np.zeros(2), gamma)
-        grid = GridFunction(blocks.on_grid(coeffs))
-        return project(grid, space).entries
+        return blocks.k_chi_phi @ coeffs / scale
 
     with _stage("gamma_sweep"):
         u_ref = coeffs_for(p["gamma_reference"])

@@ -1,10 +1,25 @@
 """Matern-5/2 kernel and Gram-block assembly for operator/boundary features.
 
 Operator features are weak integrals of the linearized operator applied to
-the kernel.  Every feature is a weighted sum of kernel values on a uniform
-quadrature grid, one weight row per feature.  For sine test functions the
-Laplacian is moved onto the test function, exactly, via its eigenvalue.
-For fem tent functions the diffusion part nu int phi_i' u' is exactly
+the kernel.  For sine test functions the Laplacian is moved onto the test
+function, exactly, via its eigenvalue, so a sine feature is the test
+function times c + nu lambda_i.
+
+sine1d features are in closed form, with no quadrature grid.  The kernel
+is a Green's function of (a^2 - d^2/dx^2)^3 on the line, a = sqrt(5)/ell
+(Rasmussen & Williams, *Gaussian Processes for Machine Learning*, 2006,
+section 4.2), so K phi_j is s(pi j) phi_j, s the spectral density, plus
+the six layers x^m e^{-ax} and (1-x)^m e^{-a(1-x)}, m <= 2.  With c
+constant the operator block is D (S + M R^T) D: D the diagonal
+c + nu lambda_i, S the diagonal s(pi i), and M and R the N x 6 sine
+moments and coefficients of the layers (``_sine1d_terms``).  Assembly
+writes it with one GEMM and a diagonal, the boundary block and any
+evaluation are the same closed form at points, and grid values are one
+sine synthesis plus the six layers (``GramBlocks.on_grid``).
+
+Every other feature is a weighted sum of kernel values on a uniform
+quadrature grid, one weight row per feature.  For fem tent functions the
+diffusion part nu int phi_i' u' is exactly
 nu (2 u(z_i) - u(z_{i-1}) - u(z_{i+1})) / h at the tent nodes z_k = k h,
 which the grid is required to contain, so it is three grid deltas in the
 weight row.  So only the value kernel is ever integrated, and every Gram
@@ -24,27 +39,24 @@ evaluation points are small and stay dense.
 
 Pointwise collocation features pair the kernel with the operator at both
 points; the derivatives involved share one exponential, so each entry
-costs one ``exp``.  Both kinds fill one (N+M) x (N+M) Gram array,
+costs one ``exp``.  Every kind fills one (N+M) x (N+M) Gram array,
 unregularized: ``gauss_newton.KKTSystem`` adds the nugget and any jitter.
 
-Memory.  Sine features hold no N x G array (G grid points): their
-weight rows are sines times a diagonal.  In 1D, pairing with them is a
-DST-I and combining them a sine synthesis (Britanak, Yip & Rao, *Discrete
-Cosine and Sine Transforms*, 2007); in 2D the sines are separable,
-2 sin(pi i x) sin(pi j y), so both are contractions with the p x q axis
-sines, one axis at a time.  fem features hold one N x G array, their
+Memory.  sine2d features hold no N x G array (G grid points): their
+weight rows are separable sines, 2 sin(pi i x) sin(pi j y), times a
+diagonal, so pairing and combining them are contractions with the p x q
+axis sines, one axis at a time.  fem features hold one N x G array, their
 weight rows, formed in place over the basis values, and pair by GEMM.
 Assembly forms or reads the rows a block of 256 KiB at a time, takes their
 grid products and pairs them at once.  Every pairing of the weights with
 kernel values, on the grid or against the boundary points, goes through
-``FeatureSet.pair``.  The operator block is written straight into the
-Gram array, which is then symmetrized in place.
+``FeatureSet.pair``.  The operator block of every kind is written straight
+into the Gram array, which is then symmetrized in place.
 
 Grid values of representers are taken one way only, matrix-free
-(``GramBlocks.on_grid``): one grid product per combined weight row, for a
-coefficient vector or for each column of a matrix of them.  No solver path
-forms the G x (N+M) evaluation matrix; ``quad_eval`` builds it from
-``on_grid`` on the identity when read.
+(``GramBlocks.on_grid``): for a coefficient vector or for each column of a
+matrix of them.  No solver path forms the G x (N+M) evaluation matrix;
+``quad_eval`` builds it from ``on_grid`` on the identity when read.
 """
 
 from __future__ import annotations
@@ -53,7 +65,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst, fft, ifft, irfft, next_fast_len, rfft, rfftn
+from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfftn
 
 from . import spaces
 from .errors import ResolutionTooCoarseError
@@ -75,9 +87,9 @@ __all__ = [
 # that a block's padding, transforms, spectrum product and crop stay in a
 # core's L2 cache; a row larger than that is a block of its own
 _FFT_BLOCK_ELEMENTS = 2 ** 15
-# real elements of one block of sine weight rows that FeatureSet weighs in
-# place, and that assembly forms, transforms and pairs: 256 KiB, so that
-# the passes over a block stay in L2
+# real elements of one block of sine2d weight rows that FeatureSet weighs
+# in place, and that assembly forms, transforms and pairs: 256 KiB, so
+# that the passes over a block stay in L2
 _WEIGHT_BLOCK_ELEMENTS = 2 ** 15
 
 
@@ -138,26 +150,30 @@ def kernel_matrix(spec: KernelSpec, x, y=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """Weak operator features over a quadrature grid plus boundary points.
+    """Weak operator features plus boundary points, with the grid that
+    representers are evaluated on.
 
-    The linearized operator is -nu_diff * Laplacian + c(x).  Every feature
-    is a row of weights on the kernel values at the quadrature nodes
-    (``value_rows``).  A fem row is the tent times w c, plus the diffusion
-    part nu (2 delta_{z_i} - delta_{z_{i-1}} - delta_{z_{i+1}}) / h at the
-    tent nodes, exact since phi_i' is +-1/h on the two cells of tent i; so
-    the grid spacing must divide h, and no derivative of the kernel is
-    ever integrated.
+    The linearized operator is -nu_diff * Laplacian + c(x).  sine1d
+    features need no quadrature: c must be constant (``ValueError``
+    otherwise), feature i is (c + nu lambda_i) phi_i, and its Gram blocks
+    and values are in closed form (``_sine1d_terms``); the grid only sets
+    where ``GramBlocks.on_grid`` evaluates, so it must carry the N modes.
 
-    fem features store their weights, formed in place over the basis
-    values, one N x G array.  Sine features store none: row i at node x_k
-    is phi_i(x_k) (w_k c_k + nu lambda_i w_k), so the rows a grid product
-    needs are formed a block at a time (``value_rows``), pairing grid rows
-    with every weight row is a transform of the grid rows (``pair``), and
-    a combination of weight rows is a sine synthesis (``combine``).  In
-    1D, phi_i(x_k) = sqrt(2) sin(pi i k / (q-1)) and the transform is a
-    DST-I over the interior nodes.  In 2D, phi_(i,j)(x_k, y_l) =
-    2 s_ik s_jl with the p x q axis sines s_ik = sin(pi i x_k), so the
-    transform is a contraction with s along y, then along x.
+    Every other feature is a row of weights on the kernel values at the
+    quadrature nodes (``value_rows``).  A fem row is the tent times w c,
+    plus the diffusion part
+    nu (2 delta_{z_i} - delta_{z_{i-1}} - delta_{z_{i+1}}) / h at the tent
+    nodes, exact since phi_i' is +-1/h on the two cells of tent i; so the
+    grid spacing must divide h, and no derivative of the kernel is ever
+    integrated.  fem features store their weights, formed in place over
+    the basis values, one N x G array.
+
+    sine2d features store none: row (i, j) at node (x_k, y_l) is
+    2 s_ik s_jl (w c + nu lambda w) with the p x q axis sines
+    s_ik = sin(pi i x_k), so the rows a grid product needs are formed a
+    block at a time (``value_rows``), pairing grid rows with every weight
+    row is a contraction with s along y, then along x (``pair``), and a
+    combination of weight rows is s^T A s (``combine``).
     """
 
     space: TestSpace
@@ -190,6 +206,10 @@ class FeatureSet:
             raise ValueError("boundary point dimension mismatch")
         if len(np.unique(bp.round(decimals=14), axis=0)) != bp.shape[0]:
             raise ValueError("boundary points must be distinct")
+        if sp.kind == "sine1d" and np.any(c != c[0]):
+            raise ValueError(
+                f"sine1d features need a constant c, got values from "
+                f"{c.min():g} to {c.max():g}")
         object.__setattr__(self, "c_field", c)
         object.__setattr__(self, "boundary_points", bp)
         object.__setattr__(self, "quad_points", pts)
@@ -219,28 +239,24 @@ class FeatureSet:
         return self.boundary_points.shape[0]
 
     def value_rows(self, rows: slice) -> np.ndarray:
-        """Rows ``rows`` of the weights W on the kernel values: a view of
-        the stored fem array, or for sine features those rows formed now,
-        entry by entry, so a block of rows has the bits of the same rows of
-        the whole.  A sine2d row is the outer product of two rows of the
-        axis sines, times 2: the bits of the same row of
+        """Rows ``rows`` of the weights W on the kernel values (fem1d and
+        sine2d): a view of the stored fem array, or for sine2d those rows
+        formed now, entry by entry, so a block of rows has the bits of the
+        same rows of the whole.  A sine2d row is the outer product of two
+        rows of the axis sines, times 2: the bits of the same row of
         ``spaces.basis_values``."""
         if self._weights is not None:
             return self._weights[rows]
-        if self._sines is None:
-            modes = np.arange(1, self.space.size + 1)[rows]
-            phi = spaces.sine_rows(modes, self.quad_points)
-        else:
-            s, p = self._sines, self.space.n_per_dim
-            r = np.arange(self.space.size)[rows]
-            phi = (s[r // p][:, :, None] * s[r % p][:, None, :]) \
-                .reshape(r.size, -1)
-            phi *= 2.0
+        s, p = self._sines, self.space.n_per_dim
+        r = np.arange(self.space.size)[rows]
+        phi = (s[r // p][:, :, None] * s[r % p][:, None, :]) \
+            .reshape(r.size, -1)
+        phi *= 2.0
         self._weigh(phi, rows)
         return phi
 
     def _weigh(self, phi: np.ndarray, rows: slice) -> None:
-        """Turn the sine basis values ``phi`` of the modes ``rows`` into
+        """Turn the sine2d basis values ``phi`` of the modes ``rows`` into
         their weights in place, a block of rows at a time:
         phi (w c) + (phi nu lambda) w, in that order of operations."""
         w = trapezoid_weights(self.n_quad, self.space.dim)
@@ -256,16 +272,7 @@ class FeatureSet:
 
     def pair(self, t: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """t @ W.T for rows ``t`` of values on the grid, written
-        into ``out`` when given.
-
-        For sine1d, row i of the weights is sqrt(2) sin(pi i k/(q-1)) times
-        w c + nu lambda_i w, so the pairing is
-
-            (sqrt(2)/2) [DST-I(t w c) + nu lambda DST-I(t w)]
-
-        over the interior nodes, cut to the first N modes; when c is
-        constant on the grid that is (sqrt(2)/2)(c_0 + nu lambda) DST-I(t w),
-        one transform.
+        into ``out`` when given (fem1d and sine2d).
 
         For sine2d, with each row of ``t`` a q x q array T and s the axis
         sines, the pairing is
@@ -279,55 +286,35 @@ class FeatureSet:
             return np.matmul(t, self._weights.T, out=out)
         n, c = self.n_features, self.c_field
         nu_lam = self.nu_diff * self.space.eigenvalues
-        if self._sines is not None:
-            s, p, q, b = self._sines, self.space.n_per_dim, self.n_quad, len(t)
-            w = trapezoid_weights(q, 2)
-            u = np.empty((2, b, q * q))
-            np.multiply(t, w * c, out=u[0])
-            np.multiply(t, w, out=u[1])
-            v = (u.reshape(-1, q) @ s.T).reshape(2 * b, q, p)    # along y
-            v = v.transpose(0, 2, 1).reshape(-1, q) @ s.T          # along x
-            # v[term, row, i, j]
-            v = v.reshape(2, b, p, p).transpose(0, 1, 3, 2)
-            pairing = v[1] * nu_lam.reshape(p, p)
-            pairing += v[0]
-            return np.multiply(pairing.reshape(b, n), 2.0, out=out)
-        w = trapezoid_weights(self.n_quad)[1:-1]
-        s = dst(t[:, 1:-1] * w, type=1, overwrite_x=True)[:, :n]
-        if np.all(c == c[0]):
-            return np.multiply(s, np.sqrt(2.0) / 2.0 * (c[0] + nu_lam),
-                               out=out)
-        sc = dst(t[:, 1:-1] * (w * c[1:-1]), type=1, overwrite_x=True)[:, :n]
-        s *= nu_lam
-        s += sc
-        return np.multiply(s, np.sqrt(2.0) / 2.0, out=out)
+        s, p, q, b = self._sines, self.space.n_per_dim, self.n_quad, len(t)
+        w = trapezoid_weights(q, 2)
+        u = np.empty((2, b, q * q))
+        np.multiply(t, w * c, out=u[0])
+        np.multiply(t, w, out=u[1])
+        v = (u.reshape(-1, q) @ s.T).reshape(2 * b, q, p)    # along y
+        v = v.transpose(0, 2, 1).reshape(-1, q) @ s.T          # along x
+        # v[term, row, i, j]
+        v = v.reshape(2, b, p, p).transpose(0, 1, 3, 2)
+        pairing = v[1] * nu_lam.reshape(p, p)
+        pairing += v[0]
+        return np.multiply(pairing.reshape(b, n), 2.0, out=out)
 
     def combine(self, alpha: np.ndarray) -> np.ndarray:
         """The combined weight rows alpha^T @ W: one row for a
-        vector ``alpha``, one per column of an N x K matrix.  For sine1d,
-        w c synth(alpha) + w synth(nu lambda alpha), with synth the sine
-        synthesis on the grid of each column, all in one stacked DST-I (one
-        synthesis, of (c_0 + nu lambda) alpha, when c is constant).  For
-        sine2d, with A the p x p coefficients of a column and s the axis
-        sines, w c 2 s^T A s + w 2 s^T (nu lambda A) s, batched over the
-        columns."""
+        vector ``alpha``, one per column of an N x K matrix (fem1d and
+        sine2d).  For sine2d, with A the p x p coefficients of a column and
+        s the axis sines, w c 2 s^T A s + w 2 s^T (nu lambda A) s, batched
+        over the columns."""
         a = alpha.T
         if self._weights is not None:
             return a @ self._weights
-        q, c = self.n_quad, self.c_field
-        w = trapezoid_weights(q, self.space.dim)
+        w = trapezoid_weights(self.n_quad, 2)
         nu_lam = self.nu_diff * self.space.eigenvalues
-        if self._sines is not None:
-            s, p = self._sines, self.space.n_per_dim
-            b = np.stack([a, nu_lam * a]).reshape(2, -1, p, p)
-            row, diffusion = 2.0 * (s.T @ b @ s).reshape(
-                (2,) + a.shape[:-1] + (-1,))
-        elif np.all(c == c[0]):
-            return w * spaces.sine_synthesis((c[0] + nu_lam) * a, q)
-        else:
-            row, diffusion = spaces.sine_synthesis(
-                np.stack([a, nu_lam * a]), q)
-        row *= w * c
+        s, p = self._sines, self.space.n_per_dim
+        b = np.stack([a, nu_lam * a]).reshape(2, -1, p, p)
+        row, diffusion = 2.0 * (s.T @ b @ s).reshape(
+            (2,) + a.shape[:-1] + (-1,))
+        row *= w * self.c_field
         row += w * diffusion
         return row
 
@@ -354,14 +341,23 @@ class GramBlocks:
 
     def on_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """Grid values of the representer with these N + M coefficients,
-        or the G x K values of an (N+M) x K matrix of coefficient columns:
-        one grid product per combined weight row sum_i alpha_i w_i
-        (``FeatureSet.combine``, sine syntheses for sine features), plus
-        the boundary columns."""
+        or the G x K values of an (N+M) x K matrix of coefficient columns,
+        plus the boundary columns.  For sine1d, with beta_i = alpha_i d_i,
+        that is the sine synthesis of s_i beta_i plus the six layers
+        weighted by R^T beta (``_sine1d_terms``); otherwise one grid
+        product per combined weight row sum_i alpha_i w_i
+        (``FeatureSet.combine``)."""
         fs, n = self.features, self.n_features
-        rows = fs.combine(coeffs[:n])
-        values = _grid_product(self.spec, rows.reshape(-1, rows.shape[-1]),
-                               fs.n_quad, fs.space.dim).reshape(rows.shape)
+        if fs.space.kind == "sine1d":
+            a, d, (s_hat, _, layer_coeffs) = _sine1d_parts(self.spec, fs)
+            beta = coeffs[:n].T * d
+            values = spaces.sine_synthesis(s_hat * beta, fs.n_quad)
+            values += (beta @ layer_coeffs) @ _layers(a, fs.quad_points)
+        else:
+            rows = fs.combine(coeffs[:n])
+            values = _grid_product(
+                self.spec, rows.reshape(-1, rows.shape[-1]), fs.n_quad,
+                fs.space.dim).reshape(rows.shape)
         values += coeffs[n:].T @ _pairwise(self.spec, fs.boundary_points,
                                            fs.quad_points)
         return values.T
@@ -372,6 +368,88 @@ class GramBlocks:
         identity, formed on every read.  No solver path reads it; it stays
         for the span hooks of ``benchmarks/spans.py``."""
         return self.on_grid(np.eye(self.k_phi_phi.shape[0]))
+
+
+def _sine1d_terms(a, omega):
+    """Closed forms of the sine1d features under the Matern-5/2 kernel
+    k(t) = (1 + a|t| + (a t)^2/3) exp(-a|t|), for the modes j = 1..N of
+    frequencies ``omega`` = pi j, in that order: (s, M, R) with
+
+        K phi_j = s_j phi_j + sum_k R_jk L_k,    M_ik = int phi_i L_k,
+
+    so the Gram matrix of the phi_i is diag(s) + M R^T.  The six layers
+    L_k (``_layers``) are symmetric (k < 3) and antisymmetric (k >= 3)
+    about x = 1/2.  Any float dtype of ``a`` and ``omega`` is kept.
+
+    On [0, 1], K phi_j is the full-line convolution s(omega) phi_j, with
+    s(w) = 16 a^5 / (3 (a^2 + w^2)^3), less the parts of
+    sqrt(2) sin(omega y) at y < 0 and y > 1.  For y < 0 that part is
+    sqrt(2) exp(-a x) P_j(x), where expanding k(x - y) in t = -y gives
+
+        P_j(x) = I_0 (1 + a x + (a x)^2/3) + I_1 (a + 2 a^2 x/3)
+                 + I_2 a^2/3,    I_k = Im k!/(a - i omega)^(k+1),
+
+    whose coefficients c_0, c_1, c_2 are positive rationals in omega; for
+    y > 1 it is (-1)^(j+1) times the mirror image.  So odd modes carry
+    sqrt(2) c on the symmetric layers and even modes on the antisymmetric
+    ones, and a cross-parity Gram entry is exactly zero.  The moments are
+    int phi_i (x^m e^{-ax} +- (1-x)^m e^{-a(1-x)}) = 2 sqrt(2) Im J_m on
+    the layers of mode i's parity, with J_m = int_0^1 x^m e^{zx} dx,
+    z = -a + i omega_i, e^z = (-1)^i e^{-a}, from the recurrence
+    J_0 = (e^z - 1)/z, J_m = (e^z - m J_{m-1})/z (stable: |z| > m).
+    """
+    n = omega.shape[0]
+    r = a * a + omega * omega
+    s_hat = 16.0 * a ** 5 / (3.0 * r ** 3)
+    c = np.stack([
+        omega * (15.0 * a ** 4 + 10.0 * (a * omega) ** 2 + 3.0 * omega ** 4)
+        / (3.0 * r ** 3),
+        a * omega * (7.0 * a * a + 3.0 * omega * omega) / (3.0 * r * r),
+        a * a * omega / (3.0 * r)], axis=1)
+    even = np.arange(1, n + 1) % 2 == 0
+    e_z = np.where(even, 1.0, -1.0) * np.exp(-a)
+    z = -a + 1j * omega
+    j_m = (e_z - 1.0) / z
+    im_j = [j_m.imag]
+    for m in (1, 2):
+        j_m = (e_z - m * j_m) / z
+        im_j.append(j_m.imag)
+    im_j = np.stack(im_j, axis=1)
+    moments = np.zeros((n, 6), dtype=omega.dtype)
+    coeffs = np.zeros((n, 6), dtype=omega.dtype)
+    for cols, rows in ((slice(0, 3), ~even), (slice(3, 6), even)):
+        moments[rows, cols] = 2.0 * np.sqrt(2.0) * im_j[rows]
+        coeffs[rows, cols] = np.sqrt(2.0) * c[rows]
+    return s_hat, moments, coeffs
+
+
+def _layers(a, x) -> np.ndarray:
+    """The six layers of ``_sine1d_terms`` at the points ``x``, 6 x P:
+    x^m e^{-ax} + (1-x)^m e^{-a(1-x)}, then the same with a minus,
+    m = 0, 1, 2."""
+    y = 1.0 - x
+    left = np.exp(-a * x) * np.stack([np.ones_like(x), x, x * x])
+    right = np.exp(-a * y) * np.stack([np.ones_like(y), y, y * y])
+    return np.concatenate([left + right, left - right])
+
+
+def _sine1d_parts(spec: KernelSpec, fs: FeatureSet):
+    """a = sqrt(5)/ell, the feature scales d_i = c + nu lambda_i (feature
+    i is d_i phi_i) and ``_sine1d_terms`` at the modes of ``fs``."""
+    a = np.sqrt(5.0) / spec.length_scale
+    d = fs.c_field[0] + fs.nu_diff * fs.space.eigenvalues
+    omega = np.pi * np.arange(1, fs.n_features + 1)
+    return a, d, _sine1d_terms(a, omega)
+
+
+def _sine1d_columns(spec: KernelSpec, fs: FeatureSet, x) -> np.ndarray:
+    """The sine1d features paired with K(., x_p), N x P: d_i (K phi_i)(x_p)
+    in closed form."""
+    a, d, (s_hat, _, coeffs) = _sine1d_parts(spec, fs)
+    cols = coeffs @ _layers(a, x)
+    cols += s_hat[:, None] * spaces.basis_values(fs.space, x)
+    cols *= d[:, None]
+    return cols
 
 
 @functools.lru_cache(maxsize=4)
@@ -408,9 +486,9 @@ def _grid_product(spec: KernelSpec, w: np.ndarray, n_quad: int, dim: int,
     such pair is +-(q-1), where the kernel takes one value; so the period
     is exact for any weights, including rows that do not vanish on the
     grid edges.  2D uses it.  1D keeps P = next_fast_len(2q-1) >= 2q-1,
-    which keeps every offset apart: the shorter period rounds every 1D
-    grid product differently, and the ill-conditioned elliptic1d solve
-    amplifies that (its ``rel_l2_error`` moved by 3.2e-5 relative).
+    which keeps every offset apart: only fem features take 1D grid
+    products, and the shorter period would round each of them
+    differently, so the fem pipelines' outputs would not keep their bits.
 
     The 2D transforms are taken one axis at a time and skip what is zero
     or cropped: forward, a real FFT along y of the q rows, then an FFT
@@ -474,24 +552,35 @@ def _gram(g: np.ndarray, k_cb, k_bb, spec: KernelSpec = None,
 def assemble_features(spec: KernelSpec, fs: FeatureSet) -> GramBlocks:
     """All Gram blocks of the operator and boundary features.
 
-    The operator block is taken a block of rows at a time: that block's
-    weight rows (formed now for sine features), their grid products, then
-    at once their pairing with the weights in y (``FeatureSet.pair``),
-    written into the Gram array; no N x G product is kept.
+    For sine1d the operator block is D (diag(s) + M R^T) D in closed form
+    (``_sine1d_terms``): one N x 6 by 6 x N GEMM written into the Gram
+    array, then the diagonal; the boundary block is d_i (K phi_i)(x_b).
+    Otherwise it is taken a block of rows at a time: that block's weight
+    rows (formed now for sine2d), their grid products, then at once their
+    pairing with the weights in y (``FeatureSet.pair``), written into the
+    Gram array; no N x G product is kept.
     """
     n, m = fs.n_features, fs.n_boundary
     q, dim = fs.n_quad, fs.space.dim
+    bp = fs.boundary_points
 
     g = np.empty((n + m, n + m))
-    block = max(1, _WEIGHT_BLOCK_ELEMENTS // q ** dim)
-    for lo in range(0, n, block):
-        rows = slice(lo, min(lo + block, n))
-        t = _grid_product(spec, fs.value_rows(rows), q, dim)
-        fs.pair(t, out=g[rows, :n])
-        del t
-
-    k_cb = _operator_blocks(spec, fs, fs.boundary_points)     # N x M
-    return _gram(g, k_cb, kernel_matrix(spec, fs.boundary_points), spec, fs)
+    if fs.space.kind == "sine1d":
+        _, d, (s_hat, moments, coeffs) = _sine1d_parts(spec, fs)
+        np.matmul(d[:, None] * moments, (d[:, None] * coeffs).T,
+                  out=g[:n, :n])
+        i = np.arange(n)
+        g[i, i] += d * s_hat * d
+        k_cb = _sine1d_columns(spec, fs, bp[:, 0])
+    else:
+        block = max(1, _WEIGHT_BLOCK_ELEMENTS // q ** dim)
+        for lo in range(0, n, block):
+            rows = slice(lo, min(lo + block, n))
+            t = _grid_product(spec, fs.value_rows(rows), q, dim)
+            fs.pair(t, out=g[rows, :n])
+            del t
+        k_cb = _operator_blocks(spec, fs, bp)                 # N x M
+    return _gram(g, k_cb, kernel_matrix(spec, bp), spec, fs)
 
 
 # (a, c) of point evaluation in _operator_pairing
@@ -585,6 +674,9 @@ def evaluate_features(spec: KernelSpec, fs: FeatureSet,
     a representer with coefficients c evaluates to E @ c.
     """
     pts = _as_points(points)
-    op_cols = _operator_blocks(spec, fs, pts)                 # N x P
+    if fs.space.kind == "sine1d":
+        op_cols = _sine1d_columns(spec, fs, pts[:, 0])        # N x P
+    else:
+        op_cols = _operator_blocks(spec, fs, pts)
     bd_cols = _pairwise(spec, fs.boundary_points, pts)        # M x P
     return np.vstack([op_cols, bd_cols]).T

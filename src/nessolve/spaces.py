@@ -291,10 +291,20 @@ def sine_synthesis(coeffs: np.ndarray, n_points: int) -> np.ndarray:
 
 
 def basis_values(space: TestSpace, points: np.ndarray) -> np.ndarray:
-    """Matrix of basis-function values, shape (N, P)."""
+    """Matrix of basis-function values, shape (N, P).
+
+    sine1d values are taken entry by entry from the exactly reduced
+    argument 2 pi frac(j x / 2).  On a uniform grid of 2^p + 1 points j x
+    is exact, so these are the sines of the DST-I up to one rounding,
+    where pi j x would carry an error growing with j."""
     pts = np.asarray(points, dtype=float)
     if space.kind == "sine1d":
-        return sine_rows(np.arange(1, space.size + 1), pts)
+        r = np.arange(1, space.size + 1)[:, None] * (0.5 * pts)[None, :]
+        r -= np.floor(r)
+        r *= 2.0 * np.pi
+        np.sin(r, out=r)
+        r *= np.sqrt(2.0)
+        return r
     if space.kind == "sine2d":
         p = space.n_per_dim
         sx = axis_sines(p, pts[:, 0])           # p x P
@@ -306,25 +316,6 @@ def basis_values(space: TestSpace, points: np.ndarray) -> np.ndarray:
         nodes = (np.arange(1, space.size + 1) * space.h)[:, None]
         return np.clip(1.0 - np.abs(pts[None, :] - nodes) / space.h, 0.0, None)
     raise ValueError(f"unknown kind {space.kind!r}")
-
-
-def sine_rows(modes: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Values sqrt(2) sin(pi j x) of the sine1d basis functions j in
-    ``modes`` (rows) at the 1D ``points`` (columns), entry by entry, so a
-    block of rows has the bits of the same rows of the whole matrix.
-
-    The argument is reduced exactly, to 2 pi frac(j x / 2).  On a uniform
-    grid of 2^p + 1 points j x is exact, so these are the sines of the
-    DST-I up to one rounding, where pi j x would carry an error growing
-    with j.
-    """
-    half = 0.5 * np.asarray(points, dtype=float)
-    r = np.asarray(modes)[:, None] * half[None, :]
-    r -= np.floor(r)
-    r *= 2.0 * np.pi
-    np.sin(r, out=r)
-    r *= np.sqrt(2.0)
-    return r
 
 
 def axis_sines(n_modes: int, x: np.ndarray) -> np.ndarray:

@@ -218,6 +218,16 @@ def test_cli_flags_win_over_the_same_keys_in_the_config(tmp_path, capsys):
     assert not (tmp_path / "file_out").exists()
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_cli_rejects_a_full_scale_that_is_not_a_boolean(tmp_path, value):
+    # a quoted "false" used to mean true, through bool()
+    f = tmp_path / "cfg.yaml"
+    yaml.safe_dump(dict(SMALL["rate_study"], seed=7, full_scale=value),
+                   f.open("w"))
+    with pytest.raises(ValueError, match=f"full_scale.*{value!r}"):
+        main(["rate_study", "--config", str(f)])
+
+
 def test_cli_check_flags_violations(tmp_path, capsys):
     f = tmp_path / "cfg.yaml"
     yaml.safe_dump({"n_modes": 64, "truncation": 256, "gamma": 1e-2},

@@ -236,6 +236,52 @@ def test_build_peak_memory():
     assert peak <= 2.5 * unit, f"peak {peak / unit:.2f} N x N arrays"
 
 
+def test_elliptic1d_weak_system_factors_at_rung_0():
+    # the closed-form sine1d Gram leaves the Schur complement S11 positive
+    # definite, so the penalty factors with the nugget alone (the grid
+    # quadrature it replaced needed the 1e-9 rung at n = 4096, which CI
+    # checks); test_build_peak_memory asserts the same at n = 1024
+    sp = build_test_space("sine1d", 2048)
+    fs = FeatureSet(sp, np.ones(1), 0.01, BP, default_n_quad(sp))
+    kkt = KKTSystem(SeminormContext.build(sp, 1.0),
+                    assemble_features(KER, fs), 1e-12)
+    assert kkt.jitter == 1e-10
+
+
+def test_elliptic1d_grid_values_round_below_1e8():
+    # the float64 on_grid of the n = 1024 elliptic1d solution against the
+    # same coefficients evaluated in np.longdouble: the closed form with
+    # pi in long double, sines of exactly reduced arguments and the
+    # boundary kernel columns.  Measured 2.0e-9 of max |u|; the grid
+    # quadrature it replaced read 1.2e-7
+    from nessolve import kernels, noise
+    n = 1024
+    xi = noise.sample_white_noise_spectral(2 ** 14, 7)
+    sp = build_test_space("sine1d", n)
+    cfg = SolverConfig(sp, KER, BP, gamma=1e-12, s=1.0, max_iterations=2)
+    rep, report = solve(OperatorSpec("linear_elliptic", 0.01),
+                        MeasurementVector(xi.entries[:n], sp), cfg)
+    coeffs = rep.coefficients
+    ld = np.longdouble
+    pi = 4 * np.arctan(ld(1))
+    a = np.sqrt(ld(5)) / ld(KER.length_scale)
+    j = np.arange(1, n + 1)
+    omega = pi * j.astype(ld)
+    s_hat, _, layer_coeffs = kernels._sine1d_terms(a, omega)
+    beta = coeffs[:n].astype(ld) * (1 + ld(0.01) * omega ** 2)
+    q = cfg.n_quad
+    k = np.arange(q)
+    x = k.astype(ld) / (q - 1)
+    phi = np.sqrt(ld(2)) * np.sin(
+        pi * ((j[:, None] * k[None, :]) % (2 * (q - 1))) / (q - 1))
+    u = (s_hat * beta) @ phi + (beta @ layer_coeffs) @ kernels._layers(a, x)
+    for b, xb in zip(coeffs[n:], BP):
+        r = a * np.abs(x - ld(xb))
+        u += ld(b) * (1 + r + r * r / 3) * np.exp(-r)
+    err = np.max(np.abs(report.final_grid.values - u)) / np.max(np.abs(u))
+    assert err <= 1e-8
+
+
 def _apply_q(h, tau, c, side, trans="N"):
     """Q c, Q^T c (side "L") or c Q (side "R") for Q held as Householder
     reflectors (``scipy.linalg.qr(..., mode="raw")``), in place when ``c``

@@ -307,37 +307,32 @@ def test_zero_operator_features():
 
 
 def test_quadrature_doubling_invariance():
-    # blocks converge at second order under quadrature doubling: the
-    # operator rows settle below 1e-7 relative (and shrink 4x per
-    # doubling), the boundary rows below 1e-9
+    # sine1d blocks are in closed form: doubling the grid, which now only
+    # sets where representers are evaluated, leaves every bit in place,
+    # and the grid values agree on the shared nodes
     sp = build_test_space("sine1d", 2)
     bp = np.array([0.0, 1.0])
+    c = np.array([0.3, -1.1, 0.7, 2.0])
 
     def blocks_at(q):
         fs = FeatureSet(sp, np.ones(q), 1.0, bp, q)
         return assemble_features(SPEC, fs)
 
-    b1 = blocks_at(4097)
-    b2 = blocks_at(8193)
-    b3 = blocks_at(16385)
-    scale = np.abs(b3.k_phi_phi).max()
-    d12 = np.max(np.abs(b1.k_chi_phi - b2.k_chi_phi))
-    d23 = np.max(np.abs(b2.k_chi_phi - b3.k_chi_phi))
-    assert d23 <= 1e-7 * scale
-    assert 3.0 <= d12 / d23 <= 5.0
-    assert np.max(np.abs(b2.k_x_phi - b3.k_x_phi)) <= 1e-9 * scale
+    b1, b2, b3 = blocks_at(4097), blocks_at(8193), blocks_at(16385)
+    assert np.array_equal(b1.k_phi_phi, b2.k_phi_phi)
+    assert np.array_equal(b1.k_phi_phi, b3.k_phi_phi)
+    u1, u3 = b1.on_grid(c), b3.on_grid(c)
+    assert np.max(np.abs(u3[::4] - u1)) <= 1e-14 * np.abs(u1).max()
 
 
 def _grid_cases():
-    """Small feature sets covering every kind: sine values in 1D and 2D,
-    and fem with nu_diff != 0 so its stencil weights count."""
+    """Small feature sets of every kind integrated on a grid: sine values
+    in 2D, and fem with nu_diff != 0 so its stencil weights count."""
     rng = np.random.default_rng(3)
     bp1 = np.array([0.0, 1.0])
     bp2 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                     [0.5, 0.0], [0.0, 0.5]])
     return [
-        FeatureSet(build_test_space("sine1d", 6), 1.0 + rng.random(65),
-                   0.2, bp1, 65),
         FeatureSet(build_test_space("sine2d", n_per_dim=4),
                    1.0 + rng.random(17 ** 2), 0.1, bp2, 17),
         FeatureSet(build_test_space("fem1d", 8), 1.0 + rng.random(73),
@@ -436,6 +431,10 @@ def test_evaluate_features_consistency():
     assert np.allclose(e_bp, blocks.k_x_phi, atol=1e-12)
     e_grid = evaluate_features(SPEC, fs, fs.quad_points)
     assert np.allclose(e_grid, blocks.quad_eval, atol=1e-12)
+    # the vector path of on_grid, a sine synthesis, against the dense
+    # closed form with its sines from the reduced arguments
+    c = np.random.default_rng(2).standard_normal(5)
+    assert np.allclose(blocks.on_grid(c), e_grid @ c, atol=1e-12)
 
 
 def test_feature_guards():
@@ -444,6 +443,20 @@ def test_feature_guards():
         FeatureSet(sp, np.ones(9), 1.0, np.array([0.0, 1.0]), 9)
     with pytest.raises(ValueError):
         FeatureSet(sp, np.ones(33), 1.0, np.array([0.0, 0.0]), 33)
+
+
+def test_sine1d_features_reject_a_varying_c():
+    # the closed form holds for a constant c only: a smooth profile and
+    # random values are both refused
+    bp = np.array([0.0, 1.0])
+    for n, c in [(16, lambda x: 1.0 + 0.5 * np.cos(3 * np.pi * x)),
+                 (64, lambda x: 1.0 + 0.5 * np.cos(3 * np.pi * x)),
+                 (6, lambda x: 1.0 + np.random.default_rng(3).random(
+                     x.shape[0]))]:
+        q = 4 * n + 1
+        with pytest.raises(ValueError, match="constant c"):
+            FeatureSet(build_test_space("sine1d", n), c(grid_points(q)),
+                       0.01, bp, q)
 
 
 def test_collocation_blocks_against_derivative_oracle():
@@ -581,7 +594,7 @@ def test_on_grid_matches_dense_evaluation():
         assert _rel(got, want) <= 1e-14
 
 
-@pytest.mark.parametrize("kind", ["sine1d", "sine2d", "fem1d"])
+@pytest.mark.parametrize("kind", ["sine2d", "fem1d"])
 def test_weights_formed_in_place_keep_their_bits(monkeypatch, kind):
     # one row per in-place block gives the weights of the whole-array
     # formula, bit for bit
@@ -607,13 +620,13 @@ def test_weights_formed_in_place_keep_their_bits(monkeypatch, kind):
 
 
 def _k_cc_long_double(spec, fs):
-    """The sine operator block W K W^T in np.longdouble, from sines of
+    """The sine2d operator block W K W^T in np.longdouble, from sines of
     exactly reduced arguments sin(pi ((j k) mod 2(q-1)) / (q-1)) and the
     Matern kernel at the exact offsets between grid nodes, (k - l) / (q-1)
     per axis."""
     ld = np.longdouble
     q = fs.n_quad
-    m = fs.space.n_per_dim if fs.space.kind == "sine2d" else fs.n_features
+    m = fs.space.n_per_dim
     pi = 4 * np.arctan(ld(1))
     j = np.arange(1, m + 1)[:, None]
     k = np.arange(q)
@@ -622,54 +635,24 @@ def _k_cc_long_double(spec, fs):
     w[[0, -1]] /= 2
     lam = (pi * j) ** 2
     offset = np.abs(k[:, None] - k[None, :]).astype(ld)
-    if fs.space.kind == "sine2d":
-        g = q * q
-        s = 2 * (s[:, None, :, None] * s[None, :, None, :]).reshape(m * m, g)
-        w = np.outer(w, w).ravel()
-        lam = (lam + lam.T).reshape(m * m, 1)
-        offset = np.sqrt(offset[:, None, :, None] ** 2 +
-                         offset[None, :, None, :] ** 2).reshape(g, g)
-    else:
-        s = np.sqrt(ld(2)) * s
+    g = q * q
+    s = 2 * (s[:, None, :, None] * s[None, :, None, :]).reshape(m * m, g)
+    w = np.outer(w, w).ravel()
+    lam = (lam + lam.T).reshape(m * m, 1)
+    offset = np.sqrt(offset[:, None, :, None] ** 2 +
+                     offset[None, :, None, :] ** 2).reshape(g, g)
     weights = s * (w * fs.c_field.astype(ld) + ld(fs.nu_diff) * lam * w)
     ar = np.sqrt(ld(5)) / ld(spec.length_scale) * offset / (q - 1)
     kernel = (1 + ar + ar ** 2 / 3) * np.exp(-ar)
     return weights @ kernel @ weights.T
 
 
-@pytest.mark.parametrize("n", [16, 64])
-@pytest.mark.parametrize("c_kind", ["constant", "varying"])
-def test_dst_pairing_against_long_double_oracle(n, c_kind):
-    # the DST-I pairing of the sine1d operator block is as close to an
-    # extended-precision oracle as the GEMM with the weight rows it
-    # replaces; both pair the same FFT grid products
-    spec = KernelSpec("matern52", 0.2)
-    q = 4 * n + 1
-    x = grid_points(q)
-    c = np.ones(q) if c_kind == "constant" else \
-        1.0 + 0.5 * np.cos(3 * np.pi * x)
-    fs = FeatureSet(build_test_space("sine1d", n), c, 0.01,
-                    np.array([0.0, 1.0]), q)
-    oracle = _k_cc_long_double(spec, fs)
-    scale = np.max(np.abs(oracle))
-
-    dst_k = assemble_features(spec, fs).k_phi_phi[:n, :n]
-    wv = fs.value_rows(slice(None))
-    gemm_k = kernels._grid_product(spec, wv, q, 1) @ wv.T
-    gemm_k = 0.5 * (gemm_k + gemm_k.T)
-    err_dst = float(np.max(np.abs(dst_k - oracle)) / scale)
-    err_gemm = float(np.max(np.abs(gemm_k - oracle)) / scale)
-    assert err_dst <= 1.25 * err_gemm + 1e-15, (err_dst, err_gemm)
-
-
-def test_sine1d_assembly_holds_no_weight_array(monkeypatch):
-    # sine1d features keep no N x G weights: assembly forms their rows a
-    # block at a time and pairs them by DST-I, so FeatureSet and assembly
-    # together peak near the N x N Gram array; the FFT work buffers are cut
-    # to one row so that only the arrays of the assembly count
-    monkeypatch.setattr(kernels, "_FFT_BLOCK_ELEMENTS", 1)
-    n, q = 256, 1025
-    unit = 8 * n * q
+def test_sine1d_assembly_holds_no_weight_array():
+    # sine1d features keep no N x G weights and assembly holds no N x N
+    # temporary: the GEMM of the closed form writes straight into the Gram
+    # array, which is then symmetrized a block pair at a time
+    n, q = 1024, 4097
+    unit = 8 * (n + 2) ** 2
     tracemalloc.start()
     try:
         fs = FeatureSet(build_test_space("sine1d", n), np.ones(q), 0.1,
@@ -678,7 +661,7 @@ def test_sine1d_assembly_holds_no_weight_array(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * unit, f"peak {peak / unit:.2f} N x G arrays"
+    assert peak <= 1.25 * unit, f"peak {peak / unit:.2f} Gram arrays"
 
 
 @pytest.mark.parametrize("p", [4, 8])
@@ -726,3 +709,132 @@ def test_sine2d_assembly_holds_no_weight_array(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * unit, f"peak {peak / unit:.2f} N x G arrays"
+
+
+def _mp_sine1d_mode(mp, a, j):
+    """s(pi j), the coefficients c_0, c_1, c_2 of P_j and Im J_m, m <= 2,
+    of mode j in mpmath, from the formulas as stated: I_k =
+    Im k!/(a - i pi j)^(k+1) and J_m = int_0^1 x^m e^{zx} dx written out,
+    z = -a + i pi i."""
+    w = mp.pi * j
+    s = 16 * a ** 5 / (3 * (a * a + w * w) ** 3)
+    i0, i1, i2 = (mp.im(mp.factorial(k) / mp.mpc(a, -w) ** (k + 1))
+                  for k in range(3))
+    c = (i0 + a * i1 + a * a * i2 / 3, a * i0 + 2 * a * a * i1 / 3,
+         a * a * i0 / 3)
+    z = mp.mpc(-a, w)
+    ez = mp.exp(z)
+    big_j = ((ez - 1) / z, ez / z - (ez - 1) / z ** 2,
+             ez / z - 2 * ez / z ** 2 + 2 * (ez - 1) / z ** 3)
+    return s, c, [mp.im(v) for v in big_j]
+
+
+def _mp_k_phi(mp, a, j, x, mode):
+    """(K phi_j)(x) from the closed form of ``_mp_sine1d_mode``: s phi_j
+    plus the boundary layers sqrt(2) e^{-ax} P_j(x) and its mirror image
+    times (-1)^(j+1)."""
+    s, c, _ = mode
+
+    def p(t):
+        return c[0] + c[1] * t + c[2] * t * t
+    r2 = mp.sqrt(2)
+    return s * r2 * mp.sin(mp.pi * j * x) + r2 * mp.exp(-a * x) * p(x) + \
+        r2 * (-1) ** (j + 1) * mp.exp(-a * (1 - x)) * p(1 - x)
+
+
+def _mp_sine1d_gram(mp, a, modes, i, j):
+    """Gram entry (i, j) of phi_i, phi_j: s_i delta_ij plus
+    sum_m 2 Im J_m(i) c_m(j) (1 + (-1)^(i+j))."""
+    s_i, _, im_j = modes[i]
+    _, c_j, _ = modes[j]
+    layers = 2 * sum(im_j[m] * c_j[m] for m in range(3)) * \
+        (1 + (-1) ** (i + j))
+    return layers + (s_i if i == j else 0)
+
+
+def test_sine1d_closed_forms_match_mpmath_at_30_digits():
+    # the closed forms against 30-digit quadrature, then the float64 terms,
+    # the whole Gram array and k_cb at n = 32 against the 30-digit closed
+    # forms, and entries up to n = 4096; Gram errors are taken relative to
+    # sqrt(G_ii G_jj), which bounds |G_ij| for a PSD matrix
+    mp = pytest.importorskip("mpmath")
+    spec, nu, cc, n = KernelSpec("matern52", 0.2), 0.01, 0.8, 32
+    with mp.workdps(30):
+        a = mp.sqrt(5) / mp.mpf(spec.length_scale)
+
+        def k(t):
+            t = abs(t)
+            return (1 + a * t + (a * t) ** 2 / 3) * mp.exp(-a * t)
+
+        spot = [(4096, 4096), (4095, 4095), (4096, 4094), (1, 4095),
+                (2, 4096), (2047, 4095), (3000, 3000), (2047, 2047),
+                (4095, 4096), (1, 1)]
+        modes = {j: _mp_sine1d_mode(mp, a, j)
+                 for j in set(range(1, n + 1)).union(*spot)}
+        # the formulas, which hold for every j, against quadrature
+        for j in (1, 2, 7):
+            w = mp.pi * j
+            s_quad = 2 * mp.quad(lambda t: k(t) * mp.cos(w * t),
+                                 mp.linspace(0, 8, 2 * j + 7))
+            assert abs(modes[j][0] - s_quad) <= 1e-18 * modes[j][0]
+            for m in range(3):
+                mu = mp.quad(lambda x: x ** m * mp.exp(-a * x) *
+                             mp.sin(w * x), mp.linspace(0, 1, j + 2))
+                assert abs(modes[j][2][m] - mu) <= 1e-18 * abs(mu)
+            for x in (0, mp.mpf("0.13"), mp.mpf("0.5"), mp.mpf("0.91"), 1):
+                quad = mp.quad(lambda y: k(x - y) * mp.sqrt(2) *
+                               mp.sin(w * y), [0, x, 1])
+                scale = abs(_mp_k_phi(mp, a, j, mp.mpf(0), modes[j]))
+                assert abs(_mp_k_phi(mp, a, j, x, modes[j]) - quad) <= \
+                    1e-18 * scale
+
+        # the float64 terms
+        s_hat, moments, coeffs = kernels._sine1d_terms(
+            np.sqrt(5.0) / 0.2, np.pi * np.arange(1, n + 1))
+        for j in range(1, n + 1):
+            s, c, im_j = modes[j]
+            cols = slice(0, 3) if j % 2 else slice(3, 6)
+            assert abs(s_hat[j - 1] - s) <= 1e-13 * s
+            for got, want in ((coeffs[j - 1, cols], [mp.sqrt(2) * v
+                                                     for v in c]),
+                              (moments[j - 1, cols], [2 * mp.sqrt(2) * v
+                                                      for v in im_j])):
+                assert max(abs(g - v) for g, v in zip(got, want)) <= \
+                    1e-13 * max(abs(v) for v in want)
+            assert not coeffs[j - 1, 3:].any() if j % 2 else \
+                not coeffs[j - 1, :3].any()
+
+        # the whole Gram array and k_cb at n = 32
+        bp = np.array([0.0, 1.0])
+        fs = FeatureSet(build_test_space("sine1d", n), np.full(129, cc),
+                        nu, bp, 129)
+        blocks = assemble_features(spec, fs)
+        d = {j: cc + mp.mpf(nu) * (mp.pi * j) ** 2 for j in modes}
+        want = mp.matrix(n, n)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                want[i - 1, j - 1] = d[i] * d[j] * \
+                    _mp_sine1d_gram(mp, a, modes, i, j)
+        got = blocks.k_chi_phi[:, :n]
+        for i in range(n):
+            for j in range(n):
+                scale = mp.sqrt(want[i, i] * want[j, j])
+                assert abs(got[i, j] - want[i, j]) <= 1e-13 * scale, (i, j)
+        for j in range(1, n + 1):
+            for b, x in enumerate(bp):
+                want_cb = d[j] * _mp_k_phi(mp, a, j, mp.mpf(x), modes[j])
+                got_cb = blocks.k_chi_phi[j - 1, n + b]
+                assert abs(got_cb - want_cb) <= 1e-13 * abs(want_cb)
+                assert blocks.k_x_phi[b, j - 1] == got_cb
+
+        # entries up to n = 4096, from the terms the assembly reads
+        big = 4096
+        s_hat, moments, coeffs = kernels._sine1d_terms(
+            np.sqrt(5.0) / 0.2, np.pi * np.arange(1, big + 1))
+        for i, j in spot:
+            got = moments[i - 1] @ coeffs[j - 1] + \
+                (s_hat[i - 1] if i == j else 0.0)
+            want = _mp_sine1d_gram(mp, a, modes, i, j)
+            scale = mp.sqrt(_mp_sine1d_gram(mp, a, modes, i, i) *
+                            _mp_sine1d_gram(mp, a, modes, j, j))
+            assert abs(got - want) <= 1e-13 * scale, (i, j)
