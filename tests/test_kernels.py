@@ -446,17 +446,16 @@ def test_feature_guards():
 
 
 def test_sine1d_features_reject_a_varying_c():
-    # the closed form holds for a constant c only: a smooth profile and
-    # random values are both refused
+    # the closed form holds for a constant c only: random values are
+    # refused, and so is a c off by one part in 2^40 at one node; the
+    # long-double oracle test below refuses a smooth profile
     bp = np.array([0.0, 1.0])
-    for n, c in [(16, lambda x: 1.0 + 0.5 * np.cos(3 * np.pi * x)),
-                 (64, lambda x: 1.0 + 0.5 * np.cos(3 * np.pi * x)),
-                 (6, lambda x: 1.0 + np.random.default_rng(3).random(
-                     x.shape[0]))]:
-        q = 4 * n + 1
+    q = 25
+    one_off = np.ones(q)
+    one_off[-1] += 2.0 ** -40
+    for c in (1.0 + np.random.default_rng(3).random(q), one_off):
         with pytest.raises(ValueError, match="constant c"):
-            FeatureSet(build_test_space("sine1d", n), c(grid_points(q)),
-                       0.01, bp, q)
+            FeatureSet(build_test_space("sine1d", 6), c, 0.01, bp, q)
 
 
 def test_collocation_blocks_against_derivative_oracle():
@@ -645,6 +644,58 @@ def _k_cc_long_double(spec, fs):
     ar = np.sqrt(ld(5)) / ld(spec.length_scale) * offset / (q - 1)
     kernel = (1 + ar + ar ** 2 / 3) * np.exp(-ar)
     return weights @ kernel @ weights.T
+
+
+def _sine1d_gram_long_double(spec, fs):
+    """The sine1d operator block in np.longdouble from the formulas as
+    stated, not from the rational forms and recurrence of the library:
+    d_i d_j (s_i delta_ij + 4 sum_m Im J_m(i) c_m(j)) on entries of equal
+    parity, with I_k = Im k!/(a - i pi j)^(k+1) and J_m written out."""
+    ld = np.longdouble
+    n = fs.n_features
+    a = np.sqrt(ld(5)) / ld(spec.length_scale)
+    j = np.arange(1, n + 1)
+    w = 4 * np.arctan(ld(1)) * j
+    s = 16 * a ** 5 / (3 * (a * a + w * w) ** 3)
+    lam = np.empty(n, dtype=np.clongdouble)
+    lam.real, lam.imag = a, -w
+    i0, i1, i2 = ((f / lam ** (k + 1)).imag for k, f in enumerate((1, 1, 2)))
+    c = np.stack([i0 + a * i1 + a * a * i2 / 3, a * i0 + 2 * a * a * i1 / 3,
+                  a * a * i0 / 3], axis=1)
+    z = -lam
+    ez = np.exp(z)
+    im_j = np.stack([(ez - 1) / z, ez / z - (ez - 1) / z ** 2,
+                     ez / z - 2 * ez / z ** 2 + 2 * (ez - 1) / z ** 3],
+                    axis=1).imag
+    same = (j[:, None] + j[None, :]) % 2 == 0
+    d = ld(fs.c_field[0]) + ld(fs.nu_diff) * w * w
+    return d[:, None] * (4 * same * (im_j @ c.T) + np.diag(s)) * d[None, :]
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("c_kind", ["constant", "varying"])
+def test_dst_pairing_against_long_double_oracle(n, c_kind):
+    # the sine1d operator block, once a DST-I pairing of grid products, is
+    # now in closed form: with a constant c the assembled block is within a
+    # few float64 roundings of a long-double evaluation of the same
+    # integrals, relative to sqrt(G_ii G_jj); a varying c, which the
+    # closed form cannot take, is refused
+    spec = KernelSpec("matern52", 0.2)
+    q = 4 * n + 1
+    x = grid_points(q)
+    c = np.ones(q) if c_kind == "constant" else \
+        1.0 + 0.5 * np.cos(3 * np.pi * x)
+    args = (build_test_space("sine1d", n), c, 0.01, np.array([0.0, 1.0]), q)
+    if c_kind == "varying":
+        with pytest.raises(ValueError, match="constant c"):
+            FeatureSet(*args)
+        return
+    fs = FeatureSet(*args)
+    oracle = _sine1d_gram_long_double(spec, fs)
+    got = assemble_features(spec, fs).k_phi_phi[:n, :n]
+    diag = np.sqrt(np.diag(oracle))
+    err = np.abs(got - oracle) / (diag[:, None] * diag[None, :])
+    assert float(err.max()) <= 4e-15, float(err.max())
 
 
 def test_sine1d_assembly_holds_no_weight_array():
