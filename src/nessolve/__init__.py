@@ -8,7 +8,7 @@ programs.  Includes seeded rough-noise sampling, semi-implicit SPDE time
 stepping, spectral reference solvers, and a benchmark CLI (``nes-solve``).
 """
 
-from .errors import DegenerateFeaturesError, DivergenceError, \
+from .errors import ConfigError, DegenerateFeaturesError, DivergenceError, \
     ResolutionTooCoarseError, StageError, UnsupportedExponentError
 from .experiments import ExperimentConfig, run_experiment
 from .gauss_newton import Representer, SolveReport, SolverConfig, evaluate, \

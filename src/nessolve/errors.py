@@ -5,6 +5,17 @@ class ResolutionTooCoarseError(ValueError):
     """Quadrature or projection grid cannot resolve the requested modes."""
 
 
+class ConfigError(ValueError):
+    """An experiment parameter breaks its rule; ``key``, ``value`` and
+    ``rule`` say which, with what value, and what it must be."""
+
+    def __init__(self, key, value, rule):
+        super().__init__(f"parameter {key!r} = {value!r} must be {rule}")
+        self.key = key
+        self.value = value
+        self.rule = rule
+
+
 class UnsupportedExponentError(ValueError):
     """Sobolev exponent not supported for the given basis kind."""
 

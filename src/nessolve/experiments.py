@@ -18,10 +18,10 @@ import numpy as np
 import scipy
 
 from . import metrics, noise, operators, reference, spde
-from .errors import StageError
+from .errors import ConfigError, StageError
 from .gauss_newton import SolverConfig, constrained_ls_solve, solve
 from .kernels import FeatureSet, KernelSpec, assemble_collocation, \
-    assemble_features, evaluate_collocation
+    assemble_features, evaluate_collocation, grid_values
 from .seminorm import SeminormContext
 from .spaces import GridFunction, MeasurementVector, build_test_space, \
     default_n_quad, grid_points, project, synthesize
@@ -68,9 +68,49 @@ DEFAULTS = {
 }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and \
+        bool(np.isfinite(v))
+
+
+# the rule each parameter must meet, as a check and the words that name it
+_COUNT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+_POSITIVE = (lambda v: _is_real(v) and v > 0, "a finite number > 0")
+_NONNEGATIVE = (lambda v: _is_real(v) and v >= 0, "a finite number >= 0")
+_RULES = {
+    "nu": _POSITIVE, "gamma": _POSITIVE, "gamma_pointwise": _POSITIVE,
+    "gamma_reference": _POSITIVE, "length_scale": _POSITIVE,
+    "dt": _POSITIVE, "t_final": _POSITIVE,
+    "eps": _NONNEGATIVE, "sigma": _NONNEGATIVE, "s": _NONNEGATIVE,
+    "forcing_decay": _NONNEGATIVE,
+    "n_modes": _COUNT, "n_modes_full": _COUNT, "n_per_dim": _COUNT,
+    "n_per_dim_full": _COUNT, "truncation": _COUNT,
+    "max_iterations": _COUNT, "n_fem": _COUNT, "refine": _COUNT,
+    "n_seeds": _COUNT,
+    "measurement_grid": (lambda v: _is_int(v) and v >= 0,
+                         "an integer >= 0 (0: the reference grid)"),
+    # a negative exponent is refused by the seminorm, in its solve stage
+    "s_values": (
+        lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and
+        all(_is_real(x) for x in v),
+        "a non-empty list of finite numbers"),
+    "gamma_values": (
+        lambda v: isinstance(v, (list, tuple)) and len(v) >= 3 and
+        all(_is_real(x) and x > 0 for x in v),
+        "a list of at least 3 finite numbers > 0"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Named experiment, seed, scale flag, and parameter overrides."""
+    """Named experiment, seed, scale flag, and parameter overrides.
+
+    Each override is checked against its rule in ``_RULES`` before any
+    stage runs; one that breaks it raises ``ConfigError``."""
 
     experiment: str
     seed: int
@@ -86,6 +126,10 @@ class ExperimentConfig:
         unknown = set(self.params) - set(DEFAULTS[self.experiment])
         if unknown:
             raise ValueError(f"unknown parameters {sorted(unknown)}")
+        for key, value in self.params.items():
+            check, rule = _RULES[key]
+            if not check(value):
+                raise ConfigError(key, value, rule)
 
     def resolved(self) -> dict:
         p = dict(DEFAULTS[self.experiment])
@@ -126,7 +170,7 @@ def _run_elliptic1d(p: dict) -> dict:
     xi_meas = MeasurementVector(xi.entries[:n], space)
     kernel = KernelSpec(length_scale=p["length_scale"])
     cfg = SolverConfig(space, kernel, _boundary_1d(), gamma=p["gamma"],
-                       s=1.0, max_iterations=2)
+                       s=1.0, max_iterations=1)
     op = operators.OperatorSpec("linear_elliptic", p["nu"])
     with _stage("reference"):
         u_star = reference.closed_form_elliptic_1d(xi, p["nu"])
@@ -245,14 +289,27 @@ def _semilinear_setup(p: dict, n_per_dim: int):
     return u_coeffs, space, xi_meas
 
 
-def _truth_on_quad(u_coeffs: MeasurementVector, n_quad: int) -> GridFunction:
+def _metric_grid(n_quad: int) -> int:
+    """Points per dim of the grid the 2D metrics are taken on: the
+    quadrature grid with its spacing halved, so a smaller quadrature grid
+    does not also drop the truth's higher modes from the metric."""
+    return 2 * (n_quad - 1) + 1
+
+
+def _truth_on_grid(u_coeffs: MeasurementVector, n_grid: int) -> GridFunction:
     """The truth's L x L sine series, cut to what the grid carries."""
     L = u_coeffs.space.n_per_dim
-    n_keep = min(L, n_quad - 2)
+    n_keep = min(L, n_grid - 2)
     trunc_space = build_test_space("sine2d", n_per_dim=n_keep)
     return synthesize(
         u_coeffs.entries.reshape(L, L)[:n_keep, :n_keep].ravel(),
-        trunc_space, n_quad)
+        trunc_space, n_grid)
+
+
+def _estimate_on_grid(rep, n_grid: int) -> GridFunction:
+    """The solution on the metric grid, matrix-free (``grid_values``)."""
+    values = grid_values(rep.kernel, rep.features, rep.coefficients, n_grid)
+    return GridFunction(values.reshape(n_grid, n_grid))
 
 
 def _run_semilinear2d(p: dict) -> dict:
@@ -262,11 +319,12 @@ def _run_semilinear2d(p: dict) -> dict:
     cfg = SolverConfig(space, kernel, _boundary_2d(), gamma=p["gamma"],
                        s=1.0, max_iterations=p["max_iterations"])
     op = operators.OperatorSpec("semilinear_sine", p["nu"])
+    n_grid = _metric_grid(cfg.n_quad)
     with _stage("truth_synthesis"):
-        truth = _truth_on_quad(u_coeffs, cfg.n_quad)
+        truth = _truth_on_grid(u_coeffs, n_grid)
     with _stage("solve"):
         rep, report = solve(op, xi_meas, cfg)
-        estimate = report.final_grid
+        estimate = _estimate_on_grid(rep, n_grid)
     with _stage("metrics"):
         err = metrics.rel_l2_error(estimate, truth)
         result = {"rel_l2_error": err,
@@ -274,7 +332,7 @@ def _run_semilinear2d(p: dict) -> dict:
                   "iterations": report.iterations,
                   "stop_reason": report.reason,
                   "loss_history": report.loss_history}
-    fields = _downsample_2d(cfg.n_quad, truth.values, estimate.values)
+    fields = _downsample_2d(n_grid, truth.values, estimate.values)
     rows = [("iteration", float(i), "loss", v)
             for i, v in enumerate(report.loss_history)]
     rows.append(("n_per_dim", float(n_per_dim), "rel_l2_error", err))
@@ -290,23 +348,24 @@ def _run_norm_study(p: dict) -> dict:
     stop_reasons = {}
     rows = []
     fields = None
-    # the quadrature grid, and so the truth on it, is the same for every s
+    # the quadrature grid, and so the metric grid and the truth on it, is
+    # the same for every s
     base = SolverConfig(space, kernel, _boundary_2d(), gamma=p["gamma"],
                         max_iterations=p["max_iterations"])
+    n_grid = _metric_grid(base.n_quad)
     with _stage("truth_synthesis"):
-        truth = _truth_on_quad(u_coeffs, base.n_quad)
+        truth = _truth_on_grid(u_coeffs, n_grid)
     for s in p["s_values"]:
         cfg = replace(base, s=float(s))
         with _stage(f"solve_s_{s}"):
             rep, rpt = solve(op, xi_meas, cfg)
-            estimate = rpt.final_grid
+            estimate = _estimate_on_grid(rep, n_grid)
         err = metrics.rel_l2_error(estimate, truth)
         errors[str(s)] = err
         stop_reasons[str(s)] = rpt.reason
         rows.append(("s", float(s), "rel_l2_error", err))
         if fields is None:
-            fields = _downsample_2d(cfg.n_quad, truth.values,
-                                    estimate.values)
+            fields = _downsample_2d(n_grid, truth.values, estimate.values)
     s_vals = [float(s) for s in p["s_values"]]
     argmin_s = s_vals[int(np.argmin([errors[str(s)] for s in p["s_values"]]))]
     result = {"errors_by_s": errors, "argmin_s": argmin_s,

@@ -11,9 +11,9 @@ with one solver, ``KKTSystem``: the boundary coefficients are eliminated
 through the constraint and the remaining least-squares problem is factored
 by one triangular-pentagonal QR, once per set of Gram blocks; ``solve``
 applies the stored factors to the right-hand sides it is given.
-The outer loop reuses it while the blocks do not change (linear families);
-the SPDE time stepper solves it once for the identity columns to form its
-solution map.
+The outer loop takes one step for linear families and one per iteration
+for nonlinear ones; the SPDE time stepper solves it once for the identity
+columns to form its solution map.
 """
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ from .kernels import FeatureSet, GramBlocks, KernelSpec, assemble_features, \
     evaluate_features
 from .operators import OperatorSpec
 from .seminorm import SeminormContext, seminorm_squared
+# ``project`` stays a name of this module for benchmarks/spans.py, which
+# wraps it here
 from .spaces import GridFunction, MeasurementVector, TestSpace, \
-    default_n_quad, project
+    default_n_quad, project  # noqa: F401
 
 __all__ = ["SolverConfig", "Representer", "SolveReport", "KKTSystem",
            "constrained_ls_solve", "solve", "evaluate"]
@@ -243,12 +245,14 @@ def solve(op: OperatorSpec, xi: MeasurementVector, cfg: SolverConfig,
           u0: GridFunction = None):
     """Iterate linearize/assemble/step until the loss plateaus.
 
-    Returns the final Representer and a SolveReport.  Gram blocks and
-    their factored KKTSystem are rebuilt every iteration for nonlinear
-    families (the linearization coefficient changes) and reused otherwise.
-    A rebuild first drops the previous iterate's features, blocks and
-    factors, so one set of N x G weight rows is live at a time; each
-    iterate is evaluated on the grid matrix-free (``GramBlocks.on_grid``).
+    Returns the final Representer and a SolveReport.  A linear family's
+    step QP is the whole problem, so it stops after its first step with
+    the reason ``"linear"``.  A nonlinear family rebuilds its Gram blocks
+    and their factored KKTSystem every iteration (the linearization
+    coefficient changes), first dropping the previous iterate's features,
+    blocks and factors, so one set of N x G weight rows is live at a time;
+    each iterate is evaluated on the grid matrix-free
+    (``GramBlocks.on_grid``).
     """
     ctx = SeminormContext.build(cfg.space, cfg.s)
     dim = cfg.space.dim
@@ -257,20 +261,18 @@ def solve(op: OperatorSpec, xi: MeasurementVector, cfg: SolverConfig,
         np.broadcast_to(np.asarray(u0.values, dtype=float), shape).copy()
 
     report = SolveReport()
-    blocks = None
     for it in range(cfg.max_iterations):
-        if blocks is None or not op.is_linear:
-            rep = fs = blocks = kkt = None
-            lin = operators.linearize(op, GridFunction(u_grid))
-            fs = FeatureSet(cfg.space, lin.c_field.values, lin.nu_diff,
-                            cfg.boundary_points, cfg.n_quad)
-            blocks = assemble_features(cfg.kernel, fs)
-            kkt = KKTSystem(ctx, blocks, cfg.gamma)
-            report.jitter = max(report.jitter, kkt.jitter)
+        rep = fs = blocks = kkt = None
+        lin = operators.linearize(op, GridFunction(u_grid))
+        fs = FeatureSet(cfg.space, lin.c_field.values, lin.nu_diff,
+                        cfg.boundary_points, cfg.n_quad)
+        blocks = assemble_features(cfg.kernel, fs)
+        kkt = KKTSystem(ctx, blocks, cfg.gamma)
+        report.jitter = max(report.jitter, kkt.jitter)
         if op.is_linear:
             r = xi.entries
         else:
-            r = xi.entries + project(lin.shift, cfg.space).entries
+            r = xi.entries + fs.measure(lin.shift.values)
         coeffs = kkt.solve(r, cfg.g_boundary)
         misfit, penalty = kkt.loss_terms(coeffs, r)
         rep = Representer(coeffs, fs, cfg.kernel)
@@ -281,6 +283,9 @@ def solve(op: OperatorSpec, xi: MeasurementVector, cfg: SolverConfig,
         report.misfit_history.append(misfit)
         report.penalty_history.append(penalty)
         report.iterations = it + 1
+        if op.is_linear:
+            report.reason = "linear"
+            break
         if it > 0:
             prev = report.loss_history[-2]
             if abs(prev - loss) <= cfg.tolerance * max(abs(prev), 1e-300):

@@ -18,8 +18,14 @@ evaluation are the same closed form at points, and grid values are one
 sine synthesis plus the six layers (``GramBlocks.on_grid``).
 
 Every other feature is a weighted sum of kernel values on a uniform
-quadrature grid, one weight row per feature.  For fem tent functions the
-diffusion part nu int phi_i' u' is exactly
+quadrature grid, one weight row per feature.  fem rows take the trapezoid
+rule.  sine2d rows take the sixth-order Gregory rule
+(``spaces.gregory_weights``): the integrands phi_i c K(., y) do not vanish
+in slope at the ends of [0, 1], where the trapezoid rule is only O(h^2),
+and with the end corrections the default grid of about 5p/2 + 5 points
+per dim (``spaces.default_n_quad``) gives features closer to their
+integrals than the trapezoid rule on 4p + 1 points.  For fem tent
+functions the diffusion part nu int phi_i' u' is exactly
 nu (2 u(z_i) - u(z_{i-1}) - u(z_{i+1})) / h at the tent nodes z_k = k h,
 which the grid is required to contain, so it is three grid deltas in the
 weight row.  So only the value kernel is ever integrated, and every Gram
@@ -54,9 +60,12 @@ kernel values, on the grid or against the boundary points, goes through
 into the Gram array, which is then symmetrized in place.
 
 Grid values of representers are taken one way only, matrix-free
-(``GramBlocks.on_grid``): for a coefficient vector or for each column of a
-matrix of them.  No solver path forms the G x (N+M) evaluation matrix;
-``quad_eval`` builds it from ``on_grid`` on the identity when read.
+(``grid_values``, which ``GramBlocks.on_grid`` calls on the quadrature
+grid): for a coefficient vector or for each column of a matrix of them,
+on the quadrature grid or on a finer grid that nests it, such as the
+metric grid of the 2D experiments.  No solver path forms the G x (N+M)
+evaluation matrix; ``quad_eval`` builds it from ``on_grid`` on the
+identity when read.
 """
 
 from __future__ import annotations
@@ -69,13 +78,15 @@ from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfftn
 
 from . import spaces
 from .errors import ResolutionTooCoarseError
-from .spaces import TestSpace, grid_points, trapezoid_weights
+from .spaces import TestSpace, gregory_weights, grid_points, \
+    trapezoid_weights
 
 __all__ = [
     "KernelSpec",
     "FeatureSet",
     "GramBlocks",
     "kernel_matrix",
+    "grid_values",
     "assemble_features",
     "evaluate_features",
     "assemble_collocation",
@@ -91,6 +102,11 @@ _FFT_BLOCK_ELEMENTS = 2 ** 15
 # in place, and that assembly forms, transforms and pairs: 256 KiB, so
 # that the passes over a block stay in L2
 _WEIGHT_BLOCK_ELEMENTS = 2 ** 15
+# kernel values between the boundary points and a block of grid points
+# that ``grid_values`` forms at a time: 512 KiB, so the boundary columns on
+# a fine metric grid add no array of the grid's size times M; the 1D
+# pipelines' two boundary points take every grid up to 2^15 points at once
+_BOUNDARY_BLOCK_ELEMENTS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -170,10 +186,12 @@ class FeatureSet:
 
     sine2d features store none: row (i, j) at node (x_k, y_l) is
     2 s_ik s_jl (w c + nu lambda w) with the p x q axis sines
-    s_ik = sin(pi i x_k), so the rows a grid product needs are formed a
-    block at a time (``value_rows``), pairing grid rows with every weight
-    row is a contraction with s along y, then along x (``pair``), and a
-    combination of weight rows is s^T A s (``combine``).
+    s_ik = sin(pi i x_k) and w the sixth-order Gregory weights
+    (``spaces.gregory_weights``, at least 5 points per dim), so the rows a
+    grid product needs are formed a block at a time (``value_rows``),
+    pairing grid rows with every weight row is a contraction with s along
+    y, then along x (``pair``), and a combination of weight rows is
+    s^T A s (``combine``).
     """
 
     space: TestSpace
@@ -184,8 +202,10 @@ class FeatureSet:
     quad_points: np.ndarray = field(default=None, repr=False)
     # the weight rows, fem only
     _weights: np.ndarray = field(default=None, init=False, repr=False)
-    # the p x q axis sines sin(pi i x_k), sine2d only
+    # the p x q axis sines sin(pi i x_k) and the q x q Gregory weights,
+    # sine2d only
     _sines: np.ndarray = field(default=None, init=False, repr=False)
+    _gregory: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         sp = self.space
@@ -198,9 +218,8 @@ class FeatureSet:
                 f"{sp.size} tents: need {sp.size + 1} m + 1 points, m >= 2 "
                 f"an integer")
         pts = grid_points(self.n_quad, sp.dim)
-        w = trapezoid_weights(self.n_quad, sp.dim)
         c = np.broadcast_to(np.asarray(self.c_field, dtype=float).ravel(),
-                            w.shape).copy()
+                            pts.shape[:1]).copy()
         bp = _as_points(self.boundary_points)
         if bp.shape[1] != sp.dim:
             raise ValueError("boundary point dimension mismatch")
@@ -216,11 +235,13 @@ class FeatureSet:
         if sp.kind == "sine2d":
             object.__setattr__(self, "_sines", spaces.axis_sines(
                 sp.n_per_dim, grid_points(self.n_quad)))
+            object.__setattr__(self, "_gregory",
+                               gregory_weights(self.n_quad, 2))
         if sp.kind != "fem1d":
             return
 
         wv = spaces.basis_values(sp, pts)
-        wv *= w * c
+        wv *= trapezoid_weights(self.n_quad) * c
         # the diffusion part as deltas: tent node z_k is grid node k r
         r = (self.n_quad - 1) // (sp.size + 1)
         i = np.arange(sp.size)
@@ -237,6 +258,19 @@ class FeatureSet:
     @property
     def n_boundary(self) -> int:
         return self.boundary_points.shape[0]
+
+    def measure(self, f: np.ndarray) -> np.ndarray:
+        """Integrals of the grid values ``f`` against the test functions by
+        the rule the features are integrated with, so that a Gauss-Newton
+        step measures its shift as it measures the linearized operator:
+        for sine2d the Gregory weights, 2 s (w f) s^T with s the axis
+        sines; otherwise ``spaces.project``, whose DST-I and tent sums are
+        the trapezoid rule of the sine1d and fem1d features."""
+        if self._sines is None:
+            return spaces.project(spaces.GridFunction(f), self.space).entries
+        q, s = self.n_quad, self._sines
+        return 2.0 * (s @ (self._gregory * f.ravel()).reshape(q, q)
+                      @ s.T).ravel()
 
     def value_rows(self, rows: slice) -> np.ndarray:
         """Rows ``rows`` of the weights W on the kernel values (fem1d and
@@ -259,7 +293,7 @@ class FeatureSet:
         """Turn the sine2d basis values ``phi`` of the modes ``rows`` into
         their weights in place, a block of rows at a time:
         phi (w c) + (phi nu lambda) w, in that order of operations."""
-        w = trapezoid_weights(self.n_quad, self.space.dim)
+        w = self._gregory
         wc = w * self.c_field
         scale = (self.nu_diff * self.space.eigenvalues[rows])[:, None]
         block = max(1, _WEIGHT_BLOCK_ELEMENTS // w.shape[0])
@@ -287,7 +321,7 @@ class FeatureSet:
         n, c = self.n_features, self.c_field
         nu_lam = self.nu_diff * self.space.eigenvalues
         s, p, q, b = self._sines, self.space.n_per_dim, self.n_quad, len(t)
-        w = trapezoid_weights(q, 2)
+        w = self._gregory
         u = np.empty((2, b, q * q))
         np.multiply(t, w * c, out=u[0])
         np.multiply(t, w, out=u[1])
@@ -308,7 +342,7 @@ class FeatureSet:
         a = alpha.T
         if self._weights is not None:
             return a @ self._weights
-        w = trapezoid_weights(self.n_quad, 2)
+        w = self._gregory
         nu_lam = self.nu_diff * self.space.eigenvalues
         s, p = self._sines, self.space.n_per_dim
         b = np.stack([a, nu_lam * a]).reshape(2, -1, p, p)
@@ -340,27 +374,9 @@ class GramBlocks:
         return self.k_phi_phi[self.n_features:]
 
     def on_grid(self, coeffs: np.ndarray) -> np.ndarray:
-        """Grid values of the representer with these N + M coefficients,
-        or the G x K values of an (N+M) x K matrix of coefficient columns,
-        plus the boundary columns.  For sine1d, with beta_i = alpha_i d_i,
-        that is the sine synthesis of s_i beta_i plus the six layers
-        weighted by R^T beta (``_sine1d_terms``); otherwise one grid
-        product per combined weight row sum_i alpha_i w_i
-        (``FeatureSet.combine``)."""
-        fs, n = self.features, self.n_features
-        if fs.space.kind == "sine1d":
-            a, d, (s_hat, _, layer_coeffs) = _sine1d_parts(self.spec, fs)
-            beta = coeffs[:n].T * d
-            values = spaces.sine_synthesis(s_hat * beta, fs.n_quad)
-            values += (beta @ layer_coeffs) @ _layers(a, fs.quad_points)
-        else:
-            rows = fs.combine(coeffs[:n])
-            values = _grid_product(
-                self.spec, rows.reshape(-1, rows.shape[-1]), fs.n_quad,
-                fs.space.dim).reshape(rows.shape)
-        values += coeffs[n:].T @ _pairwise(self.spec, fs.boundary_points,
-                                           fs.quad_points)
-        return values.T
+        """Grid values of the representer with these N + M coefficients on
+        the quadrature grid (``grid_values``)."""
+        return grid_values(self.spec, self.features, coeffs)
 
     @property
     def quad_eval(self) -> np.ndarray:
@@ -368,6 +384,52 @@ class GramBlocks:
         identity, formed on every read.  No solver path reads it; it stays
         for the span hooks of ``benchmarks/spans.py``."""
         return self.on_grid(np.eye(self.k_phi_phi.shape[0]))
+
+
+def grid_values(spec: KernelSpec, fs: FeatureSet, coeffs: np.ndarray,
+                n_points: int = 0) -> np.ndarray:
+    """Values of the representer with these N + M coefficients on the
+    uniform grid of ``n_points`` per dim, or the G x K values of an
+    (N+M) x K matrix of coefficient columns, plus the boundary columns.
+    The grid is the quadrature grid by default; any other must nest it:
+    its spacing divides the quadrature spacing, ``ValueError`` otherwise.
+
+    For sine1d, with beta_i = alpha_i d_i, that is the sine synthesis of
+    s_i beta_i plus the six layers weighted by R^T beta
+    (``_sine1d_terms``).  Otherwise it is one grid product per combined
+    weight row sum_i alpha_i w_i (``FeatureSet.combine``), taken on the
+    finer grid with the row's weights on the quadrature nodes and zeros
+    between them, so the kernel is still summed over the quadrature nodes
+    only and no fine-by-quadrature kernel matrix is formed.  The boundary
+    columns are formed ``_BOUNDARY_BLOCK_ELEMENTS`` at a time."""
+    n, q, dim = fs.n_features, fs.n_quad, fs.space.dim
+    n_points = n_points or q
+    stride, rest = divmod(n_points - 1, q - 1)
+    if rest or stride < 1:
+        raise ValueError(f"a grid of {n_points} points per dim does not "
+                         f"nest the quadrature grid of {q}")
+    pts = fs.quad_points if stride == 1 else grid_points(n_points, dim)
+    if fs.space.kind == "sine1d":
+        a, d, (s_hat, _, layer_coeffs) = _sine1d_parts(spec, fs)
+        beta = coeffs[:n].T * d
+        values = spaces.sine_synthesis(s_hat * beta, n_points)
+        values += (beta @ layer_coeffs) @ _layers(a, pts)
+    else:
+        rows = fs.combine(coeffs[:n])
+        lead = rows.shape[:-1]
+        rows = rows.reshape((-1,) + (q,) * dim)
+        if stride > 1:
+            fine = np.zeros((rows.shape[0],) + (n_points,) * dim)
+            fine[(slice(None),) + (slice(None, None, stride),) * dim] = rows
+            rows = fine
+        values = _grid_product(spec, rows.reshape(rows.shape[0], -1),
+                               n_points, dim).reshape(lead + (-1,))
+    bp, beta = fs.boundary_points, coeffs[n:].T
+    step = max(1, _BOUNDARY_BLOCK_ELEMENTS // bp.shape[0])
+    for lo in range(0, pts.shape[0], step):
+        values[..., lo:lo + step] += beta @ _pairwise(spec, bp,
+                                                      pts[lo:lo + step])
+    return values.T
 
 
 def _sine1d_terms(a, omega):

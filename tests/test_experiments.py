@@ -14,7 +14,7 @@ import yaml
 
 from nessolve import noise, reference
 from nessolve.cli import build_parser, main
-from nessolve.errors import StageError
+from nessolve.errors import ConfigError, StageError
 from nessolve.experiments import DEFAULTS, EXPERIMENTS, ExperimentConfig, \
     _sine_series_at_nodes, _spde_initial, _spde_paths, check_thresholds, \
     run_experiment
@@ -45,6 +45,29 @@ def test_config_validation():
     p = cfg.resolved()
     assert p["n_modes"] == 16 and p["seed"] == 3
     assert p["truncation"] == DEFAULTS["elliptic1d"]["truncation"]
+    # every default, given as an override, meets its parameter's rule
+    for experiment, defaults in DEFAULTS.items():
+        ExperimentConfig(experiment, 0, params=dict(defaults))
+
+
+@pytest.mark.parametrize("experiment, key, value", [
+    ("semilinear2d", "max_iterations", 0),
+    ("norm_study", "s_values", []),
+    ("heat", "n_seeds", 0),
+    ("heat", "refine", 0),
+    ("elliptic1d", "n_modes", 1.5),
+])
+def test_out_of_range_parameter_is_refused_before_any_stage(
+        experiment, key, value):
+    # each of these once failed inside or outside a stage with an untyped
+    # error (or wrote a NaN): the config now refuses it, naming the key,
+    # the value and the rule, before run_experiment can start a stage
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(experiment, 7, params={key: value})
+    err = info.value
+    assert (err.key, err.value) == (key, value)
+    assert err.rule and all(part in str(err)
+                            for part in (key, repr(value), err.rule))
 
 
 def test_elliptic_small_run_and_artifacts(tmp_path):
@@ -117,7 +140,7 @@ def test_stop_reason_reaches_the_metrics():
     assert m["stop_reason"] == "max_iterations"
     m = run_experiment(ExperimentConfig(
         "elliptic1d", 3, params=SMALL["elliptic1d"]))["metrics"]
-    assert m["stop_reason"] == "loss_plateau"
+    assert m["stop_reason"] == "linear"
     m = run_experiment(ExperimentConfig(
         "norm_study", 3, params=SMALL["norm_study"]))["metrics"]
     assert m["stop_reasons"] == {"1.0": "loss_plateau",

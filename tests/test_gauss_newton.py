@@ -419,12 +419,15 @@ def test_solve_single_mode_closed_form():
 
 
 def test_solve_linear_one_step_exactness():
+    # a linear solve stops after its one step; a second step, from the
+    # first one's grid values, lands on the same loss
     op, xi, cfg, _ = _single_mode_setup()
     _, report = solve(op, xi, cfg)
-    assert report.reason == "loss_plateau"
-    assert report.iterations == 2
-    losses = report.loss_history
-    assert abs(losses[1] - losses[0]) <= 1e-10 * max(abs(losses[0]), 1.0)
+    assert report.reason == "linear"
+    assert report.iterations == 1
+    _, again = solve(op, xi, cfg, report.final_grid)
+    first, second = report.loss_history[0], again.loss_history[0]
+    assert abs(second - first) <= 1e-10 * max(abs(first), 1.0)
 
 
 def test_solve_boundary_exactness():

@@ -15,8 +15,8 @@ from nessolve.errors import ResolutionTooCoarseError
 from nessolve.kernels import FeatureSet, KernelSpec, assemble_collocation, \
     assemble_features, evaluate_collocation, evaluate_features, \
     kernel_matrix
-from nessolve.spaces import basis_values, build_test_space, grid_points, \
-    trapezoid_weights
+from nessolve.spaces import basis_values, build_test_space, \
+    default_n_quad, gregory_weights, grid_points, trapezoid_weights
 
 ELL = 0.3
 SPEC = KernelSpec("matern52", ELL)
@@ -591,6 +591,25 @@ def test_on_grid_matches_dense_evaluation():
                                 for j in range(3)])
         assert got.shape == want.shape
         assert _rel(got, want) <= 1e-14
+        # on a grid nested in the quadrature grid at half or a third of
+        # its spacing: the combined weight row with zeros between the
+        # quadrature nodes, one fine grid product, against the dense
+        # evaluation at the fine nodes
+        for stride in (2, 3):
+            n_fine = stride * (fs.n_quad - 1) + 1
+            want = evaluate_features(
+                SPEC, fs, grid_points(n_fine, fs.space.dim)) @ c
+            got = kernels.grid_values(SPEC, fs, c, n_fine)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+        with pytest.raises(ValueError, match="nest"):
+            kernels.grid_values(SPEC, fs, c, 2 * fs.n_quad)
+    # sine1d: one sine synthesis and the six layers at the fine nodes
+    fs = FeatureSet(build_test_space("sine1d", 8), np.ones(33), 0.1,
+                    np.array([0.0, 1.0]), 33)
+    c = rng.standard_normal(10)
+    want = evaluate_features(SPEC, fs, grid_points(65)) @ c
+    got = kernels.grid_values(SPEC, fs, c, 65)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("kind", ["sine2d", "fem1d"])
@@ -600,7 +619,9 @@ def test_weights_formed_in_place_keep_their_bits(monkeypatch, kind):
     monkeypatch.setattr(kernels, "_WEIGHT_BLOCK_ELEMENTS", 1)
     fs = {f.space.kind: f for f in _grid_cases()}[kind]
     sp, nu = fs.space, fs.nu_diff
-    w = trapezoid_weights(fs.n_quad, sp.dim)
+    # sine2d features take the Gregory rule, fem ones the trapezoid rule
+    rule = gregory_weights if kind == "sine2d" else trapezoid_weights
+    w = rule(fs.n_quad, sp.dim)
     phi = basis_values(sp, fs.quad_points)
     if kind == "fem1d":
         # the diffusion stencil nu (2, -1, -1) / h at the grid nodes that
@@ -620,9 +641,11 @@ def test_weights_formed_in_place_keep_their_bits(monkeypatch, kind):
 
 def _k_cc_long_double(spec, fs):
     """The sine2d operator block W K W^T in np.longdouble, from sines of
-    exactly reduced arguments sin(pi ((j k) mod 2(q-1)) / (q-1)) and the
-    Matern kernel at the exact offsets between grid nodes, (k - l) / (q-1)
-    per axis."""
+    exactly reduced arguments sin(pi ((j k) mod 2(q-1)) / (q-1)), the
+    sixth-order Gregory weights from their fractions (q >= 10, so the two
+    ends' five weights do not overlap), and the Matern
+    kernel at the exact offsets between grid nodes, (k - l) / (q-1) per
+    axis."""
     ld = np.longdouble
     q = fs.n_quad
     m = fs.space.n_per_dim
@@ -630,8 +653,12 @@ def _k_cc_long_double(spec, fs):
     j = np.arange(1, m + 1)[:, None]
     k = np.arange(q)
     s = np.sin(pi * ((j * k) % (2 * (q - 1))) / (q - 1))
-    w = np.full(q, 1 / ld(q - 1))
-    w[[0, -1]] /= 2
+    ends = np.array([ld(95) / 288, ld(317) / 240, ld(23) / 30,
+                     ld(793) / 720, ld(157) / 160])
+    w = np.ones(q, dtype=ld)
+    w[:5] = ends
+    w[q - 5:] = ends[::-1]
+    w /= q - 1
     lam = (pi * j) ** 2
     offset = np.abs(k[:, None] - k[None, :]).astype(ld)
     g = q * q
@@ -718,16 +745,17 @@ def test_sine1d_assembly_holds_no_weight_array():
 @pytest.mark.parametrize("p", [4, 8])
 @pytest.mark.parametrize("c_kind", ["constant", "varying"])
 def test_separable_pairing_against_long_double_oracle(p, c_kind):
-    # the separable sine pairing of the sine2d operator block is as close
-    # to an extended-precision oracle as the GEMM with the weight rows it
-    # replaces; both pair the same FFT grid products
+    # the separable sine pairing of the sine2d operator block, with the
+    # Gregory weights on the default grid, is as close to an
+    # extended-precision oracle of the same sums as the GEMM with the
+    # weight rows it replaces; both pair the same FFT grid products
     spec = KernelSpec("matern52", 0.2)
-    q = 4 * p + 1
+    sp = build_test_space("sine2d", n_per_dim=p)
+    q = default_n_quad(sp)
     x = grid_points(q, 2)
     c = np.ones(q * q) if c_kind == "constant" else \
         1.0 + 0.5 * np.cos(3 * np.pi * x[:, 0]) * np.cos(2 * np.pi * x[:, 1])
-    fs = FeatureSet(build_test_space("sine2d", n_per_dim=p), c, 0.01,
-                    np.array([[0.0, 0.0], [1.0, 1.0]]), q)
+    fs = FeatureSet(sp, c, 0.01, np.array([[0.0, 0.0], [1.0, 1.0]]), q)
     n = fs.n_features
     oracle = _k_cc_long_double(spec, fs)
     scale = np.max(np.abs(oracle))
@@ -739,6 +767,101 @@ def test_separable_pairing_against_long_double_oracle(p, c_kind):
     err_sep = float(np.max(np.abs(separable_k - oracle)) / scale)
     err_gemm = float(np.max(np.abs(gemm_k - oracle)) / scale)
     assert err_sep <= 1.25 * err_gemm + 1e-15, (err_sep, err_gemm)
+    assert err_sep <= 4e-15, err_sep
+
+
+def _sine2d_blocks(spec, c_of, nu, bp, p, q):
+    """k_cc, k_cb and the G x N grid values of the features of the sine2d
+    FeatureSet with c = c_of(grid) on q points per dim."""
+    fs = FeatureSet(build_test_space("sine2d", n_per_dim=p),
+                    c_of(grid_points(q, 2)), nu, bp, q)
+    blocks = assemble_features(spec, fs)
+    n = fs.n_features
+    unit = np.eye(n + fs.n_boundary)[:, :n]
+    return blocks.k_chi_phi[:, :n], blocks.k_chi_phi[:, n:], \
+        blocks.on_grid(unit)
+
+
+def _trapezoid_blocks(spec, c_of, nu, bp, p, q):
+    """k_cc and k_cb of the same features by the trapezoid rule on q
+    points per dim, from dense weight rows: the rule sine2d features took
+    on 4p + 1 points before the Gregory rule."""
+    sp = build_test_space("sine2d", n_per_dim=p)
+    x = grid_points(q, 2)
+    w = trapezoid_weights(q, 2)
+    phi = basis_values(sp, x)
+    rows = phi * (w * c_of(x)) + phi * (nu * sp.eigenvalues)[:, None] * w
+    k_cc = kernels._grid_product(spec, rows, q, 2) @ rows.T
+    return 0.5 * (k_cc + k_cc.T), rows @ kernels._pairwise(spec, x, bp)
+
+
+@pytest.mark.parametrize("p", [4, 8])
+def test_sine2d_features_against_a_fine_grid_reference(p):
+    # the sine2d operator block, its boundary block and its features' grid
+    # values on the default grid, against the same features on a grid four
+    # times finer that nests it, relative to each reference's largest
+    # entry.  The Gregory features on the default grid (q = 15 and 25 here)
+    # are at least twice as close to the reference as trapezoid ones on
+    # 4p + 1 points (measured: k_cc 8.8e-3 and 2.3e-2 against 5.4e-2 and
+    # 8.3e-2; k_cb 1.1e-2 and 1.1e-2 against 4.4e-2 and 4.9e-2; values
+    # 9.9e-3 and 1.1e-2).  The reference itself is 1e-7 or closer to
+    # mpmath at the spot checks, and its operator block moves by less
+    # than 1e-4 (1.1e-5 measured) when its grid is halved again, a
+    # hundredth of the errors above.
+    spec, nu = KernelSpec("matern52", 0.2), 0.1
+    t = np.linspace(0.0, 1.0, 5)
+    bp = np.vstack([np.column_stack([t, np.zeros(5)]),
+                    np.column_stack([t[1:-1], np.ones(3)])])
+
+    def c_of(x):
+        return 1.0 + 0.5 * np.cos(3 * np.pi * x[:, 0]) * \
+            np.cos(2 * np.pi * x[:, 1])
+
+    def err(got, want):
+        return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+    q = default_n_quad(build_test_space("sine2d", n_per_dim=p))
+    q_ref = 4 * (q - 1) + 1
+    k_cc, k_cb, values = _sine2d_blocks(spec, c_of, nu, bp, p, q)
+    ref_cc, ref_cb, ref_values = _sine2d_blocks(spec, c_of, nu, bp, p, q_ref)
+    trap_cc, trap_cb = _trapezoid_blocks(spec, c_of, nu, bp, p, 4 * p + 1)
+    on_default = ref_values.reshape(q_ref, q_ref, -1)[::4, ::4]
+    assert err(k_cc, ref_cc) <= 0.5 * err(trap_cc, ref_cc)
+    assert err(k_cb, ref_cb) <= 0.5 * err(trap_cb, ref_cb)
+    assert err(values, on_default.reshape(q * q, -1)) <= 2e-2
+    finer_cc = _sine2d_blocks(spec, c_of, nu, bp, p, 2 * (q_ref - 1) + 1)[0]
+    assert err(ref_cc, finer_cc) <= 1e-4
+
+    mp = pytest.importorskip("mpmath")
+    if p != 8:
+        return
+    with mp.workdps(15):
+        a = mp.sqrt(5) / mp.mpf(spec.length_scale)
+        i, j = 3, 2
+        scale = nu * mp.pi ** 2 * (i * i + j * j)
+
+        def feature_times_kernel(zx, zy):
+            def f(x, y):
+                r = mp.sqrt((x - zx) ** 2 + (y - zy) ** 2)
+                c = 1 + mp.cos(3 * mp.pi * x) * mp.cos(2 * mp.pi * y) / 2
+                return (c + scale) * 2 * mp.sin(mp.pi * i * x) * \
+                    mp.sin(mp.pi * j * y) * \
+                    (1 + a * r + (a * r) ** 2 / 3) * mp.exp(-a * r)
+            # split at the kernel's C^4 point, where the rule would not
+            # converge fast
+            return mp.quad(f, [0, zx, 1], [0, zy, 1],
+                           method="gauss-legendre")
+
+        row = (i - 1) * p + (j - 1)
+        zx, zy = bp[2]
+        want = feature_times_kernel(mp.mpf(zx), mp.mpf(zy))
+        assert abs(ref_cb[row, 2] - want) <= \
+            1e-7 * np.max(np.abs(ref_cb[:, 2]))
+        k, m = 3 * (q_ref - 1) // 5, (q_ref - 1) // 3
+        want = feature_times_kernel(mp.mpf(k) / (q_ref - 1),
+                                    mp.mpf(m) / (q_ref - 1))
+        assert abs(ref_values[k * q_ref + m, row] - want) <= \
+            1e-7 * np.max(np.abs(ref_values[:, row]))
 
 
 def test_sine2d_assembly_holds_no_weight_array(monkeypatch):

@@ -85,7 +85,7 @@ def test_manufactured_truth_from_drawn_coefficients(n_quad):
     full = project(u_star, build_test_space("sine2d", n_per_dim=L))
     want = synthesize(full.entries.reshape(L, L)[:n_keep, :n_keep].ravel(),
                       keep, n_quad).values
-    got = experiments._truth_on_quad(coeffs, n_quad).values
+    got = experiments._truth_on_grid(coeffs, n_quad).values
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 

@@ -19,6 +19,41 @@ def _fine_quadrature(n=20001):
     return x, w
 
 
+@pytest.mark.parametrize("n", [5, 7, 9, 10, 15, 25])
+def test_gregory_weights_exact_to_degree_five(n):
+    # the end corrections, overlapping and added below 10 points, keep the
+    # rule exact for polynomials of degree 5 on every grid of at least 5
+    # points; degree 6 is not integrated exactly
+    x = grid_points(n)
+    w = spaces.gregory_weights(n)
+    for d in range(6):
+        assert abs(w @ x ** d - 1.0 / (d + 1)) <= 1e-14
+    assert abs(w @ x ** 6 - 1.0 / 7) > 1e-8
+    assert np.array_equal(spaces.gregory_weights(n, 2), np.outer(w, w).ravel())
+
+
+def test_gregory_weights_sixth_order_and_need_five_points():
+    # halving the spacing cuts the error on a smooth integrand whose slope
+    # does not vanish at the ends about 2^6-fold (55-fold here), where the
+    # trapezoid rule gains 4-fold
+    exact = np.expm1(1.0)
+    for rule, gain in ((spaces.gregory_weights, 40.0),
+                       (trapezoid_weights, 3.9)):
+        errs = [abs(rule(m) @ np.exp(grid_points(m)) - exact)
+                for m in (21, 41)]
+        assert errs[0] / errs[1] >= gain
+    with pytest.raises(ResolutionTooCoarseError, match="5"):
+        spaces.gregory_weights(4)
+
+
+def test_sine2d_default_grid():
+    # 5p/2 + 5 points, with q - 1 raised to a fast FFT length: only p = 64
+    # of these moves (164 = 4 * 41 -> 165)
+    got = {p: spaces.default_n_quad(build_test_space("sine2d", n_per_dim=p))
+           for p in (1, 4, 8, 16, 20, 32, 64)}
+    assert got == {1: 7, 4: 15, 8: 25, 16: 45, 20: 55, 32: 85, 64: 166}
+
+
 def test_sine1d_basis_values():
     sp = build_test_space("sine1d", 4)
     x = np.array([0.0, 0.25, 0.5, 1.0])
