@@ -23,8 +23,8 @@ from .gauss_newton import SolverConfig, constrained_ls_solve, solve
 from .kernels import FeatureSet, KernelSpec, assemble_collocation, \
     assemble_features, evaluate_collocation, grid_values
 from .seminorm import SeminormContext
-from .spaces import GridFunction, MeasurementVector, build_test_space, \
-    default_n_quad, grid_points, project, synthesize
+from .spaces import GridFunction, MeasurementVector, axis_sines, \
+    build_test_space, default_n_quad, grid_points, project, synthesize
 from .spde import SpdeConfig
 
 __all__ = ["ExperimentConfig", "run_experiment", "check_thresholds",
@@ -266,9 +266,8 @@ def _resample_2d(f: GridFunction, n_modes: int, n_coarse: int) -> GridFunction:
     """
     full = project(f, build_test_space("sine2d", n_per_dim=n_modes))
     c = full.entries.reshape(n_modes, n_modes)
-    x = grid_points(n_coarse)
-    sx = np.sin(np.pi * x[:, None] * np.arange(1, n_modes + 1)[None, :])
-    return GridFunction(2.0 * sx @ c @ sx.T)
+    s = axis_sines(n_modes, grid_points(n_coarse))
+    return GridFunction(2.0 * s.T @ c @ s)
 
 
 def _semilinear_setup(p: dict, n_per_dim: int):

@@ -6,8 +6,11 @@ Three basis kinds are supported:
 * ``sine2d`` -- tensor products 2*sin(pi*i*x)*sin(pi*j*y),
 * ``fem1d``  -- piecewise-linear tent functions on a uniform interior grid.
 
-Projections of grid-sampled fields onto sine bases use the type-I discrete
-sine transform on the interior grid points; fem projections use trapezoid
+Projections of grid-sampled fields onto sine bases use the trapezoid rule
+on the interior grid points: sine1d by the type-I discrete sine transform,
+sine2d by products with the p x (n - 1) matrix of axis sines, s v s^T,
+whose O(p n^2) flops do not depend on the prime factors of n.  Synthesis
+runs the same transforms the other way.  fem projections use trapezoid
 quadrature.  All fields live on uniform grids that include the endpoints.
 """
 
@@ -258,10 +261,10 @@ def project(f: GridFunction, space: TestSpace) -> MeasurementVector:
             raise ValueError("sine2d projection expects a 2D grid function")
         _check_sine_resolution(space, v.shape[0])
         n = v.shape[0] - 1
-        p = space.n_per_dim
-        # only the first p rows of the axis-0 pass carry modes
-        rows = dst(v[1:-1, 1:-1], type=1, axis=0)[:p]
-        c = dst(rows, type=1, axis=1)[:, :p] / (2.0 * n * n)
+        # the trapezoid rule on the interior, (2 / n^2) s v s^T, which a
+        # DST-I along each axis also computes, in O(p n^2) flops for any n
+        s = axis_sines(space.n_per_dim, grid_points(n + 1)[1:-1])
+        c = 2.0 * (s @ v[1:-1, 1:-1] @ s.T) / (n * n)
         return MeasurementVector(c.ravel(), space)
     if space.kind == "fem1d":
         if v.ndim != 1:
@@ -296,18 +299,15 @@ def synthesize(coeffs, space: TestSpace, n_points: int) -> GridFunction:
     if space.kind == "sine1d":
         return GridFunction(sine_synthesis(c, n_points))
     if space.kind == "sine2d":
-        n = n_points - 1
         p = space.n_per_dim
-        if p > n - 1:
+        if p > n_points - 2:
             raise ResolutionTooCoarseError("grid cannot carry all modes")
-        # the axis-0 pass runs over the p columns that carry modes only
-        cols = np.zeros((n - 1, p))
-        cols[:p] = c.reshape(p, p)
-        pad = np.zeros((n - 1, n - 1))
-        pad[:, :p] = dst(cols, type=1, axis=0, overwrite_x=True)
+        # 2 s^T c s over the interior points only, written straight into
+        # the output: the boundary stays exact zeros, where the sines at
+        # x = 1.0 would give sin(pi i 1.0), about 1.2e-16 i
+        s = axis_sines(p, grid_points(n_points)[1:-1])
         out = np.zeros((n_points, n_points))
-        np.divide(dst(pad, type=1, axis=1, overwrite_x=True), 2.0,
-                  out=out[1:-1, 1:-1])
+        np.matmul(s.T, 2.0 * c.reshape(p, p) @ s, out=out[1:-1, 1:-1])
         return GridFunction(out)
     if space.kind == "fem1d":
         nodes = np.concatenate([[0.0], (np.arange(1, space.size + 1)) * space.h,

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.fft import dst
 
 from nessolve.errors import ResolutionTooCoarseError, UnsupportedExponentError
@@ -292,21 +293,58 @@ def test_sine_synthesis_holds_one_array_besides_its_result():
     assert peak < 2.2 * out.nbytes
 
 
-@pytest.mark.parametrize("p, n_points", [(3, 9), (16, 65), (20, 43)])
+def _exact_interior_sines(p, n_points):
+    """Long-double sin(pi i k / n) at the interior points k of the grid of
+    n + 1 points, from the exactly reduced argument (i k mod 2n) / n."""
+    ld = np.longdouble
+    n = n_points - 1
+    i = np.arange(1, p + 1)[:, None]
+    k = np.arange(1, n)[None, :]
+    return np.sin(4 * np.arctan(ld(1)) * ((i * k) % (2 * n)) / n)
+
+
+@pytest.mark.parametrize("p, n_points", [(3, 9), (16, 65), (20, 43),
+                                         (256, 515), (20, 515)])
 def test_sine2d_transforms_match_the_full_two_axis_dst(p, n_points):
-    # synthesize and project transform only the rows and columns that carry
-    # modes; the bits are those of both DST-I passes over the whole grid
+    # synthesize and project are products with the axis sines; they agree
+    # with a long-double oracle, and with both DST-I passes over the whole
+    # grid, to 1e-13 of the largest value.  Measured: 4.5e-14 (synthesis)
+    # and 5.9e-14 (projection) at 256 modes on the 515-point manufactured
+    # grid, at most 5.3e-15 at the other sizes; the DSTs read 3.9e-16
     rng = np.random.default_rng(p)
     space = build_test_space("sine2d", n_per_dim=p)
+    s = _exact_interior_sines(p, n_points)
     c = rng.standard_normal((p, p))
     n = n_points - 1
+    got = synthesize(c.ravel(), space, n_points).values
+    want = 2 * s.T @ c.astype(np.longdouble) @ s
+    tol = 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(got[1:-1, 1:-1] - want)) <= tol
     pad = np.zeros((n - 1, n - 1))
     pad[:p, :p] = c
-    want = np.zeros((n_points, n_points))
-    want[1:-1, 1:-1] = dst(dst(pad, type=1, axis=0), type=1, axis=1) / 2.0
-    assert np.array_equal(synthesize(c.ravel(), space, n_points).values,
-                          want)
+    full = dst(dst(pad, type=1, axis=0), type=1, axis=1) / 2.0
+    assert np.max(np.abs(got[1:-1, 1:-1] - full)) <= tol
     v = rng.standard_normal((n_points, n_points))
+    got = project(GridFunction(v), space).entries.reshape(p, p)
+    want = 2 * s @ v[1:-1, 1:-1].astype(np.longdouble) @ s.T / (n * n)
+    tol = 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= tol
     full = dst(dst(v[1:-1, 1:-1], type=1, axis=0), type=1, axis=1)
-    assert np.array_equal(project(GridFunction(v), space).entries,
-                          (full[:p, :p] / (2.0 * n * n)).ravel())
+    assert np.max(np.abs(got - full[:p, :p] / (2.0 * n * n))) <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 40), extra=st.integers(0, 120),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sine2d_round_trip_and_exact_zero_boundary(p, extra, seed):
+    # every grid of at least 2p + 2 points carries the p x p modes: the
+    # projection undoes the synthesis, and the boundary rows and columns
+    # stay exact zeros, which a product over the whole grid would not give
+    # (sin(pi i 1.0) is about 1.2e-16 i)
+    space = build_test_space("sine2d", n_per_dim=p)
+    n_points = 2 * p + 2 + extra
+    c = np.random.default_rng(seed).standard_normal(p * p)
+    u = synthesize(c, space, n_points).values
+    assert np.max(np.abs(project(GridFunction(u), space).entries - c)) <= \
+        1e-13 * np.max(np.abs(c))
+    assert np.all(u[[0, -1], :] == 0.0) and np.all(u[:, [0, -1]] == 0.0)
