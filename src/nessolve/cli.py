@@ -58,7 +58,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
 
-    cfg = ExperimentConfig(args.experiment, int(seed), out_dir=out_dir,
+    cfg = ExperimentConfig(args.experiment, seed, out_dir=out_dir,
                            full_scale=full_scale, params=file_cfg)
     report = run_experiment(cfg)
     json.dump(report["metrics"], sys.stdout, indent=2, sort_keys=True)

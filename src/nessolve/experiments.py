@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -73,8 +74,14 @@ def _is_int(v) -> bool:
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and \
-        bool(np.isfinite(v))
+    """A number that is a finite float: an integer past the float range,
+    such as -2**63 - 1, is not (np.isfinite raised TypeError on it)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 # the rule each parameter must meet, as a check and the words that name it
@@ -110,7 +117,12 @@ class ExperimentConfig:
     """Named experiment, seed, scale flag, and parameter overrides.
 
     Each override is checked against its rule in ``_RULES`` before any
-    stage runs; one that breaks it raises ``ConfigError``."""
+    stage runs; one that breaks it raises ``ConfigError``.  So do a seed
+    that is not an integer in [0, 2^64 - n_seeds] (the run draws from
+    seeds seed .. seed + n_seeds - 1, one 64-bit key word each) and a
+    ``full_scale`` that is not a bool, or is true for an experiment with
+    no full-scale sizes (no ``*_full`` key), which would otherwise run its
+    default sizes."""
 
     experiment: str
     seed: int
@@ -130,6 +142,17 @@ class ExperimentConfig:
             check, rule = _RULES[key]
             if not check(value):
                 raise ConfigError(key, value, rule)
+        n_seeds = self.resolved().get("n_seeds", 1)
+        if not (_is_int(self.seed) and 0 <= self.seed <= 2 ** 64 - n_seeds):
+            raise ConfigError("seed", self.seed,
+                              f"an integer in [0, 2**64 - {n_seeds}]")
+        if not isinstance(self.full_scale, bool):
+            raise ConfigError("full_scale", self.full_scale, "true or false")
+        if self.full_scale and not any(key.endswith("_full")
+                                       for key in DEFAULTS[self.experiment]):
+            raise ConfigError("full_scale", True,
+                              f"false: {self.experiment} has no full-scale "
+                              f"sizes")
 
     def resolved(self) -> dict:
         p = dict(DEFAULTS[self.experiment])
@@ -290,9 +313,10 @@ def _semilinear_setup(p: dict, n_per_dim: int):
 
 def _metric_grid(n_quad: int) -> int:
     """Points per dim of the grid the 2D metrics are taken on: the
-    quadrature grid with its spacing halved, so a smaller quadrature grid
-    does not also drop the truth's higher modes from the metric."""
-    return 2 * (n_quad - 1) + 1
+    quadrature grid with its spacing cut to a third, so a smaller
+    quadrature grid does not also drop the truth's higher modes from the
+    metric: 127 points at p = 20 and 199 at p = 32."""
+    return 3 * (n_quad - 1) + 1
 
 
 def _truth_on_grid(u_coeffs: MeasurementVector, n_grid: int) -> GridFunction:

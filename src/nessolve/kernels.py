@@ -19,12 +19,12 @@ sine synthesis plus the six layers (``GramBlocks.on_grid``).
 
 Every other feature is a weighted sum of kernel values on a uniform
 quadrature grid, one weight row per feature.  fem rows take the trapezoid
-rule.  sine2d rows take the sixth-order Gregory rule
-(``spaces.gregory_weights``): the integrands phi_i c K(., y) do not vanish
-in slope at the ends of [0, 1], where the trapezoid rule is only O(h^2),
-and with the end corrections the default grid of about 5p/2 + 5 points
-per dim (``spaces.default_n_quad``) gives features closer to their
-integrals than the trapezoid rule on 4p + 1 points.  For fem tent
+rule.  sine2d rows take a Filon-type rule (``spaces.filon_weights``): the
+sines are integrated exactly against the piecewise quintic interpolant of
+c K(., y) on the grid, so the grid need not sample the top modes finely,
+and on the default grid of about 2p + 3 points per dim
+(``spaces.default_n_quad``) the features are closer to their integrals
+than the sixth-order Gregory rule's were on 5p/2 + 5 points.  For fem tent
 functions the diffusion part nu int phi_i' u' is exactly
 nu (2 u(z_i) - u(z_{i-1}) - u(z_{i+1})) / h at the tent nodes z_k = k h,
 which the grid is required to contain, so it is three grid deltas in the
@@ -49,9 +49,9 @@ costs one ``exp``.  Every kind fills one (N+M) x (N+M) Gram array,
 unregularized: ``gauss_newton.KKTSystem`` adds the nugget and any jitter.
 
 Memory.  sine2d features hold no N x G array (G grid points): their
-weight rows are separable sines, 2 sin(pi i x) sin(pi j y), times a
-diagonal, so pairing and combining them are contractions with the p x q
-axis sines, one axis at a time.  fem features hold one N x G array, their
+weight rows are separable, 2 F_i(x) F_j(y) times c + nu lambda_ij, so
+pairing and combining them are contractions with the p x q Filon weights
+F, one axis at a time.  fem features hold one N x G array, their
 weight rows, formed in place over the basis values, and pair by GEMM.
 Assembly forms or reads the rows a block of 256 KiB at a time, takes their
 grid products and pairs them at once.  Every pairing of the weights with
@@ -78,7 +78,7 @@ from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfftn
 
 from . import spaces
 from .errors import ResolutionTooCoarseError
-from .spaces import TestSpace, gregory_weights, grid_points, \
+from .spaces import TestSpace, filon_weights, grid_points, \
     trapezoid_weights
 
 __all__ = [
@@ -185,13 +185,13 @@ class FeatureSet:
     the basis values, one N x G array.
 
     sine2d features store none: row (i, j) at node (x_k, y_l) is
-    2 s_ik s_jl (w c + nu lambda w) with the p x q axis sines
-    s_ik = sin(pi i x_k) and w the sixth-order Gregory weights
-    (``spaces.gregory_weights``, at least 5 points per dim), so the rows a
-    grid product needs are formed a block at a time (``value_rows``),
-    pairing grid rows with every weight row is a contraction with s along
-    y, then along x (``pair``), and a combination of weight rows is
-    s^T A s (``combine``).
+    2 F_ik F_jl (c + nu lambda_ij) with F the p x q Filon weights
+    F_ik = int sin(pi i x) l_k(x) dx of the grid's piecewise quintic
+    cardinal functions l_k (``spaces.filon_weights``, at least 6 points
+    per dim), so the rows a grid product needs are formed a block at a
+    time (``value_rows``), pairing grid rows with every weight row is a
+    contraction with F along y, then along x (``pair``), and a
+    combination of weight rows is F^T A F (``combine``).
     """
 
     space: TestSpace
@@ -202,10 +202,8 @@ class FeatureSet:
     quad_points: np.ndarray = field(default=None, repr=False)
     # the weight rows, fem only
     _weights: np.ndarray = field(default=None, init=False, repr=False)
-    # the p x q axis sines sin(pi i x_k) and the q x q Gregory weights,
-    # sine2d only
-    _sines: np.ndarray = field(default=None, init=False, repr=False)
-    _gregory: np.ndarray = field(default=None, init=False, repr=False)
+    # the p x q Filon weights, sine2d only
+    _filon: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         sp = self.space
@@ -233,10 +231,8 @@ class FeatureSet:
         object.__setattr__(self, "boundary_points", bp)
         object.__setattr__(self, "quad_points", pts)
         if sp.kind == "sine2d":
-            object.__setattr__(self, "_sines", spaces.axis_sines(
-                sp.n_per_dim, grid_points(self.n_quad)))
-            object.__setattr__(self, "_gregory",
-                               gregory_weights(self.n_quad, 2))
+            object.__setattr__(self, "_filon",
+                               filon_weights(sp.n_per_dim, self.n_quad))
         if sp.kind != "fem1d":
             return
 
@@ -263,70 +259,57 @@ class FeatureSet:
         """Integrals of the grid values ``f`` against the test functions by
         the rule the features are integrated with, so that a Gauss-Newton
         step measures its shift as it measures the linearized operator:
-        for sine2d the Gregory weights, 2 s (w f) s^T with s the axis
-        sines; otherwise ``spaces.project``, whose DST-I and tent sums are
-        the trapezoid rule of the sine1d and fem1d features."""
-        if self._sines is None:
+        for sine2d the Filon weights, 2 F f F^T; otherwise
+        ``spaces.project``, whose DST-I and tent sums are the trapezoid rule
+        of the sine1d and fem1d features."""
+        if self._filon is None:
             return spaces.project(spaces.GridFunction(f), self.space).entries
-        q, s = self.n_quad, self._sines
-        return 2.0 * (s @ (self._gregory * f.ravel()).reshape(q, q)
-                      @ s.T).ravel()
+        q, fw = self.n_quad, self._filon
+        return 2.0 * (fw @ f.reshape(q, q) @ fw.T).ravel()
 
     def value_rows(self, rows: slice) -> np.ndarray:
         """Rows ``rows`` of the weights W on the kernel values (fem1d and
         sine2d): a view of the stored fem array, or for sine2d those rows
         formed now, entry by entry, so a block of rows has the bits of the
-        same rows of the whole.  A sine2d row is the outer product of two
-        rows of the axis sines, times 2: the bits of the same row of
-        ``spaces.basis_values``."""
+        same rows of the whole.  A sine2d row is 2 F_i (x) F_j, the outer
+        product of two rows of the Filon weights, times c + nu lambda_ij,
+        scaled in place a block of rows at a time."""
         if self._weights is not None:
             return self._weights[rows]
-        s, p = self._sines, self.space.n_per_dim
+        fw, p = self._filon, self.space.n_per_dim
         r = np.arange(self.space.size)[rows]
-        phi = (s[r // p][:, :, None] * s[r % p][:, None, :]) \
+        rows_out = (fw[r // p][:, :, None] * fw[r % p][:, None, :]) \
             .reshape(r.size, -1)
-        phi *= 2.0
-        self._weigh(phi, rows)
-        return phi
-
-    def _weigh(self, phi: np.ndarray, rows: slice) -> None:
-        """Turn the sine2d basis values ``phi`` of the modes ``rows`` into
-        their weights in place, a block of rows at a time:
-        phi (w c) + (phi nu lambda) w, in that order of operations."""
-        w = self._gregory
-        wc = w * self.c_field
-        scale = (self.nu_diff * self.space.eigenvalues[rows])[:, None]
-        block = max(1, _WEIGHT_BLOCK_ELEMENTS // w.shape[0])
-        for lo in range(0, phi.shape[0], block):
-            b = phi[lo:lo + block]
-            a = b * wc
-            b *= scale[lo:lo + block]
-            b *= w
-            b += a
+        rows_out *= 2.0
+        nu_lam = self.nu_diff * self.space.eigenvalues[r]
+        block = max(1, _WEIGHT_BLOCK_ELEMENTS // rows_out.shape[1])
+        for lo in range(0, r.size, block):
+            rows_out[lo:lo + block] *= \
+                self.c_field + nu_lam[lo:lo + block, None]
+        return rows_out
 
     def pair(self, t: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """t @ W.T for rows ``t`` of values on the grid, written
         into ``out`` when given (fem1d and sine2d).
 
-        For sine2d, with each row of ``t`` a q x q array T and s the axis
-        sines, the pairing is
+        For sine2d, with each row of ``t`` a q x q array T and F the Filon
+        weights, the pairing is
 
-            2 s (w c T) s^T + nu lambda 2 s (w T) s^T,
+            2 F (c T) F^T + nu lambda 2 F T F^T,
 
-        the two terms stacked into one GEMM with s^T along y, then one
+        the two terms stacked into one GEMM with F^T along y, then one
         along x.
         """
         if self._weights is not None:
             return np.matmul(t, self._weights.T, out=out)
-        n, c = self.n_features, self.c_field
+        n = self.n_features
         nu_lam = self.nu_diff * self.space.eigenvalues
-        s, p, q, b = self._sines, self.space.n_per_dim, self.n_quad, len(t)
-        w = self._gregory
+        fw, p, q, b = self._filon, self.space.n_per_dim, self.n_quad, len(t)
         u = np.empty((2, b, q * q))
-        np.multiply(t, w * c, out=u[0])
-        np.multiply(t, w, out=u[1])
-        v = (u.reshape(-1, q) @ s.T).reshape(2 * b, q, p)    # along y
-        v = v.transpose(0, 2, 1).reshape(-1, q) @ s.T          # along x
+        np.multiply(t, self.c_field, out=u[0])
+        u[1] = t
+        v = (u.reshape(-1, q) @ fw.T).reshape(2 * b, q, p)   # along y
+        v = v.transpose(0, 2, 1).reshape(-1, q) @ fw.T         # along x
         # v[term, row, i, j]
         v = v.reshape(2, b, p, p).transpose(0, 1, 3, 2)
         pairing = v[1] * nu_lam.reshape(p, p)
@@ -337,19 +320,18 @@ class FeatureSet:
         """The combined weight rows alpha^T @ W: one row for a
         vector ``alpha``, one per column of an N x K matrix (fem1d and
         sine2d).  For sine2d, with A the p x p coefficients of a column and
-        s the axis sines, w c 2 s^T A s + w 2 s^T (nu lambda A) s, batched
+        F the Filon weights, c 2 F^T A F + 2 F^T (nu lambda A) F, batched
         over the columns."""
         a = alpha.T
         if self._weights is not None:
             return a @ self._weights
-        w = self._gregory
         nu_lam = self.nu_diff * self.space.eigenvalues
-        s, p = self._sines, self.space.n_per_dim
+        fw, p = self._filon, self.space.n_per_dim
         b = np.stack([a, nu_lam * a]).reshape(2, -1, p, p)
-        row, diffusion = 2.0 * (s.T @ b @ s).reshape(
+        row, diffusion = 2.0 * (fw.T @ b @ fw).reshape(
             (2,) + a.shape[:-1] + (-1,))
-        row *= w * self.c_field
-        row += w * diffusion
+        row *= self.c_field
+        row += diffusion
         return row
 
 

@@ -37,16 +37,20 @@ __all__ = [
     "sine_synthesis",
     "grid_points",
     "trapezoid_weights",
-    "gregory_weights",
+    "filon_weights",
 ]
 
-# what the sixth-order Gregory rule adds to the trapezoid weights of the
-# first five nodes, per unit of the spacing (Fornberg, "Improving the
-# accuracy of the trapezoidal rule", SIAM Review 63, 2021; Numerical
-# Recipes, 3rd ed., section 4.1): the weights open 95/288, 317/240, 23/30,
-# 793/720, 157/160; the last five nodes take the same, mirrored
-_GREGORY_ENDS = np.array([-49 / 288, 77 / 240, -7 / 30, 73 / 720,
-                          -3 / 160])
+# nodes of the local interpolation stencil of ``filon_weights``: degree 5
+_FILON_STENCIL = 6
+# fewest cells per dim of a default sine2d grid: the features' integrands
+# carry the kernel, whose scale does not shrink with the modes, and at
+# p = 4 the 10 cells of 2p + 3 points left the operator block 1.2e-2 of
+# max |k_cc| from its integrals (5.0e-3 on 12 cells, length scale 0.2)
+_SINE2D_MIN_CELLS = 12
+# Gauss-Legendre nodes per cell that form ``filon_weights``: exact for a
+# quintic times a polynomial of degree 18, and sin(pi i x) over at most
+# pi/2 of phase is such a polynomial to within 1e-19 of its size
+_FILON_GAUSS = 12
 
 
 @dataclass(frozen=True)
@@ -122,29 +126,53 @@ def trapezoid_weights(n_points: int, dim: int = 1) -> np.ndarray:
     return np.outer(w, w).ravel()
 
 
-def gregory_weights(n_points: int, dim: int = 1) -> np.ndarray:
-    """Sixth-order Gregory weights on the uniform grid of ``n_points`` per
-    dim: the trapezoid weights with the end corrections ``_GREGORY_ENDS``
-    added at both ends, so the rule is exact for polynomials of degree 5
-    and its error is O(h^6) on smooth integrands that do not vanish in
-    slope at the ends, where the trapezoid rule is O(h^2).
+def filon_weights(n_modes: int, n_points: int) -> np.ndarray:
+    """The n_modes x n_points matrix F_ik = int_0^1 sin(pi i x) l_k(x) dx.
 
-    On fewer than 10 points the two ends' corrections overlap and are
-    added; the rule stays exact to degree 5 on any grid of at least 5
-    points, and a grid of fewer raises ``ResolutionTooCoarseError``.  In 2D
-    the weights are the outer product of the 1D ones, x-major."""
-    if n_points < _GREGORY_ENDS.size:
+    l_k are the cardinal functions of piecewise degree-5 Lagrange
+    interpolation on the uniform grid of ``n_points``: on each cell the
+    interpolant is the quintic through its six nearest nodes, the stencil
+    shifted inward at the ends.  So F f integrates sin(pi i x) times that
+    interpolant of the grid values f exactly (a Filon-type rule: Filon,
+    Proc. R. Soc. Edinburgh 49, 1928; Iserles & Norsett, Proc. R. Soc. A
+    461, 2005), however many periods of the sine a cell holds; its error
+    is that of the interpolant alone, O(h^6) on smooth f.
+
+    Each cell's integrals are taken by ``_FILON_GAUSS``-point
+    Gauss-Legendre, exact to rounding while a cell holds at most pi/2 of
+    the top mode's phase, which any grid of 2 n_modes + 2 points or more
+    (``_check_sine_resolution``) gives.  Fewer than six points hold no
+    stencil and raise ``ResolutionTooCoarseError``."""
+    if n_points < _FILON_STENCIL:
         raise ResolutionTooCoarseError(
-            f"the Gregory end corrections need at least "
-            f"{_GREGORY_ENDS.size} grid points, got {n_points}")
-    w = np.ones(n_points)
-    w[[0, -1]] = 0.5
-    w[:_GREGORY_ENDS.size] += _GREGORY_ENDS
-    w[n_points - _GREGORY_ENDS.size:] += _GREGORY_ENDS[::-1]
-    w /= n_points - 1
-    if dim == 1:
-        return w
-    return np.outer(w, w).ravel()
+            f"the degree-5 Filon rule needs at least {_FILON_STENCIL} grid "
+            f"points, got {n_points}")
+    cells = np.arange(n_points - 1)
+    first = np.clip(cells - 2, 0, n_points - _FILON_STENCIL)
+    t, w = np.polynomial.legendre.leggauss(_FILON_GAUSS)
+    t = 0.5 * (t + 1.0)
+    # cardinal functions of the stencil nodes 0..5 at the Gauss nodes of
+    # each cell, in the stencil's own coordinates, times the Gauss weights
+    u = (cells - first)[:, None] + t[None, :]
+    card = np.empty(u.shape + (_FILON_STENCIL,))
+    for r in range(_FILON_STENCIL):
+        card[..., r] = 0.5 * w / (n_points - 1)
+        for m in range(_FILON_STENCIL):
+            if m != r:
+                card[..., r] *= (u - m) / (r - m)
+    # sin(pi i (cell + t) / n) at the Gauss nodes, n = n_points - 1, from
+    # the argument reduced exactly by whole periods (i cell mod 2n):
+    # unreduced, its rounding grows with i, to 3e-15 of the top row's
+    # largest entry at p = 20
+    n = n_points - 1
+    i = np.arange(1, n_modes + 1)[:, None, None]
+    arg = (i * cells[None, :, None]) % (2 * n) + i * t[None, None, :]
+    s = np.sin(arg * (np.pi / n))
+    per_cell = np.einsum("icg,cgr->rci", s, card)
+    f = np.zeros((n_points, n_modes))
+    for r in range(_FILON_STENCIL):
+        np.add.at(f, first + r, per_cell[r])
+    return f.T
 
 
 def build_test_space(kind: str, size: int = 0, n_per_dim: int = 0) -> TestSpace:
@@ -182,16 +210,17 @@ def build_test_space(kind: str, size: int = 0, n_per_dim: int = 0) -> TestSpace:
 def default_n_quad(space: TestSpace) -> int:
     """Quadrature grid points per dim when none are given.
 
-    sine2d: q = 5p/2 + 5 for p modes per dim, rounded down, with q - 1
-    raised to the next fast FFT length (``next_fast_len``) so that the
-    period 2(q - 1) of its grid products has only small prime factors; the
-    features take the sixth-order Gregory rule (``gregory_weights``).  Its
-    error falls about twofold per two points added, and at this q the
-    operator block is three to six times closer to its integrals than the
-    trapezoid rule on 4p + 1 points for p = 4 to 32, with grid products of
-    about 0.45 the size.  Below 10 points, which only p = 1 gives (7
-    points), the two ends' corrections overlap and are added, which keeps
-    the rule exact to degree 5.
+    sine2d: q = 2p + 3 for p modes per dim, with q - 1 raised to the next
+    fast FFT length (``next_fast_len``) so that the period 2(q - 1) of its
+    grid products has only small prime factors, and to at least
+    ``_SINE2D_MIN_CELLS`` cells: 13 points at p = 4, 43 at p = 20, 67 at
+    p = 32.  The features take the Filon rule (``filon_weights``), exact
+    for the sines, so the grid need only carry the modes and the quintic
+    interpolation of c K(., y).  At this q their operator block is 5.0e-3,
+    3.9e-3, 2.9e-4, 1.3e-4 and 1.5e-5 of max |k_cc| from its integrals at
+    p = 4, 8, 16, 20 and 32, where the sixth-order Gregory rule on
+    5p/2 + 5 points was 8.8e-3 to 3.2e-2 off, with grid products of about
+    0.6 the size.
     sine1d: 4N + 1 for N modes; its features are in closed form, and the
     grid only sets where representers are evaluated.
     fem1d: 4(N + 1) + 1 for N tents, so that every tent node k / (N + 1)
@@ -199,7 +228,8 @@ def default_n_quad(space: TestSpace) -> int:
     if space.kind == "fem1d":
         return 4 * (space.size + 1) + 1
     if space.kind == "sine2d":
-        return next_fast_len(5 * space.n_per_dim // 2 + 4) + 1
+        return next_fast_len(max(2 * space.n_per_dim + 2,
+                                 _SINE2D_MIN_CELLS)) + 1
     return 4 * space.size + 1
 
 

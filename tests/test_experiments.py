@@ -6,13 +6,16 @@ runs live in test_acceptance.py.
 
 import csv
 import json
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
-from nessolve import noise, reference
+from nessolve import experiments, noise, reference
 from nessolve.cli import build_parser, main
 from nessolve.errors import ConfigError, StageError
 from nessolve.experiments import DEFAULTS, EXPERIMENTS, ExperimentConfig, \
@@ -68,6 +71,125 @@ def test_out_of_range_parameter_is_refused_before_any_stage(
     assert (err.key, err.value) == (key, value)
     assert err.rule and all(part in str(err)
                             for part in (key, repr(value), err.rule))
+
+
+# every parameter by the kind of value its rule allows; a key of DEFAULTS
+# missing here fails test_every_parameter_is_checked_before_any_stage
+_COUNTS = {"n_modes", "n_modes_full", "n_per_dim", "n_per_dim_full",
+           "truncation", "max_iterations", "n_fem", "refine", "n_seeds"}
+_POSITIVE = {"nu", "gamma", "gamma_pointwise", "gamma_reference",
+             "length_scale", "dt", "t_final"}
+_NONNEGATIVE = {"eps", "sigma", "s", "forcing_decay"}
+_NOT_A_NUMBER = st.one_of(
+    st.booleans(), st.text(max_size=3), st.none(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.lists(st.integers(1, 9), max_size=2))
+_GOOD_REALS = st.floats(1e-3, 1e3)
+_NOT_A_REAL = st.one_of(st.booleans(), st.text(max_size=3), st.none(),
+                        st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+def _bad_values(key):
+    """Values that break the rule of ``key``: of the wrong type, non-finite,
+    a float where an integer is required, or out of range."""
+    if key in _COUNTS:
+        return st.one_of(_NOT_A_NUMBER, st.integers(max_value=0),
+                         st.floats(allow_nan=False))
+    if key == "measurement_grid":
+        return st.one_of(_NOT_A_NUMBER, st.integers(max_value=-1),
+                         st.floats(allow_nan=False))
+    if key in _POSITIVE:
+        return st.one_of(_NOT_A_NUMBER, st.integers(max_value=0),
+                         st.floats(max_value=0.0))
+    if key in _NONNEGATIVE:
+        return st.one_of(_NOT_A_NUMBER, st.integers(max_value=-1),
+                         st.floats(max_value=-1e-300))
+    if key == "s_values":
+        # a negative exponent is refused by its solve stage, not here
+        return st.one_of(
+            st.just([]), st.booleans(), st.text(max_size=3), _GOOD_REALS,
+            st.builds(lambda good, bad, at: good[:at] + [bad] + good[at:],
+                      st.lists(_GOOD_REALS, max_size=4), _NOT_A_REAL,
+                      st.integers(0, 4)))
+    if key == "gamma_values":
+        return st.one_of(
+            st.lists(_GOOD_REALS, max_size=2), st.booleans(),
+            st.text(max_size=3), _GOOD_REALS,
+            st.builds(lambda good, bad, at: good[:at] + [bad] + good[at:],
+                      st.lists(_GOOD_REALS, min_size=2, max_size=4),
+                      st.one_of(_NOT_A_REAL, st.floats(max_value=0.0)),
+                      st.integers(0, 4)))
+    raise KeyError(key)
+
+
+_ALL_KEYS = sorted({key for d in DEFAULTS.values() for key in d})
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_parameter_is_checked_before_any_stage(data):
+    # each key of every experiment, with a value that breaks its rule,
+    # raises ConfigError naming the key and the value; no stage is entered
+    key = data.draw(st.sampled_from(_ALL_KEYS), label="key")
+    experiment = data.draw(st.sampled_from(
+        [e for e in EXPERIMENTS if key in DEFAULTS[e]]), label="experiment")
+    value = data.draw(_bad_values(key), label="value")
+
+    def no_stage(name):
+        raise AssertionError(f"stage {name!r} entered with {key} = {value!r}")
+
+    with mock.patch.object(experiments, "_stage", no_stage):
+        with pytest.raises(ConfigError) as info:
+            run_experiment(ExperimentConfig(experiment, 7,
+                                            params={key: value}))
+    assert info.value.key == key
+    assert info.value.value is value
+
+
+@pytest.mark.parametrize("experiment, seed, n_seeds", [
+    ("rate_study", 1.5, None), ("rate_study", True, None),
+    ("rate_study", "7", None), ("rate_study", -1, None),
+    ("elliptic1d", 2 ** 64, None), ("heat", 2 ** 64 - 2, None),
+    ("allen_cahn", 2 ** 64 - 5, 6), ("semilinear2d", np.float64(7.0), None),
+])
+def test_seed_outside_the_key_range_is_refused(experiment, seed, n_seeds):
+    # 1.5 and True ran as seed 1; -1 and 2^64 failed only in a stage; the
+    # SPDE runs also draw from seed + 1 .. seed + n_seeds - 1
+    params = {} if n_seeds is None else {"n_seeds": n_seeds}
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(experiment, seed, params=params)
+    assert (info.value.key, info.value.value) == ("seed", seed)
+    # the largest seeds whose streams all exist are taken
+    ExperimentConfig("rate_study", 2 ** 64 - 1)
+    ExperimentConfig("heat", 2 ** 64 - 3)
+    ExperimentConfig("allen_cahn", 2 ** 64 - 6, params={"n_seeds": 6})
+    ExperimentConfig("heat", 0)
+
+
+def test_cli_refuses_a_seed_that_is_not_an_integer(tmp_path):
+    # the CLI took int() of the config file's seed, so 1.5 ran as 1
+    f = tmp_path / "cfg.yaml"
+    yaml.safe_dump(dict(SMALL["rate_study"], seed=1.5), f.open("w"))
+    with pytest.raises(ConfigError, match="seed"):
+        main(["rate_study", "--config", str(f)])
+
+
+@pytest.mark.parametrize("experiment", ["norm_study", "heat", "allen_cahn",
+                                        "rate_study"])
+def test_full_scale_is_refused_without_full_scale_sizes(tmp_path, experiment):
+    # these ran their default sizes while writing "full_scale": true
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(experiment, 7, full_scale=True)
+    assert info.value.key == "full_scale"
+    with pytest.raises(ConfigError, match="full_scale"):
+        main([experiment, "--seed", "7", "--full-scale"])
+    f = tmp_path / "cfg.yaml"
+    yaml.safe_dump({"seed": 7, "full_scale": True}, f.open("w"))
+    with pytest.raises(ConfigError, match="full_scale"):
+        main([experiment, "--config", str(f)])
+    ExperimentConfig(experiment, 7, full_scale=False)
+    with pytest.raises(ConfigError, match="full_scale"):
+        ExperimentConfig("elliptic1d", 7, full_scale="false")
 
 
 def test_elliptic_small_run_and_artifacts(tmp_path):
@@ -229,10 +351,11 @@ def test_cli_run_with_config(tmp_path, capsys):
 def test_cli_flags_win_over_the_same_keys_in_the_config(tmp_path, capsys):
     # seed, out and full_scale set in the file and by a flag: the flags win
     f = tmp_path / "cfg.yaml"
-    yaml.safe_dump(dict(SMALL["rate_study"], seed=3, full_scale=False,
-                        out=str(tmp_path / "file_out")), f.open("w"))
+    yaml.safe_dump(dict(SMALL["elliptic1d"], n_modes_full=256, seed=3,
+                        full_scale=False, out=str(tmp_path / "file_out")),
+                   f.open("w"))
     out = tmp_path / "flag_out"
-    code = main(["rate_study", "--config", str(f), "--seed", "7",
+    code = main(["elliptic1d", "--config", str(f), "--seed", "7",
                  "--out", str(out), "--full-scale"])
     capsys.readouterr()
     assert code == 0

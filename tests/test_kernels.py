@@ -16,7 +16,7 @@ from nessolve.kernels import FeatureSet, KernelSpec, assemble_collocation, \
     assemble_features, evaluate_collocation, evaluate_features, \
     kernel_matrix
 from nessolve.spaces import basis_values, build_test_space, \
-    default_n_quad, gregory_weights, grid_points, trapezoid_weights
+    default_n_quad, filon_weights, grid_points, trapezoid_weights
 
 ELL = 0.3
 SPEC = KernelSpec("matern52", ELL)
@@ -619,11 +619,9 @@ def test_weights_formed_in_place_keep_their_bits(monkeypatch, kind):
     monkeypatch.setattr(kernels, "_WEIGHT_BLOCK_ELEMENTS", 1)
     fs = {f.space.kind: f for f in _grid_cases()}[kind]
     sp, nu = fs.space, fs.nu_diff
-    # sine2d features take the Gregory rule, fem ones the trapezoid rule
-    rule = gregory_weights if kind == "sine2d" else trapezoid_weights
-    w = rule(fs.n_quad, sp.dim)
-    phi = basis_values(sp, fs.quad_points)
     if kind == "fem1d":
+        w = trapezoid_weights(fs.n_quad)
+        phi = basis_values(sp, fs.quad_points)
         # the diffusion stencil nu (2, -1, -1) / h at the grid nodes that
         # are tent nodes z_i, z_{i-1} and z_{i+1}
         at = np.rint(np.arange(sp.size + 2) * sp.h * (fs.n_quad - 1))
@@ -634,40 +632,35 @@ def test_weights_formed_in_place_keep_their_bits(monkeypatch, kind):
         stencil[i, at[:-2]] = stencil[i, at[2:]] = -(nu / sp.h)
         want = phi * (w * fs.c_field) + stencil
     else:
-        want = phi * (w * fs.c_field) + phi * (nu * sp.eigenvalues)[:, None] \
-            * w
+        # row (i, j) is 2 F_i (x) F_j (c + nu lambda_ij), F the Filon
+        # weights
+        f = filon_weights(sp.n_per_dim, fs.n_quad)
+        want = np.stack([2.0 * np.kron(fi, fj) for fi in f for fj in f]) \
+            * (fs.c_field + (nu * sp.eigenvalues)[:, None])
     assert np.array_equal(fs.value_rows(slice(None)), want)
 
 
 def _k_cc_long_double(spec, fs):
-    """The sine2d operator block W K W^T in np.longdouble, from sines of
-    exactly reduced arguments sin(pi ((j k) mod 2(q-1)) / (q-1)), the
-    sixth-order Gregory weights from their fractions (q >= 10, so the two
-    ends' five weights do not overlap), and the Matern
-    kernel at the exact offsets between grid nodes, (k - l) / (q-1) per
-    axis."""
+    """The sine2d operator block W K W^T in np.longdouble: rows
+    2 F_i (x) F_j (c + nu lambda_ij) from the float64 Filon weights F,
+    taken as given (their entries have a 30-digit test of their own), and
+    the Matern kernel at the exact offsets between grid nodes, (k - l) /
+    (q-1) per axis."""
     ld = np.longdouble
     q = fs.n_quad
     m = fs.space.n_per_dim
     pi = 4 * np.arctan(ld(1))
     j = np.arange(1, m + 1)[:, None]
     k = np.arange(q)
-    s = np.sin(pi * ((j * k) % (2 * (q - 1))) / (q - 1))
-    ends = np.array([ld(95) / 288, ld(317) / 240, ld(23) / 30,
-                     ld(793) / 720, ld(157) / 160])
-    w = np.ones(q, dtype=ld)
-    w[:5] = ends
-    w[q - 5:] = ends[::-1]
-    w /= q - 1
+    f = filon_weights(m, q).astype(ld)
     lam = (pi * j) ** 2
     offset = np.abs(k[:, None] - k[None, :]).astype(ld)
     g = q * q
-    s = 2 * (s[:, None, :, None] * s[None, :, None, :]).reshape(m * m, g)
-    w = np.outer(w, w).ravel()
+    f = 2 * (f[:, None, :, None] * f[None, :, None, :]).reshape(m * m, g)
     lam = (lam + lam.T).reshape(m * m, 1)
     offset = np.sqrt(offset[:, None, :, None] ** 2 +
                      offset[None, :, None, :] ** 2).reshape(g, g)
-    weights = s * (w * fs.c_field.astype(ld) + ld(fs.nu_diff) * lam * w)
+    weights = f * (fs.c_field.astype(ld) + ld(fs.nu_diff) * lam)
     ar = np.sqrt(ld(5)) / ld(spec.length_scale) * offset / (q - 1)
     kernel = (1 + ar + ar ** 2 / 3) * np.exp(-ar)
     return weights @ kernel @ weights.T
@@ -745,10 +738,10 @@ def test_sine1d_assembly_holds_no_weight_array():
 @pytest.mark.parametrize("p", [4, 8])
 @pytest.mark.parametrize("c_kind", ["constant", "varying"])
 def test_separable_pairing_against_long_double_oracle(p, c_kind):
-    # the separable sine pairing of the sine2d operator block, with the
-    # Gregory weights on the default grid, is as close to an
-    # extended-precision oracle of the same sums as the GEMM with the
-    # weight rows it replaces; both pair the same FFT grid products
+    # the separable pairing of the sine2d operator block, with the Filon
+    # weights on the default grid, is as close to an extended-precision
+    # oracle of the same sums as the GEMM with the weight rows it
+    # replaces; both pair the same FFT grid products
     spec = KernelSpec("matern52", 0.2)
     sp = build_test_space("sine2d", n_per_dim=p)
     q = default_n_quad(sp)
@@ -785,7 +778,7 @@ def _sine2d_blocks(spec, c_of, nu, bp, p, q):
 def _trapezoid_blocks(spec, c_of, nu, bp, p, q):
     """k_cc and k_cb of the same features by the trapezoid rule on q
     points per dim, from dense weight rows: the rule sine2d features took
-    on 4p + 1 points before the Gregory rule."""
+    on 4p + 1 points before the Gregory and Filon rules."""
     sp = build_test_space("sine2d", n_per_dim=p)
     x = grid_points(q, 2)
     w = trapezoid_weights(q, 2)
@@ -795,19 +788,26 @@ def _trapezoid_blocks(spec, c_of, nu, bp, p, q):
     return 0.5 * (k_cc + k_cc.T), rows @ kernels._pairwise(spec, x, bp)
 
 
+# how far the sixth-order Gregory features on 5p/2 + 5 points (15 and 25),
+# the rule before the Filon one, were from the same kind of reference:
+# k_cc, k_cb and grid values
+_GREGORY_ERRORS = {4: (8.8e-3, 1.1e-2, 9.9e-3), 8: (2.3e-2, 1.1e-2, 1.1e-2)}
+
+
 @pytest.mark.parametrize("p", [4, 8])
 def test_sine2d_features_against_a_fine_grid_reference(p):
     # the sine2d operator block, its boundary block and its features' grid
     # values on the default grid, against the same features on a grid four
     # times finer that nests it, relative to each reference's largest
-    # entry.  The Gregory features on the default grid (q = 15 and 25 here)
-    # are at least twice as close to the reference as trapezoid ones on
-    # 4p + 1 points (measured: k_cc 8.8e-3 and 2.3e-2 against 5.4e-2 and
-    # 8.3e-2; k_cb 1.1e-2 and 1.1e-2 against 4.4e-2 and 4.9e-2; values
-    # 9.9e-3 and 1.1e-2).  The reference itself is 1e-7 or closer to
-    # mpmath at the spot checks, and its operator block moves by less
-    # than 1e-4 (1.1e-5 measured) when its grid is halved again, a
-    # hundredth of the errors above.
+    # entry.  The Filon features on the default grid (q = 13 and 19 here)
+    # are closer to the reference than the Gregory ones were on their
+    # larger grid, and at least twice as close as trapezoid ones on
+    # 4p + 1 points (trapezoid: k_cc 5.4e-2 and 8.3e-2, k_cb 4.4e-2 and
+    # 4.9e-2).  The reference itself is 1e-7 or closer to mpmath at the
+    # spot checks, and its operator block moves by less than 1e-4 (2.0e-6
+    # and 1.7e-6 measured) when its grid is halved again, under a thirtieth
+    # of the errors above (k_cc 5.0e-3 and 3.9e-3 measured, k_cb 4.5e-4 and
+    # 1.4e-4, values 1.5e-3 and 4.4e-4).
     spec, nu = KernelSpec("matern52", 0.2), 0.1
     t = np.linspace(0.0, 1.0, 5)
     bp = np.vstack([np.column_stack([t, np.zeros(5)]),
@@ -826,9 +826,11 @@ def test_sine2d_features_against_a_fine_grid_reference(p):
     ref_cc, ref_cb, ref_values = _sine2d_blocks(spec, c_of, nu, bp, p, q_ref)
     trap_cc, trap_cb = _trapezoid_blocks(spec, c_of, nu, bp, p, 4 * p + 1)
     on_default = ref_values.reshape(q_ref, q_ref, -1)[::4, ::4]
-    assert err(k_cc, ref_cc) <= 0.5 * err(trap_cc, ref_cc)
-    assert err(k_cb, ref_cb) <= 0.5 * err(trap_cb, ref_cb)
-    assert err(values, on_default.reshape(q * q, -1)) <= 2e-2
+    errors = (err(k_cc, ref_cc), err(k_cb, ref_cb),
+              err(values, on_default.reshape(q * q, -1)))
+    assert all(e <= g for e, g in zip(errors, _GREGORY_ERRORS[p])), errors
+    assert errors[0] <= 0.5 * err(trap_cc, ref_cc)
+    assert errors[1] <= 0.5 * err(trap_cb, ref_cb)
     finer_cc = _sine2d_blocks(spec, c_of, nu, bp, p, 2 * (q_ref - 1) + 1)[0]
     assert err(ref_cc, finer_cc) <= 1e-4
 

@@ -20,39 +20,90 @@ def _fine_quadrature(n=20001):
     return x, w
 
 
-@pytest.mark.parametrize("n", [5, 7, 9, 10, 15, 25])
-def test_gregory_weights_exact_to_degree_five(n):
-    # the end corrections, overlapping and added below 10 points, keep the
-    # rule exact for polynomials of degree 5 on every grid of at least 5
-    # points; degree 6 is not integrated exactly
+def _sine_moments(n_modes, f):
+    """int_0^1 sin(pi i x) f(x) dx, i = 1..n_modes, by one 200-point
+    Gauss-Legendre rule over [0, 1]: exact to rounding for the smooth f
+    and the few modes taken here."""
+    t, w = np.polynomial.legendre.leggauss(200)
+    t = 0.5 * (t + 1.0)
+    i = np.arange(1, n_modes + 1)[:, None]
+    return (np.sin(np.pi * i * t) * f(t)) @ (0.5 * w)
+
+
+@pytest.mark.parametrize("n", [6, 7, 9, 10, 15, 25])
+def test_filon_weights_exact_for_sines_times_quintics(n):
+    # every mode the grid resolves, times a polynomial of degree 5, is
+    # integrated exactly, the stencils shifted inward at the ends
+    # included; degree 6 is not
+    p = (n - 2) // 2
     x = grid_points(n)
-    w = spaces.gregory_weights(n)
+    f = spaces.filon_weights(p, n)
+    assert f.shape == (p, n)
     for d in range(6):
-        assert abs(w @ x ** d - 1.0 / (d + 1)) <= 1e-14
-    assert abs(w @ x ** 6 - 1.0 / 7) > 1e-8
-    assert np.array_equal(spaces.gregory_weights(n, 2), np.outer(w, w).ravel())
+        want = _sine_moments(p, lambda t: t ** d)
+        assert np.max(np.abs(f @ x ** d - want)) <= 1e-14
+    assert np.max(np.abs(f @ x ** 6 - _sine_moments(p, lambda t: t ** 6))) \
+        > 1e-9
 
 
-def test_gregory_weights_sixth_order_and_need_five_points():
-    # halving the spacing cuts the error on a smooth integrand whose slope
-    # does not vanish at the ends about 2^6-fold (55-fold here), where the
-    # trapezoid rule gains 4-fold
-    exact = np.expm1(1.0)
-    for rule, gain in ((spaces.gregory_weights, 40.0),
-                       (trapezoid_weights, 3.9)):
-        errs = [abs(rule(m) @ np.exp(grid_points(m)) - exact)
-                for m in (21, 41)]
-        assert errs[0] / errs[1] >= gain
-    with pytest.raises(ResolutionTooCoarseError, match="5"):
-        spaces.gregory_weights(4)
+def test_filon_weights_sixth_order_and_need_six_points():
+    # halving the spacing cuts the error on a smooth integrand about
+    # 2^6-fold (62-fold here); fewer than six points hold no stencil
+    want = _sine_moments(1, np.exp)[0]
+    errs = [abs(spaces.filon_weights(1, m)[0] @ np.exp(grid_points(m)) -
+                want) for m in (21, 41)]
+    assert errs[0] / errs[1] >= 40.0
+    with pytest.raises(ResolutionTooCoarseError, match="6"):
+        spaces.filon_weights(1, 5)
+
+
+def _mp_filon_entry(mp, i, k, q):
+    """int_0^1 sin(pi i x) l_k(x) dx in mpmath: cell by cell over the
+    cells whose stencil (six nearest nodes, shifted inward at the ends)
+    holds node k, with l_k the Lagrange cardinal function of k there."""
+    h = mp.mpf(1) / (q - 1)
+    total = mp.mpf(0)
+    for cell in range(q - 1):
+        first = min(max(cell - 2, 0), q - 6)
+        if not first <= k < first + 6:
+            continue
+
+        def card(x, first=first):
+            v = mp.mpf(1)
+            for m in range(first, first + 6):
+                if m != k:
+                    v *= (x / h - m) / (k - m)
+            return v
+        total += mp.quad(lambda x: mp.sin(mp.pi * i * x) * card(x),
+                         [cell * h, (cell + 1) * h])
+    return total
+
+
+@pytest.mark.parametrize("p", [4, 20])
+def test_filon_weights_against_mpmath_at_30_digits(p):
+    # the lowest and highest modes on the default grid (13 and 43 points),
+    # at the end nodes, whose stencils are shifted inward, and at
+    # interior nodes, against 30-digit quadrature of the same integrals
+    mp = pytest.importorskip("mpmath")
+    q = spaces.default_n_quad(build_test_space("sine2d", n_per_dim=p))
+    f = spaces.filon_weights(p, q)
+    nodes = sorted({0, 1, 2, 3, q // 2, q // 2 + 1, q - 4, q - 3, q - 2,
+                    q - 1})
+    with mp.workdps(30):
+        for i in (1, p):
+            scale = np.max(np.abs(f[i - 1]))
+            for k in nodes:
+                want = _mp_filon_entry(mp, i, k, q)
+                assert abs(f[i - 1, k] - want) <= 1e-15 * scale, (i, k)
 
 
 def test_sine2d_default_grid():
-    # 5p/2 + 5 points, with q - 1 raised to a fast FFT length: only p = 64
-    # of these moves (164 = 4 * 41 -> 165)
+    # 2p + 3 points, with q - 1 raised to a fast FFT length and to at
+    # least 12 cells: p = 16 and 64 move (34 -> 35, 130 = 2 * 5 * 13 ->
+    # 132) and p <= 5 take 13 points
     got = {p: spaces.default_n_quad(build_test_space("sine2d", n_per_dim=p))
            for p in (1, 4, 8, 16, 20, 32, 64)}
-    assert got == {1: 7, 4: 15, 8: 25, 16: 45, 20: 55, 32: 85, 64: 166}
+    assert got == {1: 13, 4: 13, 8: 19, 16: 36, 20: 43, 32: 67, 64: 133}
 
 
 def test_sine1d_basis_values():
