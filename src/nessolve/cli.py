@@ -2,8 +2,9 @@
 
 Usage: nes-solve <experiment> [--config FILE] [--seed S] [--full-scale]
 [--out DIR] [--check].  The optional YAML config holds parameter overrides
-(plus optionally seed/out/full_scale); command-line flags win.  With
---check the exit code is 2 when an acceptance threshold is violated.
+(plus optionally seed/out/full_scale); command-line flags win.  A setting
+that breaks its rule is reported on one line of stderr, with exit code 1.
+With --check the exit code is 2 when an acceptance threshold is violated.
 The CLI reads no environment variables; cap BLAS threads with the BLAS
 library's own (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS).
 """
@@ -16,6 +17,7 @@ import sys
 
 import yaml
 
+from .errors import ConfigError
 from .experiments import EXPERIMENTS, ExperimentConfig, check_thresholds, \
     run_experiment
 
@@ -46,26 +48,29 @@ def main(argv=None) -> int:
     file_seed = file_cfg.pop("seed", None)
     file_out = file_cfg.pop("out", None)
     file_full_scale = file_cfg.pop("full_scale", False)
-    if not isinstance(file_full_scale, bool):
-        # bool("false") is True: only a YAML boolean means what it says
-        raise ValueError(f"config key 'full_scale' must be true or false, "
-                         f"got {file_full_scale!r}")
     seed = args.seed if args.seed is not None else file_seed
-    out_dir = args.out or file_out
-    full_scale = args.full_scale or file_full_scale
     if seed is None:
         print("a seed is required (--seed or 'seed:' in the config)",
               file=sys.stderr)
         return 1
 
-    cfg = ExperimentConfig(args.experiment, seed, out_dir=out_dir,
-                           full_scale=full_scale, params=file_cfg)
+    try:
+        if not isinstance(file_full_scale, bool):
+            # bool("false") is True: only a YAML boolean means what it says
+            raise ConfigError("full_scale", file_full_scale, "true or false")
+        cfg = ExperimentConfig(args.experiment, seed,
+                               out_dir=args.out or file_out,
+                               full_scale=args.full_scale or file_full_scale,
+                               params=file_cfg)
+    except ValueError as exc:           # ConfigError is a ValueError
+        print(f"nes-solve: {exc}", file=sys.stderr)
+        return 1
     report = run_experiment(cfg)
     json.dump(report["metrics"], sys.stdout, indent=2, sort_keys=True)
     print()
     if args.check:
         failures = check_thresholds(args.experiment, report["metrics"],
-                                    full_scale)
+                                    cfg.full_scale)
         for f in failures:
             print(f"THRESHOLD VIOLATION: {f}", file=sys.stderr)
         if failures:

@@ -250,9 +250,8 @@ def solve(op: OperatorSpec, xi: MeasurementVector, cfg: SolverConfig,
     the reason ``"linear"``.  A nonlinear family rebuilds its Gram blocks
     and their factored KKTSystem every iteration (the linearization
     coefficient changes), first dropping the previous iterate's features,
-    blocks and factors, so one set of N x G weight rows is live at a time;
-    each iterate is evaluated on the grid matrix-free
-    (``GramBlocks.on_grid``).
+    blocks and factors, so one Gram array and its factors are live at a
+    time; each iterate is evaluated on the grid (``GramBlocks.on_grid``).
     """
     ctx = SeminormContext.build(cfg.space, cfg.s)
     dim = cfg.space.dim

@@ -17,28 +17,30 @@ writes it with one GEMM and a diagonal, the boundary block and any
 evaluation are the same closed form at points, and grid values are one
 sine synthesis plus the six layers (``GramBlocks.on_grid``).
 
-Every other feature is a weighted sum of kernel values on a uniform
-quadrature grid, one weight row per feature.  fem rows take the trapezoid
-rule.  sine2d rows take a Filon-type rule (``spaces.filon_weights``): the
-sines are integrated exactly against the piecewise quintic interpolant of
-c K(., y) on the grid, so the grid need not sample the top modes finely,
-and on the default grid of about 2p + 3 points per dim
-(``spaces.default_n_quad``) the features are closer to their integrals
-than the sixth-order Gregory rule's were on 5p/2 + 5 points.  For fem tent
-functions the diffusion part nu int phi_i' u' is exactly
-nu (2 u(z_i) - u(z_{i-1}) - u(z_{i+1})) / h at the tent nodes z_k = k h,
-which the grid is required to contain, so it is three grid deltas in the
-weight row.  So only the value kernel is ever integrated, and every Gram
-block is weight rows applied to pairwise kernel matrices.
+fem features are translates of one stencil: tent i weighs the kernel
+values on the 2r + 1 grid nodes of its support, r = (q - 1)/(N + 1), by
+the trapezoid rule times c, and its diffusion part nu int phi_i' u' is
+exactly nu (2 u(z_i) - u(z_{i-1}) - u(z_{i+1})) / h at the tent nodes
+z_k = k h, which the grid must hold.  Every tent shares those 2r + 1
+weights (``_fem_stencil``), a feature paired with K(., x) is their sum of
+kernel values (``_fem_columns``), and the operator block is the Toeplitz
+matrix of its first column.
+
+sine2d features are weighted sums of kernel values on a uniform grid, one
+weight row per feature, by a Filon-type rule (``spaces.filon_weights``):
+the sines are integrated exactly against the piecewise quintic
+interpolant of c K(., y) on the grid, so the grid need not sample the top
+modes finely (about 2p + 3 points per dim, ``spaces.default_n_quad``).
+Only the value kernel is ever integrated, and every sine2d Gram block is
+weight rows applied to pairwise kernel matrices.
 
 On the grid itself that pairwise matrix depends only on the offset between
-nodes (Toeplitz in 1D, block-Toeplitz in 2D), so the grid-by-grid products
-are correlations computed with FFTs of a circulant embedding of the kernel
-(Dietrich & Newsam, SIAM J. Sci. Comput. 18, 1997); no grid-by-grid matrix
-is ever formed.  With q points per dim, the circulant has period 2(q-1) in
-2D, where folding +(q-1) onto -(q-1) loses nothing for the even kernel, and
-next_fast_len(2q-1) in 1D (see ``_grid_product`` for why 1D keeps it).
-The 2D transforms go one axis at a time, y then x forward and x then y
+nodes (block-Toeplitz), so the grid-by-grid products are correlations
+computed with FFTs of a circulant embedding of the kernel (Dietrich &
+Newsam, SIAM J. Sci. Comput. 18, 1997); no grid-by-grid matrix is ever
+formed.  With q points per dim, the circulant has period 2(q-1) per dim,
+where folding +(q-1) onto -(q-1) loses nothing for the even kernel.
+The transforms go one axis at a time, y then x forward and x then y
 inverse, so that neither the zero padding nor the cropped rows are
 transformed along y.  Products against the boundary points and arbitrary
 evaluation points are small and stay dense.
@@ -48,24 +50,24 @@ points; the derivatives involved share one exponential, so each entry
 costs one ``exp``.  Every kind fills one (N+M) x (N+M) Gram array,
 unregularized: ``gauss_newton.KKTSystem`` adds the nugget and any jitter.
 
-Memory.  sine2d features hold no N x G array (G grid points): their
-weight rows are separable, 2 F_i(x) F_j(y) times c + nu lambda_ij, so
-pairing and combining them are contractions with the p x q Filon weights
-F, one axis at a time.  fem features hold one N x G array, their
-weight rows, formed in place over the basis values, and pair by GEMM.
-Assembly forms or reads the rows a block of 256 KiB at a time, takes their
-grid products and pairs them at once.  Every pairing of the weights with
-kernel values, on the grid or against the boundary points, goes through
+Memory.  No feature holds an N x G array (G grid points): sine1d and fem
+features are columns at points, and sine2d weight rows are separable,
+2 F_i(x) F_j(y) times c + nu lambda_ij, so pairing and combining them are
+contractions with the p x q Filon weights F, one axis at a time.  sine2d
+assembly forms its rows a block of 256 KiB at a time, takes their grid
+products and pairs them at once; every pairing of the weights with kernel
+values, on the grid or against the boundary points, goes through
 ``FeatureSet.pair``.  The operator block of every kind is written straight
 into the Gram array, which is then symmetrized in place.
 
-Grid values of representers are taken one way only, matrix-free
-(``grid_values``, which ``GramBlocks.on_grid`` calls on the quadrature
-grid): for a coefficient vector or for each column of a matrix of them,
-on the quadrature grid or on a finer grid that nests it, such as the
-metric grid of the 2D experiments.  No solver path forms the G x (N+M)
-evaluation matrix; ``quad_eval`` builds it from ``on_grid`` on the
-identity when read.
+Grid values of representers are taken one way only (``grid_values``,
+which ``GramBlocks.on_grid`` calls on the quadrature grid): for a
+coefficient vector or for each column of a matrix of them, on the
+quadrature grid or on a finer grid that nests it, such as the metric grid
+of the 2D experiments.  sine1d and sine2d values are matrix-free; fem
+values are the coefficients times the fem columns at the grid points.  No
+solver path forms the G x (N+M) evaluation matrix; ``quad_eval`` builds
+it from ``on_grid`` on the identity when read.
 """
 
 from __future__ import annotations
@@ -74,12 +76,12 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfftn
+from scipy.fft import fft, ifft, irfft, rfft, rfftn
+from scipy.linalg import toeplitz
 
 from . import spaces
 from .errors import ResolutionTooCoarseError
-from .spaces import TestSpace, filon_weights, grid_points, \
-    trapezoid_weights
+from .spaces import TestSpace, filon_weights, grid_points
 
 __all__ = [
     "KernelSpec",
@@ -94,7 +96,7 @@ __all__ = [
 ]
 
 # complex elements of the spectrum work array of one row block in
-# _grid_product, (b, P/2+1) in 1D and (b, P, P/2+1) in 2D: 512 KiB, so
+# _grid_product, (b, P, P/2+1): 512 KiB, so
 # that a block's padding, transforms, spectrum product and crop stay in a
 # core's L2 cache; a row larger than that is a block of its own
 _FFT_BLOCK_ELEMENTS = 2 ** 15
@@ -175,16 +177,15 @@ class FeatureSet:
     and values are in closed form (``_sine1d_terms``); the grid only sets
     where ``GramBlocks.on_grid`` evaluates, so it must carry the N modes.
 
-    Every other feature is a row of weights on the kernel values at the
-    quadrature nodes (``value_rows``).  A fem row is the tent times w c,
-    plus the diffusion part
+    fem features need a constant c too.  Tent i is the trapezoid rule on
+    the tent times c, plus the diffusion part
     nu (2 delta_{z_i} - delta_{z_{i-1}} - delta_{z_{i+1}}) / h at the tent
     nodes, exact since phi_i' is +-1/h on the two cells of tent i; so the
-    grid spacing must divide h, and no derivative of the kernel is ever
-    integrated.  fem features store their weights, formed in place over
-    the basis values, one N x G array.
+    grid spacing must divide h.  Every tent has the same weights on its
+    own nodes (``_fem_stencil``), and the features store none.
 
-    sine2d features store none: row (i, j) at node (x_k, y_l) is
+    sine2d features store none either: row (i, j) of their weights on the
+    kernel values (``value_rows``) at node (x_k, y_l) is
     2 F_ik F_jl (c + nu lambda_ij) with F the p x q Filon weights
     F_ik = int sin(pi i x) l_k(x) dx of the grid's piecewise quintic
     cardinal functions l_k (``spaces.filon_weights``, at least 6 points
@@ -200,8 +201,6 @@ class FeatureSet:
     boundary_points: np.ndarray
     n_quad: int
     quad_points: np.ndarray = field(default=None, repr=False)
-    # the weight rows, fem only
-    _weights: np.ndarray = field(default=None, init=False, repr=False)
     # the p x q Filon weights, sine2d only
     _filon: np.ndarray = field(default=None, init=False, repr=False)
 
@@ -223,9 +222,9 @@ class FeatureSet:
             raise ValueError("boundary point dimension mismatch")
         if len(np.unique(bp.round(decimals=14), axis=0)) != bp.shape[0]:
             raise ValueError("boundary points must be distinct")
-        if sp.kind == "sine1d" and np.any(c != c[0]):
+        if sp.kind in ("sine1d", "fem1d") and np.any(c != c[0]):
             raise ValueError(
-                f"sine1d features need a constant c, got values from "
+                f"{sp.kind} features need a constant c, got values from "
                 f"{c.min():g} to {c.max():g}")
         object.__setattr__(self, "c_field", c)
         object.__setattr__(self, "boundary_points", bp)
@@ -233,19 +232,6 @@ class FeatureSet:
         if sp.kind == "sine2d":
             object.__setattr__(self, "_filon",
                                filon_weights(sp.n_per_dim, self.n_quad))
-        if sp.kind != "fem1d":
-            return
-
-        wv = spaces.basis_values(sp, pts)
-        wv *= trapezoid_weights(self.n_quad) * c
-        # the diffusion part as deltas: tent node z_k is grid node k r
-        r = (self.n_quad - 1) // (sp.size + 1)
-        i = np.arange(sp.size)
-        d = self.nu_diff / sp.h
-        wv[i, (i + 1) * r] += 2.0 * d
-        wv[i, i * r] -= d
-        wv[i, (i + 2) * r] -= d
-        object.__setattr__(self, "_weights", wv)
 
     @property
     def n_features(self) -> int:
@@ -268,14 +254,11 @@ class FeatureSet:
         return 2.0 * (fw @ f.reshape(q, q) @ fw.T).ravel()
 
     def value_rows(self, rows: slice) -> np.ndarray:
-        """Rows ``rows`` of the weights W on the kernel values (fem1d and
-        sine2d): a view of the stored fem array, or for sine2d those rows
+        """Rows ``rows`` of the sine2d weights W on the kernel values,
         formed now, entry by entry, so a block of rows has the bits of the
-        same rows of the whole.  A sine2d row is 2 F_i (x) F_j, the outer
-        product of two rows of the Filon weights, times c + nu lambda_ij,
-        scaled in place a block of rows at a time."""
-        if self._weights is not None:
-            return self._weights[rows]
+        same rows of the whole.  A row is 2 F_i (x) F_j, the outer product
+        of two rows of the Filon weights, times c + nu lambda_ij, scaled in
+        place a block of rows at a time."""
         fw, p = self._filon, self.space.n_per_dim
         r = np.arange(self.space.size)[rows]
         rows_out = (fw[r // p][:, :, None] * fw[r % p][:, None, :]) \
@@ -290,9 +273,9 @@ class FeatureSet:
 
     def pair(self, t: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """t @ W.T for rows ``t`` of values on the grid, written
-        into ``out`` when given (fem1d and sine2d).
+        into ``out`` when given (sine2d).
 
-        For sine2d, with each row of ``t`` a q x q array T and F the Filon
+        With each row of ``t`` a q x q array T and F the Filon
         weights, the pairing is
 
             2 F (c T) F^T + nu lambda 2 F T F^T,
@@ -300,8 +283,6 @@ class FeatureSet:
         the two terms stacked into one GEMM with F^T along y, then one
         along x.
         """
-        if self._weights is not None:
-            return np.matmul(t, self._weights.T, out=out)
         n = self.n_features
         nu_lam = self.nu_diff * self.space.eigenvalues
         fw, p, q, b = self._filon, self.space.n_per_dim, self.n_quad, len(t)
@@ -318,13 +299,10 @@ class FeatureSet:
 
     def combine(self, alpha: np.ndarray) -> np.ndarray:
         """The combined weight rows alpha^T @ W: one row for a
-        vector ``alpha``, one per column of an N x K matrix (fem1d and
-        sine2d).  For sine2d, with A the p x p coefficients of a column and
-        F the Filon weights, c 2 F^T A F + 2 F^T (nu lambda A) F, batched
-        over the columns."""
+        vector ``alpha``, one per column of an N x K matrix (sine2d).  With
+        A the p x p coefficients of a column and F the Filon weights,
+        c 2 F^T A F + 2 F^T (nu lambda A) F, batched over the columns."""
         a = alpha.T
-        if self._weights is not None:
-            return a @ self._weights
         nu_lam = self.nu_diff * self.space.eigenvalues
         fw, p = self._filon, self.space.n_per_dim
         b = np.stack([a, nu_lam * a]).reshape(2, -1, p, p)
@@ -378,34 +356,38 @@ def grid_values(spec: KernelSpec, fs: FeatureSet, coeffs: np.ndarray,
 
     For sine1d, with beta_i = alpha_i d_i, that is the sine synthesis of
     s_i beta_i plus the six layers weighted by R^T beta
-    (``_sine1d_terms``).  Otherwise it is one grid product per combined
-    weight row sum_i alpha_i w_i (``FeatureSet.combine``), taken on the
-    finer grid with the row's weights on the quadrature nodes and zeros
-    between them, so the kernel is still summed over the quadrature nodes
-    only and no fine-by-quadrature kernel matrix is formed.  The boundary
-    columns are formed ``_BOUNDARY_BLOCK_ELEMENTS`` at a time."""
-    n, q, dim = fs.n_features, fs.n_quad, fs.space.dim
+    (``_sine1d_terms``).  For fem it is the coefficients times the fem
+    columns at the grid points (``_fem_columns``).  For sine2d it is one
+    grid product per combined weight row sum_i alpha_i w_i
+    (``FeatureSet.combine``), taken on the finer grid with zeros between
+    the quadrature nodes, so no fine-by-quadrature kernel matrix is
+    formed.  The boundary columns are formed ``_BOUNDARY_BLOCK_ELEMENTS``
+    at a time."""
+    n, q, kind = fs.n_features, fs.n_quad, fs.space.kind
     n_points = n_points or q
     stride, rest = divmod(n_points - 1, q - 1)
     if rest or stride < 1:
         raise ValueError(f"a grid of {n_points} points per dim does not "
                          f"nest the quadrature grid of {q}")
-    pts = fs.quad_points if stride == 1 else grid_points(n_points, dim)
-    if fs.space.kind == "sine1d":
+    pts = fs.quad_points if stride == 1 else \
+        grid_points(n_points, fs.space.dim)
+    if kind == "sine1d":
         a, d, (s_hat, _, layer_coeffs) = _sine1d_parts(spec, fs)
         beta = coeffs[:n].T * d
         values = spaces.sine_synthesis(s_hat * beta, n_points)
         values += (beta @ layer_coeffs) @ _layers(a, pts)
+    elif kind == "fem1d":
+        values = coeffs[:n].T @ _fem_columns(spec, fs, pts)
     else:
         rows = fs.combine(coeffs[:n])
         lead = rows.shape[:-1]
-        rows = rows.reshape((-1,) + (q,) * dim)
+        rows = rows.reshape(-1, q, q)
         if stride > 1:
-            fine = np.zeros((rows.shape[0],) + (n_points,) * dim)
-            fine[(slice(None),) + (slice(None, None, stride),) * dim] = rows
+            fine = np.zeros((rows.shape[0], n_points, n_points))
+            fine[:, ::stride, ::stride] = rows
             rows = fine
         values = _grid_product(spec, rows.reshape(rows.shape[0], -1),
-                               n_points, dim).reshape(lead + (-1,))
+                               n_points).reshape(lead + (-1,))
     bp, beta = fs.boundary_points, coeffs[n:].T
     step = max(1, _BOUNDARY_BLOCK_ELEMENTS // bp.shape[0])
     for lo in range(0, pts.shape[0], step):
@@ -496,73 +478,91 @@ def _sine1d_columns(spec: KernelSpec, fs: FeatureSet, x) -> np.ndarray:
     return cols
 
 
+def _fem_stencil(fs: FeatureSet):
+    """The grid nodes (i + 1) r + l, |l| <= r, of every tent i, N x
+    (2r + 1), and the weights they all share: s_l = c (1 - |l|/r)/(q - 1),
+    the trapezoid rule on the tent times c (its halved end weights fall
+    where the tent is zero), plus nu/h (2, -1, -1) at l = 0, -r and r."""
+    n, q = fs.n_features, fs.n_quad
+    r = (q - 1) // (n + 1)
+    offsets = np.arange(-r, r + 1)
+    nodes = fs.quad_points[(np.arange(1, n + 1) * r)[:, None] + offsets]
+    s = (1.0 - np.abs(offsets) / r) * (fs.c_field[0] / (q - 1))
+    d = fs.nu_diff / fs.space.h
+    s[r] += 2.0 * d
+    s[[0, -1]] -= d
+    return nodes, s
+
+
+def _fem_columns(spec: KernelSpec, fs: FeatureSet, x) -> np.ndarray:
+    """The fem features paired with K(., x_p), N x P: sum_l s_l
+    K(x_p - node_il) over each tent's stencil (``_fem_stencil``), one tap
+    at a time, so no array larger than N x P is formed."""
+    nodes, s = _fem_stencil(fs)
+    cols = np.zeros((nodes.shape[0], x.shape[0]))
+    for node, weight in zip(nodes.T, s):
+        cols += weight * _matern52(spec, np.abs(x[None, :] - node[:, None]))
+    return cols
+
+
 @functools.lru_cache(maxsize=4)
-def _circulant_spectrum(spec: KernelSpec, n_quad: int, dim: int):
+def _circulant_spectrum(spec: KernelSpec, n_quad: int):
     """Period P and conjugate spectrum of the circulant that embeds the
     grid kernel of ``_grid_product``, kept for the last few grids: a
     matrix-free assembly takes one grid product per small block of rows."""
     q = n_quad
-    size = 2 * (q - 1) if dim == 2 else next_fast_len(2 * q - 1, real=True)
+    size = 2 * (q - 1)
     j = np.arange(size)
     t = np.where(j < q, j, j - size) / (q - 1)      # signed offsets
-    if dim == 2:
-        c = _matern52(spec, np.hypot(t[:, None], t[None, :]))
-    else:
-        c = _matern52(spec, np.abs(t))
-    c_hat = np.conj(rfftn(c))
+    c_hat = np.conj(rfftn(_matern52(spec, np.hypot(t[:, None], t[None, :]))))
     c_hat.flags.writeable = False
     return size, c_hat
 
 
-def _grid_product(spec: KernelSpec, w: np.ndarray, n_quad: int, dim: int,
-                  out: np.ndarray = None) -> np.ndarray:
-    """w @ K(grid, grid) on the uniform grid of ``n_quad`` points per dim.
+def _grid_product(spec: KernelSpec, w: np.ndarray,
+                  n_quad: int) -> np.ndarray:
+    """w @ K(grid, grid) on the 2D grid of ``n_quad`` points per dim.
 
     K[k, l] = k(x_k - x_l) depends only on the lattice offset, so each row
     of the product is a correlation of the weight row with the kernel
-    sampled at the signed offsets j*h, |j| <= q-1.  Those samples fill a
-    circulant of period P per dim, and the correlation is one product of
-    spectra, cropped back to the grid.  Grid rows are x-major, as in
-    ``grid_points``.  The product is written into ``out`` when given.
+    sampled at the signed offsets j*h, |j| <= q-1, per dim.  Those samples
+    fill a circulant of period P = 2(q-1) per dim, and the correlation is
+    one product of spectra, cropped back to the grid.  Grid rows are
+    x-major, as in ``grid_points``.
 
-    The kernel is even, so P = 2(q-1) is exact in any dimension: offsets j
-    and j - P then share a circulant entry, but within |j| <= q-1 the only
-    such pair is +-(q-1), where the kernel takes one value; so the period
-    is exact for any weights, including rows that do not vanish on the
-    grid edges.  2D uses it.  1D keeps P = next_fast_len(2q-1) >= 2q-1,
-    which keeps every offset apart: only fem features take 1D grid
-    products, and the shorter period would round each of them
-    differently, so the fem pipelines' outputs would not keep their bits.
+    The kernel is even, so that period is exact for any weights: offsets
+    j and j - P share a circulant entry, but within |j| <= q-1 the only
+    such pair is +-(q-1), where the kernel takes one value.
 
-    The 2D transforms are taken one axis at a time and skip what is zero
-    or cropped: forward, a real FFT along y of the q rows, then an FFT
-    along x zero-padded to P; inverse, an inverse FFT along x kept to its
-    first q rows, then an inverse real FFT along y kept to its first q
-    values.
+    The transforms are taken one axis at a time and skip what is zero or
+    cropped: forward, a real FFT along y of the q rows, then an FFT along
+    x zero-padded to P; inverse, an inverse FFT along x kept to its first
+    q rows, then an inverse real FFT along y kept to its first q values.
     """
     q = n_quad
-    size, c_hat = _circulant_spectrum(spec, q, dim)
-    if out is None:
-        out = np.empty((w.shape[0], q ** dim))
+    size, c_hat = _circulant_spectrum(spec, q)
+    out = np.empty((w.shape[0], q * q))
     block = max(1, _FFT_BLOCK_ELEMENTS // c_hat.size)
     for lo in range(0, w.shape[0], block):
-        rows = w[lo:lo + block].reshape((-1,) + (q,) * dim)
-        f = rfft(rows, size)                # along the last axis, y in 2D
-        if dim == 2:
-            f = fft(f, size, axis=1, overwrite_x=True)
+        rows = w[lo:lo + block].reshape(-1, q, q)
+        f = fft(rfft(rows, size), size, axis=1, overwrite_x=True)
         f *= c_hat
-        if dim == 2:
-            f = ifft(f, axis=1, overwrite_x=True)[:, :q]
+        f = ifft(f, axis=1, overwrite_x=True)[:, :q]
         out[lo:lo + block] = \
             irfft(f, size)[..., :q].reshape(rows.shape[0], -1)
     return out
 
 
-def _operator_blocks(spec: KernelSpec, fs: FeatureSet, right_pts):
-    """Features paired with K(., y_l) for the points ``right_pts`` (dense):
-    row i is chi_i applied to K(., y_l), the weights paired with the kernel
-    columns (``FeatureSet.pair``)."""
-    return fs.pair(_pairwise(spec, right_pts, fs.quad_points)).T
+def _feature_columns(spec: KernelSpec, fs: FeatureSet, pts) -> np.ndarray:
+    """The features paired with K(., y_p) for the points ``pts``, N x P:
+    in closed form for sine1d (``_sine1d_columns``), over each tent's
+    stencil for fem (``_fem_columns``), and for sine2d the weights paired
+    with the dense kernel columns (``FeatureSet.pair``)."""
+    if fs.space.kind == "sine1d":
+        return _sine1d_columns(spec, fs, pts[:, 0])
+    if fs.space.kind == "fem1d":
+        return _fem_columns(spec, fs, pts[:, 0])
+    return fs.pair(_pairwise(spec, pts, fs.quad_points)).T
 
 
 def _symmetrize(a: np.ndarray) -> None:
@@ -598,14 +598,16 @@ def assemble_features(spec: KernelSpec, fs: FeatureSet) -> GramBlocks:
 
     For sine1d the operator block is D (diag(s) + M R^T) D in closed form
     (``_sine1d_terms``): one N x 6 by 6 x N GEMM written into the Gram
-    array, then the diagonal; the boundary block is d_i (K phi_i)(x_b).
-    Otherwise it is taken a block of rows at a time: that block's weight
-    rows (formed now for sine2d), their grid products, then at once their
-    pairing with the weights in y (``FeatureSet.pair``), written into the
-    Gram array; no N x G product is kept.
+    array, then the diagonal.  For fem it depends only on i - j, so it is
+    the Toeplitz matrix of its first column, tent 0's stencil weights
+    paired with the fem columns at tent 0's nodes.  For sine2d it is taken
+    a block of rows at a time: that block's weight rows, formed now, their
+    grid products, then at once their pairing with the weights in y
+    (``FeatureSet.pair``), written into the Gram array; no N x G product
+    is kept.  The boundary block is ``_feature_columns`` at the boundary
+    points.
     """
-    n, m = fs.n_features, fs.n_boundary
-    q, dim = fs.n_quad, fs.space.dim
+    n, m, q = fs.n_features, fs.n_boundary, fs.n_quad
     bp = fs.boundary_points
 
     g = np.empty((n + m, n + m))
@@ -615,16 +617,17 @@ def assemble_features(spec: KernelSpec, fs: FeatureSet) -> GramBlocks:
                   out=g[:n, :n])
         i = np.arange(n)
         g[i, i] += d * s_hat * d
-        k_cb = _sine1d_columns(spec, fs, bp[:, 0])
+    elif fs.space.kind == "fem1d":
+        nodes, s = _fem_stencil(fs)
+        g[:n, :n] = toeplitz(_fem_columns(spec, fs, nodes[0]) @ s)
     else:
-        block = max(1, _WEIGHT_BLOCK_ELEMENTS // q ** dim)
+        block = max(1, _WEIGHT_BLOCK_ELEMENTS // (q * q))
         for lo in range(0, n, block):
             rows = slice(lo, min(lo + block, n))
-            t = _grid_product(spec, fs.value_rows(rows), q, dim)
-            fs.pair(t, out=g[rows, :n])
-            del t
-        k_cb = _operator_blocks(spec, fs, bp)                 # N x M
-    return _gram(g, k_cb, kernel_matrix(spec, bp), spec, fs)
+            fs.pair(_grid_product(spec, fs.value_rows(rows), q),
+                    out=g[rows, :n])
+    return _gram(g, _feature_columns(spec, fs, bp), kernel_matrix(spec, bp),
+                 spec, fs)
 
 
 # (a, c) of point evaluation in _operator_pairing
@@ -718,9 +721,6 @@ def evaluate_features(spec: KernelSpec, fs: FeatureSet,
     a representer with coefficients c evaluates to E @ c.
     """
     pts = _as_points(points)
-    if fs.space.kind == "sine1d":
-        op_cols = _sine1d_columns(spec, fs, pts[:, 0])        # N x P
-    else:
-        op_cols = _operator_blocks(spec, fs, pts)
+    op_cols = _feature_columns(spec, fs, pts)                 # N x P
     bd_cols = _pairwise(spec, fs.boundary_points, pts)        # M x P
     return np.vstack([op_cols, bd_cols]).T

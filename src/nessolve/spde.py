@@ -6,7 +6,7 @@ Gauss-Newton step QP of a linear elliptic operator with diffusion dt*nu.
 The operator is time-independent, so ``Stepper`` assembles its Gram blocks,
 factors one ``KKTSystem`` and solves it once for the identity columns of
 the right-hand side; the grid values of those N coefficient columns
-(``GramBlocks.on_grid``, matrix-free) are the solution map from
+(``GramBlocks.on_grid``) are the solution map from
 measurements to grid values (n_quad x N).  Each step then costs one
 projection of the right-hand side and one product with that map, instead
 of a solve from the factors.  The reaction term (u - u^3 for Allen-Cahn)

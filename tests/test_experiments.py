@@ -59,6 +59,7 @@ def test_config_validation():
     ("heat", "n_seeds", 0),
     ("heat", "refine", 0),
     ("elliptic1d", "n_modes", 1.5),
+    ("norm_study", "s_values", [1.0, 1.1, 2.0, 1.1]),
 ])
 def test_out_of_range_parameter_is_refused_before_any_stage(
         experiment, key, value):
@@ -166,27 +167,35 @@ def test_seed_outside_the_key_range_is_refused(experiment, seed, n_seeds):
     ExperimentConfig("heat", 0)
 
 
-def test_cli_refuses_a_seed_that_is_not_an_integer(tmp_path):
+def _refused_by_main(capsys, argv, key):
+    """main(argv) returns 1 with one line on stderr that names ``key``."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nes-solve: ") and err.count("\n") == 1, err
+    assert key in err, err
+
+
+def test_cli_refuses_a_seed_that_is_not_an_integer(tmp_path, capsys):
     # the CLI took int() of the config file's seed, so 1.5 ran as 1
     f = tmp_path / "cfg.yaml"
     yaml.safe_dump(dict(SMALL["rate_study"], seed=1.5), f.open("w"))
-    with pytest.raises(ConfigError, match="seed"):
-        main(["rate_study", "--config", str(f)])
+    _refused_by_main(capsys, ["rate_study", "--config", str(f)], "'seed'")
 
 
 @pytest.mark.parametrize("experiment", ["norm_study", "heat", "allen_cahn",
                                         "rate_study"])
-def test_full_scale_is_refused_without_full_scale_sizes(tmp_path, experiment):
+def test_full_scale_is_refused_without_full_scale_sizes(tmp_path, capsys,
+                                                        experiment):
     # these ran their default sizes while writing "full_scale": true
     with pytest.raises(ConfigError) as info:
         ExperimentConfig(experiment, 7, full_scale=True)
     assert info.value.key == "full_scale"
-    with pytest.raises(ConfigError, match="full_scale"):
-        main([experiment, "--seed", "7", "--full-scale"])
+    _refused_by_main(capsys, [experiment, "--seed", "7", "--full-scale"],
+                     "'full_scale'")
     f = tmp_path / "cfg.yaml"
     yaml.safe_dump({"seed": 7, "full_scale": True}, f.open("w"))
-    with pytest.raises(ConfigError, match="full_scale"):
-        main([experiment, "--config", str(f)])
+    _refused_by_main(capsys, [experiment, "--config", str(f)],
+                     "'full_scale'")
     ExperimentConfig(experiment, 7, full_scale=False)
     with pytest.raises(ConfigError, match="full_scale"):
         ExperimentConfig("elliptic1d", 7, full_scale="false")
@@ -312,6 +321,12 @@ def test_check_thresholds():
         "argmin_s": 1.1, "errors_by_s": {"1.1": 0.1, "2.0": 0.2}}) == []
     assert len(check_thresholds("norm_study", {
         "argmin_s": 2.0, "errors_by_s": {"1.1": 0.3, "2.0": 0.2}})) == 2
+    # an exponent the run did not solve is a failure, not a KeyError
+    assert check_thresholds("norm_study", {
+        "argmin_s": 1.1, "errors_by_s": {"1.0": 0.2, "1.1": 0.1}}) == \
+        ["no error at s = 2.0"]
+    assert len(check_thresholds("norm_study", {
+        "argmin_s": 2.0, "errors_by_s": {"2.0": 0.2}})) == 2
     assert check_thresholds("rate_study",
                             {"slope": 2.0, "r_squared": 0.99}) == []
 
@@ -365,13 +380,51 @@ def test_cli_flags_win_over_the_same_keys_in_the_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
-def test_cli_rejects_a_full_scale_that_is_not_a_boolean(tmp_path, value):
+def test_cli_rejects_a_full_scale_that_is_not_a_boolean(tmp_path, capsys,
+                                                        value):
     # a quoted "false" used to mean true, through bool()
     f = tmp_path / "cfg.yaml"
     yaml.safe_dump(dict(SMALL["rate_study"], seed=7, full_scale=value),
                    f.open("w"))
-    with pytest.raises(ValueError, match=f"full_scale.*{value!r}"):
-        main(["rate_study", "--config", str(f)])
+    _refused_by_main(capsys, ["rate_study", "--config", str(f)],
+                     f"'full_scale' = {value!r}")
+
+
+@pytest.mark.parametrize("params, key", [
+    ({"n_modes": 0}, "'n_modes' = 0"),
+    ({"n_modez": 4}, "n_modez"),
+    ({"s_values": [1.0, 1.1, 2.0, 1.1]}, "'s_values'"),
+], ids=["out_of_range", "unknown_key", "repeated_exponent"])
+def test_cli_reports_a_bad_setting_on_one_line(tmp_path, capsys, params,
+                                               key):
+    # an out-of-range value, an unknown key or a repeated exponent is
+    # reported on stderr with exit code 1, not as a traceback; an error
+    # inside the run still propagates
+    experiment = "norm_study" if "s_values" in params else "rate_study"
+    f = tmp_path / "cfg.yaml"
+    yaml.safe_dump(dict(params, seed=7), f.open("w"))
+    _refused_by_main(capsys, [experiment, "--config", str(f)], key)
+    with mock.patch("nessolve.cli.run_experiment",
+                    side_effect=ValueError("inside the run")):
+        with pytest.raises(ValueError, match="inside the run"):
+            main(["rate_study", "--seed", "7"])
+
+
+def test_norm_study_keys_its_results_by_float_exponents(tmp_path, capsys):
+    # integer exponents from YAML were keyed "1" and "2", and --check then
+    # raised KeyError: '2.0'
+    f = tmp_path / "cfg.yaml"
+    yaml.safe_dump(dict(SMALL["norm_study"], s_values=[1, 1.1, 2], seed=7,
+                        out=str(tmp_path / "out")), f.open("w"))
+    code = main(["norm_study", "--config", str(f), "--check"])
+    capsys.readouterr()
+    assert code in (0, 2)
+    m = json.loads((tmp_path / "out" / "results.json").read_text())["metrics"]
+    assert list(m["errors_by_s"]) == list(m["stop_reasons"]) == \
+        ["1.0", "1.1", "2.0"]
+    assert m["argmin_s"] in (1.0, 1.1, 2.0)
+    rows = list(csv.reader((tmp_path / "out" / "errors.csv").open()))
+    assert [r[1] for r in rows[1:]] == ["1.0", "1.1", "2.0"]
 
 
 def test_cli_check_flags_violations(tmp_path, capsys):
@@ -381,6 +434,52 @@ def test_cli_check_flags_violations(tmp_path, capsys):
     code = main(["elliptic1d", "--config", str(f), "--seed", "0", "--check"])
     assert code == 2
     assert "THRESHOLD VIOLATION" in capsys.readouterr().err
+
+
+# one valid change of every key from its value in SMALL or DEFAULTS; the
+# *_full keys set the sizes of a full-scale run only, which SMALL is not
+_SCALE_ONLY = {"n_modes_full", "n_per_dim_full"}
+_CHANGED = {
+    "elliptic1d": {"nu": 0.02, "n_modes": 64, "truncation": 2048,
+                   "gamma": 1e-10, "gamma_pointwise": 1e-6,
+                   "length_scale": 0.3},
+    "semilinear2d": {"nu": 0.2, "eps": 0.3, "n_per_dim": 6,
+                     "truncation": 32, "gamma": 1e-6, "length_scale": 0.3,
+                     "max_iterations": 2, "measurement_grid": 33},
+    "norm_study": {"nu": 0.2, "eps": 0.15, "n_per_dim": 6, "truncation": 40,
+                   "gamma": 1e-3, "length_scale": 0.3, "max_iterations": 2,
+                   "s_values": [1.0, 1.5], "measurement_grid": 65},
+    # n_fem 20 would break the CFL bound at dt = 2^-6
+    "heat": {"nu": 0.05, "sigma": 0.2, "t_final": 0.5, "dt": 2.0 ** -7,
+             "n_fem": 12, "refine": 3, "truncation": 128, "gamma": 1e-8,
+             "length_scale": 0.1, "n_seeds": 2},
+    "allen_cahn": {"nu": 1e-3, "sigma": 0.02, "t_final": 0.5,
+                   "dt": 2.0 ** -7, "n_fem": 12, "refine": 3,
+                   "truncation": 128, "gamma": 1e-8, "length_scale": 0.1,
+                   "n_seeds": 2},
+    "rate_study": {"nu": 2.0, "n_modes": 16,
+                   "gamma_values": [1e-2, 1e-3, 1e-4, 1e-5],
+                   "gamma_reference": 1e-11, "length_scale": 0.3, "s": 0.5,
+                   "forcing_decay": 1.5},
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_every_key_changes_the_metrics(experiment):
+    # no setting is silently ignored: at the SMALL sizes, changing any one
+    # key of DEFAULTS changes the metrics, or the key is scale-only
+    assert set(_CHANGED[experiment]) | (_SCALE_ONLY & set(
+        DEFAULTS[experiment])) == set(DEFAULTS[experiment])
+
+    def metrics(**change):
+        params = dict(SMALL[experiment], **change)
+        return run_experiment(ExperimentConfig(experiment, 7,
+                                               params=params))["metrics"]
+
+    base = metrics()
+    for key, value in _CHANGED[experiment].items():
+        assert value != SMALL[experiment].get(key, DEFAULTS[experiment][key])
+        assert metrics(**{key: value}) != base, key
 
 
 def test_all_experiments_have_defaults():

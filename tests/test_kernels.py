@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import nessolve.kernels as kernels
 from nessolve.errors import ResolutionTooCoarseError
@@ -327,7 +328,8 @@ def test_quadrature_doubling_invariance():
 
 def _grid_cases():
     """Small feature sets of every kind integrated on a grid: sine values
-    in 2D, and fem with nu_diff != 0 so its stencil weights count."""
+    in 2D, and fem with nu_diff != 0 so its stencil weights count (fem
+    features take a constant c only)."""
     rng = np.random.default_rng(3)
     bp1 = np.array([0.0, 1.0])
     bp2 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
@@ -335,23 +337,61 @@ def _grid_cases():
     return [
         FeatureSet(build_test_space("sine2d", n_per_dim=4),
                    1.0 + rng.random(17 ** 2), 0.1, bp2, 17),
-        FeatureSet(build_test_space("fem1d", 8), 1.0 + rng.random(73),
+        FeatureSet(build_test_space("fem1d", 8), np.full(73, 1.7),
                    0.3, bp1, 73),
     ]
 
 
+def _fem_lattice_weights(fs):
+    """The N x G fem weight rows from the lattice definition: 1 - |l|/r at
+    grid node (i + 1) r + l, |l| <= r, times c/(q - 1), plus the diffusion
+    stencil nu/h (2, -1, -1) at the tent nodes (i + 1) r, i r, (i + 2) r,
+    with r = (q - 1)/(N + 1) grid cells to a tent cell."""
+    n, q = fs.n_features, fs.n_quad
+    r = (q - 1) // (n + 1)
+    d = fs.nu_diff / fs.space.h
+    w = np.zeros((n, q))
+    for i in range(n):
+        for offset in range(-r, r + 1):
+            w[i, (i + 1) * r + offset] = \
+                (1.0 - abs(offset) / r) * (fs.c_field[0] / (q - 1))
+        w[i, (i + 1) * r] += 2.0 * d
+        w[i, i * r] -= d
+        w[i, (i + 2) * r] -= d
+    return w
+
+
 def _dense_blocks(fs):
     """The operator block, the operator-boundary block and the G x (N+M)
-    grid evaluation matrix from the weight rows W of every kind and dense
+    grid evaluation matrix from the weight rows W of every kind (fem's
+    from the lattice definition, sine2d's from ``value_rows``) and dense
     pairwise kernel matrices."""
     grid, bp = fs.quad_points, fs.boundary_points
-    w = fs.value_rows(slice(None))
+    w = _fem_lattice_weights(fs) if fs.space.kind == "fem1d" else \
+        fs.value_rows(slice(None))
     t_val = w @ kernels._pairwise(SPEC, grid, grid)
     k_cb = w @ kernels._pairwise(SPEC, grid, bp)
     k_cc = t_val @ w.T
     k_cc = 0.5 * (k_cc + k_cc.T)
     quad_eval = np.vstack([t_val, kernels._pairwise(SPEC, bp, grid)]).T
     return k_cc, k_cb, quad_eval
+
+
+@pytest.mark.parametrize("nu", [0.025, 1e-4], ids=["heat", "allen_cahn"])
+def test_fem_blocks_match_the_dense_lattice_oracle_at_heat_size(nu):
+    # the stepper's features (64 tents, 261 points, diffusion dt nu, c = 1)
+    # against W K W^T and W K(grid, bp) with W from the lattice definition:
+    # the same trapezoid sums in another order, so within a few roundings
+    # of the largest entry (k_cc 6.8e-16 and 3.5e-16 measured, k_cb 1.2e-16)
+    spec = KernelSpec("matern52", 0.05)
+    fs = FeatureSet(build_test_space("fem1d", 64), np.ones(1),
+                    2.0 ** -10 * nu, np.array([0.0, 1.0]), 261)
+    w = _fem_lattice_weights(fs)
+    k_cc = w @ kernels._pairwise(spec, fs.quad_points, fs.quad_points) @ w.T
+    k_cb = w @ kernels._pairwise(spec, fs.quad_points, fs.boundary_points)
+    blocks = assemble_features(spec, fs)
+    assert _rel(blocks.k_chi_phi[:, :64], k_cc) <= 1e-14
+    assert _rel(blocks.k_chi_phi[:, 64:], k_cb) <= 1e-14
 
 
 def test_grid_products_match_dense_pairwise():
@@ -387,23 +427,11 @@ def test_grid_product_2d_period_matches_dense(monkeypatch, q):
     rng = np.random.default_rng(q)
     grid = grid_points(q, 2)
     w = _edge_rows(rng, 7, q * q)
-    got = kernels._grid_product(SPEC, w, q, 2)
+    got = kernels._grid_product(SPEC, w, q)
     assert _rel(got, w @ kernels._pairwise(SPEC, grid, grid)) <= 1e-12
     # one row per FFT block gives the same product
     monkeypatch.setattr(kernels, "_FFT_BLOCK_ELEMENTS", 1)
-    assert _rel(kernels._grid_product(SPEC, w, q, 2), got) <= 1e-14
-
-
-# the ids name the value kernel, the one kernel a grid product takes
-@pytest.mark.parametrize("q", [9, 10, 17], ids=lambda q: f"val-{q}")
-def test_grid_product_1d_matches_dense(q):
-    # the 1D circulant of period next_fast_len(2q-1) against the dense
-    # product, for rows that do not vanish on the grid edges
-    rng = np.random.default_rng(q)
-    grid = grid_points(q)
-    w = _edge_rows(rng, 5, q)
-    got = kernels._grid_product(SPEC, w, q, 1)
-    assert _rel(got, w @ kernels._pairwise(SPEC, grid, grid)) <= 1e-12
+    assert _rel(kernels._grid_product(SPEC, w, q), got) <= 1e-14
 
 
 def test_assembly_forms_no_grid_by_grid_matrix(monkeypatch):
@@ -456,6 +484,21 @@ def test_sine1d_features_reject_a_varying_c():
     for c in (1.0 + np.random.default_rng(3).random(q), one_off):
         with pytest.raises(ValueError, match="constant c"):
             FeatureSet(build_test_space("sine1d", 6), c, 0.01, bp, q)
+
+
+def test_fem_features_reject_a_varying_c():
+    # every tent shares one stencil, which holds for a constant c only:
+    # random values are refused, and so is a c off by one part in 2^40 at
+    # one node
+    bp = np.array([0.0, 1.0])
+    q = 73
+    one_off = np.full(q, 1.7)
+    one_off[36] += 2.0 ** -40
+    for c in (1.0 + np.random.default_rng(3).random(q), one_off):
+        with pytest.raises(ValueError, match="fem1d features need a "
+                                             "constant c"):
+            FeatureSet(build_test_space("fem1d", 8), c, 0.3, bp, q)
+    FeatureSet(build_test_space("fem1d", 8), np.full(q, 1.7), 0.3, bp, q)
 
 
 def test_collocation_blocks_against_derivative_oracle():
@@ -614,29 +657,30 @@ def test_on_grid_matches_dense_evaluation():
 
 @pytest.mark.parametrize("kind", ["sine2d", "fem1d"])
 def test_weights_formed_in_place_keep_their_bits(monkeypatch, kind):
-    # one row per in-place block gives the weights of the whole-array
-    # formula, bit for bit
+    # sine2d: one row per in-place block gives the weights of the
+    # whole-array formula, bit for bit.  fem: every tent's row of the
+    # lattice definition is the one stencil on that tent's nodes, bit for
+    # bit, and the operator block, which depends only on i - j, is the
+    # Toeplitz matrix of its first row, bit for bit
     monkeypatch.setattr(kernels, "_WEIGHT_BLOCK_ELEMENTS", 1)
     fs = {f.space.kind: f for f in _grid_cases()}[kind]
     sp, nu = fs.space, fs.nu_diff
     if kind == "fem1d":
-        w = trapezoid_weights(fs.n_quad)
-        phi = basis_values(sp, fs.quad_points)
-        # the diffusion stencil nu (2, -1, -1) / h at the grid nodes that
-        # are tent nodes z_i, z_{i-1} and z_{i+1}
-        at = np.rint(np.arange(sp.size + 2) * sp.h * (fs.n_quad - 1))
-        at = at.astype(int)
-        stencil = np.zeros_like(phi)
-        i = np.arange(sp.size)
-        stencil[i, at[1:-1]] = 2.0 * (nu / sp.h)
-        stencil[i, at[:-2]] = stencil[i, at[2:]] = -(nu / sp.h)
-        want = phi * (w * fs.c_field) + stencil
-    else:
-        # row (i, j) is 2 F_i (x) F_j (c + nu lambda_ij), F the Filon
-        # weights
-        f = filon_weights(sp.n_per_dim, fs.n_quad)
-        want = np.stack([2.0 * np.kron(fi, fj) for fi in f for fj in f]) \
-            * (fs.c_field + (nu * sp.eigenvalues)[:, None])
+        nodes, s = kernels._fem_stencil(fs)
+        w = _fem_lattice_weights(fs)
+        r = (fs.n_quad - 1) // (sp.size + 1)
+        for i in range(sp.size):
+            support = slice(i * r, (i + 2) * r + 1)
+            assert np.array_equal(s, w[i, support])
+            assert np.array_equal(nodes[i], fs.quad_points[support])
+            assert not w[i, :i * r].any() and not w[i, (i + 2) * r + 1:].any()
+        k_cc = assemble_features(SPEC, fs).k_chi_phi[:, :sp.size]
+        assert np.array_equal(k_cc, scipy.linalg.toeplitz(k_cc[0]))
+        return
+    # row (i, j) is 2 F_i (x) F_j (c + nu lambda_ij), F the Filon weights
+    f = filon_weights(sp.n_per_dim, fs.n_quad)
+    want = np.stack([2.0 * np.kron(fi, fj) for fi in f for fj in f]) \
+        * (fs.c_field + (nu * sp.eigenvalues)[:, None])
     assert np.array_equal(fs.value_rows(slice(None)), want)
 
 
@@ -755,7 +799,7 @@ def test_separable_pairing_against_long_double_oracle(p, c_kind):
 
     separable_k = assemble_features(spec, fs).k_phi_phi[:n, :n]
     wv = fs.value_rows(slice(None))
-    gemm_k = kernels._grid_product(spec, wv, q, 2) @ wv.T
+    gemm_k = kernels._grid_product(spec, wv, q) @ wv.T
     gemm_k = 0.5 * (gemm_k + gemm_k.T)
     err_sep = float(np.max(np.abs(separable_k - oracle)) / scale)
     err_gemm = float(np.max(np.abs(gemm_k - oracle)) / scale)
@@ -784,7 +828,7 @@ def _trapezoid_blocks(spec, c_of, nu, bp, p, q):
     w = trapezoid_weights(q, 2)
     phi = basis_values(sp, x)
     rows = phi * (w * c_of(x)) + phi * (nu * sp.eigenvalues)[:, None] * w
-    k_cc = kernels._grid_product(spec, rows, q, 2) @ rows.T
+    k_cc = kernels._grid_product(spec, rows, q) @ rows.T
     return 0.5 * (k_cc + k_cc.T), rows @ kernels._pairwise(spec, x, bp)
 
 

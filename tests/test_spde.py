@@ -24,13 +24,34 @@ def _sine_cfg(**kw):
     return SpdeConfig(**base)
 
 
+def _fem_lattice_weights(fs):
+    """The N x G fem weight rows from the lattice definition: 1 - |l|/r at
+    grid node (i + 1) r + l, |l| <= r, times c/(q - 1), plus the diffusion
+    stencil nu/h (2, -1, -1) at the tent nodes (i + 1) r, i r, (i + 2) r.
+    Tent values from ``basis_values`` at the grid points would each carry
+    their own rounding, which the stepper's map amplifies to about 1e-12
+    of its largest entry."""
+    n, q = fs.n_features, fs.n_quad
+    r = (q - 1) // (n + 1)
+    d = fs.nu_diff / fs.space.h
+    w = np.zeros((n, q))
+    for i in range(n):
+        for offset in range(-r, r + 1):
+            w[i, (i + 1) * r + offset] = \
+                (1.0 - abs(offset) / r) * (fs.c_field[0] / (q - 1))
+        w[i, (i + 1) * r] += 2.0 * d
+        w[i, i * r] -= d
+        w[i, (i + 2) * r] -= d
+    return w
+
+
 def _dense_quad_eval(stepper):
-    """The stepper's G x (N+M) grid evaluation matrix, formed densely: the
-    weight rows against the pairwise kernel matrix of the grid, then the
-    boundary columns."""
+    """The stepper's G x (N+M) grid evaluation matrix of a fem scheme,
+    formed densely: the lattice weight rows against the pairwise kernel
+    matrix of the grid, then the boundary columns."""
     fs, spec = stepper.features, stepper.cfg.kernel
     grid = fs.quad_points
-    rows = fs.value_rows(slice(None)) @ kernels._pairwise(spec, grid, grid)
+    rows = _fem_lattice_weights(fs) @ kernels._pairwise(spec, grid, grid)
     return np.vstack([rows, kernels._pairwise(spec, fs.boundary_points,
                                               grid)]).T
 
@@ -291,7 +312,8 @@ def test_fem_step_matches_per_step_projection():
 def test_solution_map_matches_dense_evaluation(family, nu):
     # the map formed from on_grid columns, at the heat and allen_cahn
     # defaults, against the dense evaluation matrix times the solved
-    # coefficients; they differ by 1.4e-13 and 2.3e-13 of the largest entry
+    # coefficients; they differ by 8.3e-14 and 1.4e-13 of the largest
+    # entry, the solver's coefficients reaching 7.5e5 and 2.0e6
     dt = 2.0 ** -10
     cfg = SpdeConfig(family=family, nu=nu, sigma=0.1, t_final=dt, dt=dt,
                      space=build_test_space("fem1d", 64),
