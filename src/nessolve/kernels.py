@@ -45,6 +45,15 @@ inverse, so that neither the zero padding nor the cropped rows are
 transformed along y.  Products against the boundary points and arbitrary
 evaluation points are small and stay dense.
 
+With c constant, as at Gauss-Newton iteration 0 (u_0 = 0), the sine2d
+operator block takes no grid product (``_sine2d_lattice_block``): every
+row is 2 d_ij F_i (x) F_j, so the block is a contraction of the
+cross-correlations of the Filon rows with the kernel at the lattice
+offsets, 4 d_ij d_kl sum A_ik(d_1) kappa(d_1, d_2) A_jl(d_2), taken in the
+Fourier basis of the same circulant: two GEMMs of p^2 x q matrices, about
+p^4 q flops, instead of p^2 grid products over (2(q-1))^2 points each.  A
+varying c takes the grid products.
+
 Pointwise collocation features pair the kernel with the operator at both
 points; the derivatives involved share one exponential, so each entry
 costs one ``exp``.  Every kind fills one (N+M) x (N+M) Gram array,
@@ -54,11 +63,12 @@ Memory.  No feature holds an N x G array (G grid points): sine1d and fem
 features are columns at points, and sine2d weight rows are separable,
 2 F_i(x) F_j(y) times c + nu lambda_ij, so pairing and combining them are
 contractions with the p x q Filon weights F, one axis at a time.  sine2d
-assembly forms its rows a block of 256 KiB at a time, takes their grid
-products and pairs them at once; every pairing of the weights with kernel
-values, on the grid or against the boundary points, goes through
-``FeatureSet.pair``.  The operator block of every kind is written straight
-into the Gram array, which is then symmetrized in place.
+assembly with a varying c forms its rows a block of 256 KiB at a time,
+takes their grid products and pairs them at once; every pairing of the
+weights with kernel values, on the grid or against the boundary points,
+goes through ``FeatureSet.pair``.  With a constant c it holds one p^2 x q
+array and one p x N block of rows.  The operator block of every kind is
+written straight into the Gram array, which is then symmetrized in place.
 
 Grid values of representers are taken one way only (``grid_values``,
 which ``GramBlocks.on_grid`` calls on the quadrature grid): for a
@@ -553,6 +563,53 @@ def _grid_product(spec: KernelSpec, w: np.ndarray,
     return out
 
 
+def _sine2d_lattice_block(spec: KernelSpec, fs: FeatureSet,
+                          out: np.ndarray) -> None:
+    """The sine2d operator block for a constant c, written into the N x N
+    ``out`` with no grid product.
+
+    Row (i, j) of the weights is 2 d_ij F_i (x) F_j, d_ij = c + nu
+    lambda_ij, and the grid kernel depends only on the lattice offset
+    (d_1, d_2), so
+
+        k_cc[(i,j),(k,l)] = 4 d_ij d_kl sum A_ik(d_1) kappa(d_1,d_2) A_jl(d_2)
+
+    over |d| <= q - 1, with A_ik(d) = sum_{x - y = d} F_ix F_ky the
+    cross-correlation of two rows of the Filon weights F and kappa the
+    kernel at the offsets.  Summed over the offsets its terms cancel, to
+    1.6e-14 of max |k_cc| from a long-double oracle at p = 12, where the
+    grid products are 5.6e-15 off; so it is taken in the Fourier basis of
+    the circulant of ``_grid_product`` (period P = 2(q - 1) per dim), where
+    it rounds as the grid products do.  By Parseval it is
+    sum C_ik(m_1) kappa^(m_1, m_2) C_jl(m_2) / P^2, with kappa^ the real
+    spectrum of the circulant (``_circulant_spectrum``) and
+    C_ik = Re(f_i conj(f_k)) from the real FFTs f_i of the rows of F padded
+    to P.  kappa^ and C are even in m, so m runs over 0..q-1 only, the
+    inner modes counted twice.
+
+    With C as a p^2 x q matrix, one i at a time takes C_i kappa^ C^T,
+    p x N, scales it by the d's and writes it transposed to the rows
+    (i, j); beside C it holds that one block of rows, and no second N x N
+    array."""
+    fw, p, q = fs._filon, fs.space.n_per_dim, fs.n_quad
+    size, c_hat = _circulant_spectrum(spec, q)
+    f_hat = rfft(fw, size).view(float).reshape(p, q, 2)      # [i, m, re/im]
+    c = np.einsum("imr,kmr->ikm", f_hat, f_hat).reshape(p * p, q)
+    fold = np.full(q, 2.0 / size)
+    fold[[0, -1]] = 1.0 / size
+    kappa = c_hat[:q].real * fold[:, None] * fold[None, :]
+    d2 = 2.0 * (fs.c_field[0] + fs.nu_diff * fs.space.eigenvalues)
+    d2 = d2.reshape(p, p)
+    t = np.empty((p, p * p))
+    for i in range(p):
+        np.matmul(c[i * p:(i + 1) * p] @ kappa, c.T, out=t)
+        rows = t.reshape(p, p, p)                                # [k, j, l]
+        rows *= d2[:, None, :]
+        rows *= d2[i, None, :, None]
+        out[i * p:(i + 1) * p].reshape(p, p, p)[...] = \
+            rows.transpose(1, 0, 2)
+
+
 def _feature_columns(spec: KernelSpec, fs: FeatureSet, pts) -> np.ndarray:
     """The features paired with K(., y_p) for the points ``pts``, N x P:
     in closed form for sine1d (``_sine1d_columns``), over each tent's
@@ -600,12 +657,14 @@ def assemble_features(spec: KernelSpec, fs: FeatureSet) -> GramBlocks:
     (``_sine1d_terms``): one N x 6 by 6 x N GEMM written into the Gram
     array, then the diagonal.  For fem it depends only on i - j, so it is
     the Toeplitz matrix of its first column, tent 0's stencil weights
-    paired with the fem columns at tent 0's nodes.  For sine2d it is taken
-    a block of rows at a time: that block's weight rows, formed now, their
-    grid products, then at once their pairing with the weights in y
-    (``FeatureSet.pair``), written into the Gram array; no N x G product
-    is kept.  The boundary block is ``_feature_columns`` at the boundary
-    points.
+    paired with the fem columns at tent 0's nodes.  For sine2d with c
+    constant everywhere (the test sine1d and fem features pass) it is the
+    lattice-offset contraction of ``_sine2d_lattice_block``, with no grid
+    product.  For sine2d with a varying c it is taken a block of rows at a
+    time: that block's weight rows, formed now, their grid products, then
+    at once their pairing with the weights in y (``FeatureSet.pair``),
+    written into the Gram array; no N x G product is kept.  The boundary
+    block is ``_feature_columns`` at the boundary points.
     """
     n, m, q = fs.n_features, fs.n_boundary, fs.n_quad
     bp = fs.boundary_points
@@ -620,6 +679,8 @@ def assemble_features(spec: KernelSpec, fs: FeatureSet) -> GramBlocks:
     elif fs.space.kind == "fem1d":
         nodes, s = _fem_stencil(fs)
         g[:n, :n] = toeplitz(_fem_columns(spec, fs, nodes[0]) @ s)
+    elif np.all(fs.c_field == fs.c_field[0]):
+        _sine2d_lattice_block(spec, fs, g[:n, :n])
     else:
         block = max(1, _WEIGHT_BLOCK_ELEMENTS // (q * q))
         for lo in range(0, n, block):

@@ -24,19 +24,9 @@ from nessolve.seminorm import SeminormContext, seminorm_squared
 from nessolve.spaces import GridFunction, MeasurementVector, \
     build_test_space, grid_points, stiffness_matrix
 
-SEED = 7
+from reduced_sizes import REDUCED
 
-REDUCED = {
-    "elliptic1d": {"n_modes": 128, "truncation": 1024},
-    "semilinear2d": {"n_per_dim": 8, "truncation": 64, "max_iterations": 4},
-    "norm_study": {"n_per_dim": 8, "truncation": 56, "measurement_grid": 33,
-                   "s_values": [1.0, 2.0]},
-    "heat": {"n_fem": 16, "dt": 2.0 ** -6, "refine": 2, "truncation": 64,
-             "n_seeds": 1},
-    "allen_cahn": {"n_fem": 16, "dt": 2.0 ** -6, "refine": 2,
-                   "truncation": 64, "n_seeds": 1},
-    "rate_study": {"n_modes": 32},
-}
+SEED = 7
 
 
 def _report(capsys, num, label, checks):

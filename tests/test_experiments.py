@@ -24,17 +24,7 @@ from nessolve.experiments import DEFAULTS, EXPERIMENTS, ExperimentConfig, \
 from nessolve.spaces import build_test_space, default_n_quad
 from nessolve.spde import tent_sine_cross_gram
 
-SMALL = {
-    "elliptic1d": {"n_modes": 128, "truncation": 1024},
-    "semilinear2d": {"n_per_dim": 8, "truncation": 64, "max_iterations": 4},
-    "norm_study": {"n_per_dim": 8, "truncation": 56, "measurement_grid": 33,
-                   "s_values": [1.0, 2.0]},
-    "heat": {"n_fem": 16, "dt": 2.0 ** -6, "refine": 2, "truncation": 64,
-             "n_seeds": 1},
-    "allen_cahn": {"n_fem": 16, "dt": 2.0 ** -6, "refine": 2,
-                   "truncation": 64, "n_seeds": 1},
-    "rate_study": {"n_modes": 32},
-}
+from reduced_sizes import REDUCED
 
 
 def test_config_validation():
@@ -178,7 +168,7 @@ def _refused_by_main(capsys, argv, key):
 def test_cli_refuses_a_seed_that_is_not_an_integer(tmp_path, capsys):
     # the CLI took int() of the config file's seed, so 1.5 ran as 1
     f = tmp_path / "cfg.yaml"
-    yaml.safe_dump(dict(SMALL["rate_study"], seed=1.5), f.open("w"))
+    yaml.safe_dump(dict(REDUCED["rate_study"], seed=1.5), f.open("w"))
     _refused_by_main(capsys, ["rate_study", "--config", str(f)], "'seed'")
 
 
@@ -204,7 +194,7 @@ def test_full_scale_is_refused_without_full_scale_sizes(tmp_path, capsys,
 def test_elliptic_small_run_and_artifacts(tmp_path):
     out = tmp_path / "run"
     cfg = ExperimentConfig("elliptic1d", 7, out_dir=str(out),
-                           params=SMALL["elliptic1d"])
+                           params=REDUCED["elliptic1d"])
     report = run_experiment(cfg)
     m = report["metrics"]
     assert m["rel_l2_error"] < 0.05
@@ -267,13 +257,13 @@ def test_folded_forcing_aliasing_rules():
 def test_stop_reason_reaches_the_metrics():
     m = run_experiment(ExperimentConfig(
         "semilinear2d", 3,
-        params=dict(SMALL["semilinear2d"], max_iterations=1)))["metrics"]
+        params=dict(REDUCED["semilinear2d"], max_iterations=1)))["metrics"]
     assert m["stop_reason"] == "max_iterations"
     m = run_experiment(ExperimentConfig(
-        "elliptic1d", 3, params=SMALL["elliptic1d"]))["metrics"]
+        "elliptic1d", 3, params=REDUCED["elliptic1d"]))["metrics"]
     assert m["stop_reason"] == "linear"
     m = run_experiment(ExperimentConfig(
-        "norm_study", 3, params=SMALL["norm_study"]))["metrics"]
+        "norm_study", 3, params=REDUCED["norm_study"]))["metrics"]
     assert m["stop_reasons"] == {"1.0": "loss_plateau",
                                  "2.0": "loss_plateau"}
 
@@ -284,14 +274,14 @@ def test_rerun_is_byte_identical(tmp_path):
     for tag in ("a", "b"):
         out = tmp_path / tag
         run_experiment(ExperimentConfig("heat", 5, out_dir=str(out),
-                                        params=SMALL["heat"]))
+                                        params=REDUCED["heat"]))
         contents.append([open(out / n, "rb").read() for n in names])
     assert contents[0] == contents[1]
 
 
 def test_stage_error_reporting():
     cfg = ExperimentConfig("heat", 0, params=dict(
-        SMALL["heat"], dt=0.3, t_final=1.0))
+        REDUCED["heat"], dt=0.3, t_final=1.0))
     with pytest.raises(RuntimeError, match="stage"):
         run_experiment(cfg)
 
@@ -299,7 +289,7 @@ def test_stage_error_reporting():
 def test_stage_error_keeps_the_cause():
     # n_fem**2 * dt = 8 breaks the heat stepper's CFL bound of 5
     cfg = ExperimentConfig("heat", 0, params=dict(
-        SMALL["heat"], dt=2.0 ** -5, t_final=2.0 ** -4))
+        REDUCED["heat"], dt=2.0 ** -5, t_final=2.0 ** -4))
     with pytest.raises(StageError) as info:
         run_experiment(cfg)
     err = info.value
@@ -353,7 +343,7 @@ def test_cli_rejects_non_mapping_config(tmp_path, capsys):
 
 def test_cli_run_with_config(tmp_path, capsys):
     f = tmp_path / "cfg.yaml"
-    yaml.safe_dump(dict(SMALL["rate_study"], seed=7,
+    yaml.safe_dump(dict(REDUCED["rate_study"], seed=7,
                         out=str(tmp_path / "out")), f.open("w"))
     code = main(["rate_study", "--config", str(f), "--check"])
     out = capsys.readouterr().out
@@ -366,7 +356,7 @@ def test_cli_run_with_config(tmp_path, capsys):
 def test_cli_flags_win_over_the_same_keys_in_the_config(tmp_path, capsys):
     # seed, out and full_scale set in the file and by a flag: the flags win
     f = tmp_path / "cfg.yaml"
-    yaml.safe_dump(dict(SMALL["elliptic1d"], n_modes_full=256, seed=3,
+    yaml.safe_dump(dict(REDUCED["elliptic1d"], n_modes_full=256, seed=3,
                         full_scale=False, out=str(tmp_path / "file_out")),
                    f.open("w"))
     out = tmp_path / "flag_out"
@@ -384,7 +374,7 @@ def test_cli_rejects_a_full_scale_that_is_not_a_boolean(tmp_path, capsys,
                                                         value):
     # a quoted "false" used to mean true, through bool()
     f = tmp_path / "cfg.yaml"
-    yaml.safe_dump(dict(SMALL["rate_study"], seed=7, full_scale=value),
+    yaml.safe_dump(dict(REDUCED["rate_study"], seed=7, full_scale=value),
                    f.open("w"))
     _refused_by_main(capsys, ["rate_study", "--config", str(f)],
                      f"'full_scale' = {value!r}")
@@ -414,7 +404,7 @@ def test_norm_study_keys_its_results_by_float_exponents(tmp_path, capsys):
     # integer exponents from YAML were keyed "1" and "2", and --check then
     # raised KeyError: '2.0'
     f = tmp_path / "cfg.yaml"
-    yaml.safe_dump(dict(SMALL["norm_study"], s_values=[1, 1.1, 2], seed=7,
+    yaml.safe_dump(dict(REDUCED["norm_study"], s_values=[1, 1.1, 2], seed=7,
                         out=str(tmp_path / "out")), f.open("w"))
     code = main(["norm_study", "--config", str(f), "--check"])
     capsys.readouterr()
@@ -436,8 +426,8 @@ def test_cli_check_flags_violations(tmp_path, capsys):
     assert "THRESHOLD VIOLATION" in capsys.readouterr().err
 
 
-# one valid change of every key from its value in SMALL or DEFAULTS; the
-# *_full keys set the sizes of a full-scale run only, which SMALL is not
+# one valid change of every key from its value in REDUCED or DEFAULTS; the
+# *_full keys set the sizes of a full-scale run only, which REDUCED is not
 _SCALE_ONLY = {"n_modes_full", "n_per_dim_full"}
 _CHANGED = {
     "elliptic1d": {"nu": 0.02, "n_modes": 64, "truncation": 2048,
@@ -466,32 +456,32 @@ _CHANGED = {
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_every_key_changes_the_metrics(experiment):
-    # no setting is silently ignored: at the SMALL sizes, changing any one
+    # no setting is silently ignored: at the REDUCED sizes, changing any one
     # key of DEFAULTS changes the metrics, or the key is scale-only
     assert set(_CHANGED[experiment]) | (_SCALE_ONLY & set(
         DEFAULTS[experiment])) == set(DEFAULTS[experiment])
 
     def metrics(**change):
-        params = dict(SMALL[experiment], **change)
+        params = dict(REDUCED[experiment], **change)
         return run_experiment(ExperimentConfig(experiment, 7,
                                                params=params))["metrics"]
 
     base = metrics()
     for key, value in _CHANGED[experiment].items():
-        assert value != SMALL[experiment].get(key, DEFAULTS[experiment][key])
+        assert value != REDUCED[experiment].get(key, DEFAULTS[experiment][key])
         assert metrics(**{key: value}) != base, key
 
 
 def test_all_experiments_have_defaults():
     assert set(EXPERIMENTS) == set(DEFAULTS)
-    assert set(SMALL) == set(EXPERIMENTS)
+    assert set(REDUCED) == set(EXPERIMENTS)
 
 
 @pytest.mark.parametrize("family", ["heat", "allen_cahn"])
 def test_streamed_spde_paths_match_the_materialized_path(family):
     # the one-pass stream gives the coarse increments and reference values
     # of the full fine path bit for bit
-    p = ExperimentConfig(family, 5, params=SMALL[family]).resolved()
+    p = ExperimentConfig(family, 5, params=REDUCED[family]).resolved()
     p["refine"] = 4
     dt, refine, trunc = p["dt"], p["refine"], p["truncation"]
     n_steps = int(round(p["t_final"] / dt))
@@ -555,7 +545,7 @@ def test_spde_seeds_do_not_hold_each_others_data():
     # the next seed's are built, so the peak does not grow with seeds
     peaks = []
     for n_seeds in (1, 3):
-        params = dict(SMALL["heat"], truncation=512, n_seeds=n_seeds)
+        params = dict(REDUCED["heat"], truncation=512, n_seeds=n_seeds)
         tracemalloc.start()
         try:
             run_experiment(ExperimentConfig("heat", 7, params=params))

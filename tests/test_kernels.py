@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import nessolve.kernels as kernels
 from nessolve.errors import ResolutionTooCoarseError
@@ -326,6 +327,13 @@ def test_quadrature_doubling_invariance():
     assert np.max(np.abs(u3[::4] - u1)) <= 1e-14 * np.abs(u1).max()
 
 
+def _varying_c(x):
+    """A smooth c that varies over the 2D grid points ``x``, so a sine2d
+    build takes the grid-product path."""
+    return 1.0 + 0.5 * np.cos(3 * np.pi * x[:, 0]) * \
+        np.cos(2 * np.pi * x[:, 1])
+
+
 def _grid_cases():
     """Small feature sets of every kind integrated on a grid: sine values
     in 2D, and fem with nu_diff != 0 so its stencil weights count (fem
@@ -597,16 +605,19 @@ def test_feature_assembly_peak_memory(monkeypatch, kind, size, n_quad):
     # straight into quad_eval, so FeatureSet and assembly together hold at
     # most two N x G arrays at a time, plus the N x N Gram blocks; the FFT
     # work buffers are capped separately, and cut to one row here so that
-    # only N x G arrays count
+    # only N x G arrays count.  sine2d takes a varying c, so that its
+    # grid-product path is the one measured
     monkeypatch.setattr(kernels, "_FFT_BLOCK_ELEMENTS", 1)
     sp = build_test_space(kind, size)
     bp = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) \
         if kind == "sine2d" else np.array([0.0, 1.0])
     n_grid = n_quad ** sp.dim
     unit = 8 * sp.size * n_grid
+    c = _varying_c(grid_points(n_quad, 2)) if kind == "sine2d" else \
+        np.ones(n_grid)
     tracemalloc.start()
     try:
-        fs = FeatureSet(sp, np.ones(n_grid), 0.1, bp, n_quad)
+        fs = FeatureSet(sp, c, 0.1, bp, n_quad)
         blocks = assemble_features(SPEC, fs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -782,16 +793,17 @@ def test_sine1d_assembly_holds_no_weight_array():
 @pytest.mark.parametrize("p", [4, 8])
 @pytest.mark.parametrize("c_kind", ["constant", "varying"])
 def test_separable_pairing_against_long_double_oracle(p, c_kind):
-    # the separable pairing of the sine2d operator block, with the Filon
-    # weights on the default grid, is as close to an extended-precision
-    # oracle of the same sums as the GEMM with the weight rows it
-    # replaces; both pair the same FFT grid products
+    # the sine2d operator block, with the Filon weights on the default
+    # grid, is as close to an extended-precision oracle of the same sums as
+    # the GEMM of the weight rows with their FFT grid products: with a
+    # varying c the block is the separable pairing of those grid products,
+    # with a constant c the lattice-offset contraction in the circulant's
+    # Fourier basis, which takes no grid product
     spec = KernelSpec("matern52", 0.2)
     sp = build_test_space("sine2d", n_per_dim=p)
     q = default_n_quad(sp)
     x = grid_points(q, 2)
-    c = np.ones(q * q) if c_kind == "constant" else \
-        1.0 + 0.5 * np.cos(3 * np.pi * x[:, 0]) * np.cos(2 * np.pi * x[:, 1])
+    c = np.ones(q * q) if c_kind == "constant" else _varying_c(x)
     fs = FeatureSet(sp, c, 0.01, np.array([[0.0, 0.0], [1.0, 1.0]]), q)
     n = fs.n_features
     oracle = _k_cc_long_double(spec, fs)
@@ -911,11 +923,11 @@ def test_sine2d_features_against_a_fine_grid_reference(p):
 
 
 def test_sine2d_assembly_holds_no_weight_array(monkeypatch):
-    # sine2d features keep no N x G weights: assembly forms their rows a
-    # block at a time from the axis sines and pairs them by separable
-    # contractions, so FeatureSet and assembly together peak near the
-    # N x N Gram array; the FFT work buffers are cut to one row so that
-    # only the arrays of the assembly count
+    # sine2d features keep no N x G weights: with a varying c assembly
+    # forms their rows a block at a time from the axis sines and pairs them
+    # by separable contractions, so FeatureSet and assembly together peak
+    # near the N x N Gram array; the FFT work buffers are cut to one row so
+    # that only the arrays of the assembly count
     monkeypatch.setattr(kernels, "_FFT_BLOCK_ELEMENTS", 1)
     p, q = 16, 65
     unit = 8 * p * p * q * q
@@ -923,12 +935,106 @@ def test_sine2d_assembly_holds_no_weight_array(monkeypatch):
     tracemalloc.start()
     try:
         fs = FeatureSet(build_test_space("sine2d", n_per_dim=p),
-                        np.ones(q * q), 0.1, bp, q)
+                        _varying_c(grid_points(q, 2)), 0.1, bp, q)
         assemble_features(SPEC, fs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * unit, f"peak {peak / unit:.2f} N x G arrays"
+
+
+def _grid_product_block(spec, fs):
+    """The sine2d operator block by the grid-product path, in the blocks of
+    rows that assembly takes: each block of weight rows, their FFT grid
+    products, paired with the weights, then symmetrized."""
+    n, q = fs.n_features, fs.n_quad
+    block = max(1, kernels._WEIGHT_BLOCK_ELEMENTS // (q * q))
+    k_cc = np.empty((n, n))
+    for lo in range(0, n, block):
+        rows = slice(lo, min(lo + block, n))
+        fs.pair(kernels._grid_product(spec, fs.value_rows(rows), q),
+                out=k_cc[rows])
+    return 0.5 * (k_cc + k_cc.T)
+
+
+def _constant_c_features(p, c, nu):
+    sp = build_test_space("sine2d", n_per_dim=p)
+    q = default_n_quad(sp)
+    return FeatureSet(sp, np.full(q * q, c), nu,
+                      np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]]), q)
+
+
+@pytest.mark.parametrize("p", [4, 20, 32])
+def test_constant_c_sine2d_block_matches_grid_products(monkeypatch, p):
+    # with a constant c the operator block is the lattice-offset
+    # contraction, which takes no grid product: the same sums as the
+    # grid-product block in another order, within 1e-12 of max |k_cc|
+    # (4.8e-16, 2.2e-15 and 5.7e-15 measured at c = 1 + pi, nu = 0.1,
+    # ell = 0.2)
+    spec = KernelSpec("matern52", 0.2)
+    fs = _constant_c_features(p, 1.0 + np.pi, 0.1)
+    want = _grid_product_block(spec, fs)
+
+    def no_grid_product(*args):
+        raise AssertionError("grid product in a constant-c build")
+
+    monkeypatch.setattr(kernels, "_grid_product", no_grid_product)
+    got = assemble_features(spec, fs).k_chi_phi[:, :fs.n_features]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.integers(2, 24), ell=st.floats(0.05, 0.5),
+       nu=st.floats(0.0, 1.0), c=st.floats(-3.0, 5.0))
+def test_constant_c_sine2d_block_matches_grid_products_everywhere(
+        p, ell, nu, c):
+    # the same bound over sizes, length scales, diffusions and constants
+    # c, zero included (4.7e-15 of max |k_cc| the largest measured at the
+    # corners of these ranges)
+    spec, fs = KernelSpec("matern52", ell), _constant_c_features(p, c, nu)
+    want = _grid_product_block(spec, fs)
+    got = assemble_features(spec, fs).k_chi_phi[:, :fs.n_features]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_varying_c_sine2d_build_takes_grid_products(monkeypatch):
+    # c off by one part in 2^40 at one node is not constant: the block is
+    # the grid-product one, bit for bit, and the contraction is not called
+    spec = KernelSpec("matern52", 0.2)
+    fs = _constant_c_features(6, 1.7, 0.1)
+    c = fs.c_field.copy()
+    c[7] += 2.0 ** -40
+    fs = FeatureSet(fs.space, c, fs.nu_diff, fs.boundary_points, fs.n_quad)
+
+    def no_contraction(*args):
+        raise AssertionError("lattice contraction with a varying c")
+
+    monkeypatch.setattr(kernels, "_sine2d_lattice_block", no_contraction)
+    k = assemble_features(spec, fs).k_chi_phi[:, :fs.n_features]
+    assert np.array_equal(k, _grid_product_block(spec, fs))
+
+
+def test_constant_c_sine2d_assembly_memory():
+    # written into a given N x N array, the contraction holds the p^2 x q
+    # array C and one p x N block of rows, plus p x q and q x q arrays and
+    # ufunc buffers, which the 30% covers (18% measured at p = 32); a
+    # second p x N block (+32%) or p^2 x q array (+68%) would not fit.  The
+    # circulant spectrum is cached with the grid products' and formed first
+    p = 32
+    fs = _constant_c_features(p, 1.0 + np.pi, 0.1)
+    n, q = fs.n_features, fs.n_quad
+    kernels._circulant_spectrum(SPEC, q)
+    out = np.empty((n, n))
+    unit = 8 * (p * n + p * p * q)
+    tracemalloc.start()
+    try:
+        kernels._sine2d_lattice_block(SPEC, fs, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * unit, f"peak {peak / unit:.2f} of p x N + p^2 x q"
+    assert np.array_equal((out + out.T) * 0.5,
+                          assemble_features(SPEC, fs).k_chi_phi[:, :n])
 
 
 def _mp_sine1d_mode(mp, a, j):
