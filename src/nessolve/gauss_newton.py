@@ -1,6 +1,6 @@
 """Gauss-Newton solver for the weak-norm optimal-recovery problem.
 
-Each iteration linearizes the operator at the current iterate, assembles
+Each Gram build linearizes the operator at the current iterate, assembles
 the Gram blocks of the induced operator/boundary features, and solves the
 equality-constrained quadratic program
 
@@ -9,11 +9,16 @@ equality-constrained quadratic program
 
 with one solver, ``KKTSystem``: the boundary coefficients are eliminated
 through the constraint and the remaining least-squares problem is factored
-by one triangular-pentagonal QR, once per set of Gram blocks; ``solve``
-applies the stored factors to the right-hand sides it is given.
-The outer loop takes one step for linear families and one per iteration
-for nonlinear ones; the SPDE time stepper solves it once for the identity
-columns to form its solution map.
+by one triangular-pentagonal QR, once per set of Gram blocks;
+``KKTSystem.solve`` applies the stored factors to the right-hand sides it
+is given.
+The outer loop (``solve``) builds and factors once for a linear family.
+A nonlinear one iterates the chord map on its first build (Kelley, 1995,
+ch. 5), Anderson-accelerated, as a predictor, then takes one Gauss-Newton
+step per further build until the remaining error estimated from the
+ratio of successive steps is below the tolerance: two builds at the
+semilinear2d defaults.  The SPDE time stepper solves the QP once for the
+identity columns to form its solution map.
 """
 
 from __future__ import annotations
@@ -40,11 +45,21 @@ __all__ = ["SolverConfig", "Representer", "SolveReport", "KKTSystem",
 
 # block size of the triangular-pentagonal QR (the nb of LAPACK dtpqrt)
 _TPQRT_BLOCK = 64
+# the chord phase of a nonlinear solve (``_chord``): its Anderson depth,
+# the relative step that ends it, and the most images it takes
+_ANDERSON_DEPTH = 5
+_CHORD_STEP = 1e-9
+_CHORD_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Everything the outer solve loop needs besides the operator."""
+    """Everything the outer solve loop needs besides the operator.
+
+    ``max_iterations`` caps the Gram builds of a solve, the chord's first
+    build included; ``tolerance`` bounds the estimated remaining relative
+    error of the grid iterate at which a nonlinear solve stops (``solve``).
+    """
 
     space: TestSpace
     kernel: KernelSpec
@@ -54,7 +69,7 @@ class SolverConfig:
     n_quad: int = 0                 # per-dim quadrature points (0 = auto)
     g_boundary: np.ndarray = None   # boundary data, zeros when omitted
     max_iterations: int = 20
-    tolerance: float = 1e-10
+    tolerance: float = 1e-6
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -91,11 +106,22 @@ class Representer:
 
 @dataclass
 class SolveReport:
-    """Loss history and termination diagnostics of one solve."""
+    """Loss history and diagnostics of one solve, one entry per Gram
+    build: the loss of the build's last step, the relative step of the
+    grid iterate (for the chord build, its accepted step), the estimate of
+    the remaining error (infinite for the chord build, 0 for a linear
+    one), the whitened weak residual of the iterate and the jitter; then
+    the chord's image count and whether it stopped without contracting."""
 
     misfit_history: list = field(default_factory=list)
     penalty_history: list = field(default_factory=list)
-    iterations: int = 0
+    step_history: list = field(default_factory=list)
+    error_estimates: list = field(default_factory=list)
+    residual_history: list = field(default_factory=list)
+    jitter_history: list = field(default_factory=list)
+    chord_steps: int = 0
+    chord_fell_back: bool = False
+    iterations: int = 0                # Gram builds
     reason: str = ""
     jitter: float = 0.0                # largest Gram regularization
     final_grid: GridFunction = None    # solution on the quadrature grid
@@ -241,17 +267,121 @@ def constrained_ls_solve(ctx: SeminormContext, blocks: GramBlocks,
     return KKTSystem(ctx, blocks, gamma).solve(r_entries, g_boundary)
 
 
+def _norm(v: np.ndarray) -> float:
+    # numpy's own summation, not a BLAS dot, whose threaded split above
+    # 10^4 elements would tie the stop decisions to the thread count
+    return float(np.sqrt(np.sum(np.square(v))))
+
+
+def _relative_step(new: np.ndarray, old: np.ndarray) -> float:
+    """|new - old| / |new| on the grid (the absolute step if new is 0)."""
+    scale = _norm(new)
+    step = _norm(new - old)
+    return step / scale if scale > 0 else step
+
+
+def _zeroth_order(op: OperatorSpec, u: np.ndarray):
+    """N(u) = c(u) u - shift(u), the part of P(u) without derivatives
+    (u + sin(pi u) for ``semilinear_sine``), with the linearization at u
+    it comes from."""
+    lin = operators.linearize(op, GridFunction(u))
+    return lin.c_field.values * u - lin.shift.values, lin
+
+
+def _weak_residual(ctx: SeminormContext, fs: FeatureSet, xi, u, n_u) -> float:
+    """|whiten(measure(N(u)) + nu lambda measure(u) - xi)|, the weak
+    residual of the grid iterate u with N(u) = ``n_u``, measured by the
+    features' own rule; NaN for a test space without eigenvalues (fem)."""
+    lam = fs.space.eigenvalues
+    if lam is None:
+        return float("nan")
+    r = fs.measure(n_u) + fs.nu_diff * lam * fs.measure(u) - xi.entries
+    return _norm(ctx.whiten(r))
+
+
+def _chord(op, xi, cfg, lin, fs, blocks, kkt, u):
+    """Chord iterates on one factored build (Kelley, *Iterative Methods
+    for Linear and Nonlinear Equations*, 1995, ch. 5), Anderson-accelerated
+    (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) to depth
+    ``_ANDERSON_DEPTH``.
+
+    The map is G(x) = on_grid(kkt.solve(xi + measure(c x - N(x)))), c the
+    build's linearization coefficient at u; its first image, G(u), is the
+    build's Gauss-Newton step.  It runs until a relative step
+    |G(x) - x| / |G(x)| reaches ``_CHORD_STEP``, and returns that image
+    with its coefficients, right-hand side and step.  It stops as not
+    contracting on a non-finite step, after ``_ANDERSON_DEPTH`` + 1 steps
+    in a row that do not undercut the smallest step so far, or after
+    ``_CHORD_MAX_STEPS`` images; it then returns the first image instead,
+    so the Gauss-Newton builds that follow take plain Gauss-Newton's own
+    path.  Also returns the number of images taken and whether it stopped
+    early."""
+    shape = u.shape
+    c = lin.c_field.values
+
+    def image(shift):
+        r = xi.entries + fs.measure(shift)
+        coeffs = kkt.solve(r, cfg.g_boundary)
+        return blocks.on_grid(coeffs).reshape(shape), coeffs, r
+
+    x = u
+    g, coeffs, r = image(lin.shift.values)
+    first = None
+    smallest, stalled, steps = np.inf, 0, 1
+    d_f, d_g = [], []
+    f_prev = g_prev = None
+    while True:
+        step = _relative_step(g, x)
+        if first is None:
+            first = (g, coeffs, r, step)
+        if step <= _CHORD_STEP:
+            return g, coeffs, r, step, steps, False
+        if step < smallest:
+            smallest, stalled = step, 0
+        else:
+            stalled += 1
+        if not np.isfinite(step) or stalled > _ANDERSON_DEPTH or \
+                steps == _CHORD_MAX_STEPS:
+            return first + (steps, True)
+        f = (g - x).ravel()
+        x = g
+        if f_prev is not None:
+            d_f.append(f - f_prev)
+            d_g.append((g - g_prev).ravel())
+            del d_f[:-_ANDERSON_DEPTH], d_g[:-_ANDERSON_DEPTH]
+            gamma = np.linalg.lstsq(np.stack(d_f, axis=1), f, rcond=None)[0]
+            x = g - (np.stack(d_g, axis=1) @ gamma).reshape(shape)
+        f_prev, g_prev = f, g
+        n_x, _ = _zeroth_order(op, x)
+        g, coeffs, r = image(c * x - n_x)
+        steps += 1
+
+
 def solve(op: OperatorSpec, xi: MeasurementVector, cfg: SolverConfig,
           u0: GridFunction = None):
-    """Iterate linearize/assemble/step until the loss plateaus.
+    """Reach the MAP estimate in as few Gram builds as it takes.
 
     Returns the final Representer and a SolveReport.  A linear family's
-    step QP is the whole problem, so it stops after its first step with
-    the reason ``"linear"``.  A nonlinear family rebuilds its Gram blocks
-    and their factored KKTSystem every iteration (the linearization
-    coefficient changes), first dropping the previous iterate's features,
-    blocks and factors, so one Gram array and its factors are live at a
-    time; each iterate is evaluated on the grid (``GramBlocks.on_grid``).
+    step QP is the whole problem, so it stops after its first build with
+    the reason ``"linear"``.
+
+    A nonlinear family linearizes at u0 (0 when omitted; there c is the
+    constant 1 + pi, which the lattice contraction of
+    ``kernels.assemble_features`` builds) and iterates the chord map on
+    that first build (``_chord``) as a predictor: it needs no further
+    Gram.  Its iterate is not the MAP, whose representer lies in the span
+    of the features at c(u*), so Gauss-Newton builds follow from it, each
+    re-linearizing at the last iterate and taking one step.  After build
+    k >= 1 with relative step s_k, the remaining error is estimated as
+    e_k = s_k rho_k / (1 - rho_k), rho_k = s_k / s_{k-1} and rho_1 = s_1
+    (infinite when rho_k >= 1), and the loop stops with the reason
+    ``"converged"`` once e_k <= ``cfg.tolerance``, or with
+    ``"max_iterations"`` after ``cfg.max_iterations`` builds, the chord's
+    included.  A non-finite iterate or loss raises ``DivergenceError``
+    with the build's index.  Each build first drops the previous
+    features, blocks and factors, so one Gram array and its factors are
+    live at a time; each iterate is evaluated on the grid
+    (``GramBlocks.on_grid``).
     """
     ctx = SeminormContext.build(cfg.space, cfg.s)
     dim = cfg.space.dim
@@ -260,36 +390,50 @@ def solve(op: OperatorSpec, xi: MeasurementVector, cfg: SolverConfig,
         np.broadcast_to(np.asarray(u0.values, dtype=float), shape).copy()
 
     report = SolveReport()
+    _, lin = _zeroth_order(op, u_grid)
+    last_step = 1.0
     for it in range(cfg.max_iterations):
         rep = fs = blocks = kkt = None
-        lin = operators.linearize(op, GridFunction(u_grid))
         fs = FeatureSet(cfg.space, lin.c_field.values, lin.nu_diff,
                         cfg.boundary_points, cfg.n_quad)
         blocks = assemble_features(cfg.kernel, fs)
         kkt = KKTSystem(ctx, blocks, cfg.gamma)
-        report.jitter = max(report.jitter, kkt.jitter)
-        if op.is_linear:
-            r = xi.entries
+        if it == 0 and not op.is_linear:
+            new, coeffs, r, step, report.chord_steps, \
+                report.chord_fell_back = _chord(op, xi, cfg, lin, fs,
+                                                blocks, kkt, u_grid)
+            estimate = np.inf
         else:
             r = xi.entries + fs.measure(lin.shift.values)
-        coeffs = kkt.solve(r, cfg.g_boundary)
+            coeffs = kkt.solve(r, cfg.g_boundary)
+            new = blocks.on_grid(coeffs).reshape(shape)
+            step = _relative_step(new, u_grid)
+            rho = step / last_step
+            estimate = 0.0 if op.is_linear else \
+                step * rho / (1.0 - rho) if rho < 1.0 else np.inf
+            last_step = step
         misfit, penalty = kkt.loss_terms(coeffs, r)
+        if not (np.isfinite(misfit + penalty) and np.isfinite(new).all()):
+            raise DivergenceError("iterate or loss became non-finite",
+                                  iteration=it)
         rep = Representer(coeffs, fs, cfg.kernel)
-        u_grid = blocks.on_grid(coeffs).reshape(shape)
-        loss = misfit + penalty
-        if not np.isfinite(loss):
-            raise DivergenceError("loss became non-finite", iteration=it)
+        u_grid = new
+        n_u, lin = _zeroth_order(op, u_grid)
         report.misfit_history.append(misfit)
         report.penalty_history.append(penalty)
+        report.step_history.append(step)
+        report.error_estimates.append(estimate)
+        report.residual_history.append(
+            _weak_residual(ctx, fs, xi, u_grid, n_u))
+        report.jitter_history.append(kkt.jitter)
+        report.jitter = max(report.jitter, kkt.jitter)
         report.iterations = it + 1
         if op.is_linear:
             report.reason = "linear"
             break
-        if it > 0:
-            prev = report.loss_history[-2]
-            if abs(prev - loss) <= cfg.tolerance * max(abs(prev), 1e-300):
-                report.reason = "loss_plateau"
-                break
+        if estimate <= cfg.tolerance:
+            report.reason = "converged"
+            break
     else:
         report.reason = "max_iterations"
     report.final_grid = GridFunction(u_grid)

@@ -119,6 +119,10 @@ _WEIGHT_BLOCK_ELEMENTS = 2 ** 15
 # a fine metric grid add no array of the grid's size times M; the 1D
 # pipelines' two boundary points take every grid up to 2^15 points at once
 _BOUNDARY_BLOCK_ELEMENTS = 2 ** 16
+# elements of one square block pair that ``_symmetrize`` sums at a time:
+# 256 KiB, so symmetrizing the operator block adds no array of a size
+# that grows with N
+_SYMMETRIZE_BLOCK_ELEMENTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -623,10 +627,11 @@ def _feature_columns(spec: KernelSpec, fs: FeatureSet, pts) -> np.ndarray:
 
 
 def _symmetrize(a: np.ndarray) -> None:
-    """a <- (a + a^T) / 2 in place, one pair of row and column blocks at a
-    time; the same bits as forming the sum whole."""
+    """a <- (a + a^T) / 2 in place, one pair of square blocks of at most
+    ``_SYMMETRIZE_BLOCK_ELEMENTS`` at a time; the same bits as forming the
+    sum whole."""
     n = a.shape[0]
-    block = max(1, -(-n // 4))
+    block = int(np.sqrt(_SYMMETRIZE_BLOCK_ELEMENTS))
     for lo in range(0, n, block):
         rows = slice(lo, lo + block)
         for lo2 in range(lo, n, block):

@@ -92,7 +92,8 @@ def spectral_galerkin_spde(family: str, nu: float, sigma: float, dt: float,
 
     Returns the ``Trajectory`` of grid values and the coefficient history,
     (n_stored + 1, min(L, n_grid - 2)): both keep only the modes the output
-    grid can carry.
+    grid can carry.  Heat's modes do not interact, so it advances only
+    those; the Allen-Cahn drift couples all L, which it advances.
     """
     if family not in ("heat", "allen_cahn"):
         raise ValueError(f"unknown SPDE family {family!r}")
@@ -104,8 +105,6 @@ def spectral_galerkin_spde(family: str, nu: float, sigma: float, dt: float,
     space = build_test_space("sine1d", L)
     n_de = next_fast_len(2 * L + 2, real=True) + 1   # dealiasing grid
     n_grid = n_grid or 2 * L + 3
-    lam = (np.pi * np.arange(1, L + 1)) ** 2
-    denom = 1.0 + dt * nu * lam
 
     a = np.zeros(L) if initial is None else \
         np.asarray(initial, dtype=float).copy()
@@ -116,13 +115,16 @@ def spectral_galerkin_spde(family: str, nu: float, sigma: float, dt: float,
     n_kept = min(L, n_grid - 2)
     stored = np.empty((n_stored + 1, n_kept))
     stored[0] = a[:n_kept]
+    n_step = L if family == "allen_cahn" else n_kept
+    a = a[:n_step]
+    denom = 1.0 + dt * nu * (np.pi * np.arange(1, n_step + 1)) ** 2
     k = 0
     for block in blocks:
         if k + block.shape[0] > n_steps:
             raise ValueError("noise path length does not match t_final/dt")
         if block.shape[1] < L:
             raise ValueError("noise path carries fewer modes than requested")
-        for incr in sigma * block[:, :L]:
+        for incr in sigma * block[:, :n_step]:
             if family == "allen_cahn":
                 u = synthesize(a, space, n_de).values
                 fhat = project(GridFunction(u - u ** 3), space).entries

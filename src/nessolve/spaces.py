@@ -16,6 +16,7 @@ quadrature.  All fields live on uniform grids that include the endpoints.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,6 +127,7 @@ def trapezoid_weights(n_points: int, dim: int = 1) -> np.ndarray:
     return np.outer(w, w).ravel()
 
 
+@functools.lru_cache(maxsize=4)
 def filon_weights(n_modes: int, n_points: int) -> np.ndarray:
     """The n_modes x n_points matrix F_ik = int_0^1 sin(pi i x) l_k(x) dx.
 
@@ -142,7 +144,11 @@ def filon_weights(n_modes: int, n_points: int) -> np.ndarray:
     Gauss-Legendre, exact to rounding while a cell holds at most pi/2 of
     the top mode's phase, which any grid of 2 n_modes + 2 points or more
     (``_check_sine_resolution``) gives.  Fewer than six points hold no
-    stencil and raise ``ResolutionTooCoarseError``."""
+    stencil and raise ``ResolutionTooCoarseError``.
+
+    The matrix is kept, read-only, for the last few (n_modes, n_points):
+    every sine2d ``FeatureSet`` of a solve, one per Gram build, reads the
+    same one."""
     if n_points < _FILON_STENCIL:
         raise ResolutionTooCoarseError(
             f"the degree-5 Filon rule needs at least {_FILON_STENCIL} grid "
@@ -172,7 +178,9 @@ def filon_weights(n_modes: int, n_points: int) -> np.ndarray:
     f = np.zeros((n_points, n_modes))
     for r in range(_FILON_STENCIL):
         np.add.at(f, first + r, per_cell[r])
-    return f.T
+    f = f.T
+    f.flags.writeable = False
+    return f
 
 
 def build_test_space(kind: str, size: int = 0, n_per_dim: int = 0) -> TestSpace:

@@ -264,8 +264,7 @@ def test_stop_reason_reaches_the_metrics():
     assert m["stop_reason"] == "linear"
     m = run_experiment(ExperimentConfig(
         "norm_study", 3, params=REDUCED["norm_study"]))["metrics"]
-    assert m["stop_reasons"] == {"1.0": "loss_plateau",
-                                 "2.0": "loss_plateau"}
+    assert m["stop_reasons"] == {"1.0": "converged", "2.0": "converged"}
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -435,7 +434,7 @@ _CHANGED = {
                    "length_scale": 0.3},
     "semilinear2d": {"nu": 0.2, "eps": 0.3, "n_per_dim": 6,
                      "truncation": 32, "gamma": 1e-6, "length_scale": 0.3,
-                     "max_iterations": 2, "measurement_grid": 33},
+                     "max_iterations": 1, "measurement_grid": 33},
     "norm_study": {"nu": 0.2, "eps": 0.15, "n_per_dim": 6, "truncation": 40,
                    "gamma": 1e-3, "length_scale": 0.3, "max_iterations": 2,
                    "s_values": [1.0, 1.5], "measurement_grid": 65},

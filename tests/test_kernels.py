@@ -626,6 +626,28 @@ def test_feature_assembly_peak_memory(monkeypatch, kind, size, n_quad):
     assert peak <= 3.0 * unit, f"peak {peak / unit:.2f} N x G arrays"
 
 
+def test_symmetrize_extra_memory_does_not_grow_with_n():
+    # _symmetrize sums one pair of square blocks of at most
+    # _SYMMETRIZE_BLOCK_ELEMENTS at a time: its extra memory is the same at
+    # n = 512 and 2048 (0.66 MB measured at both), where blocks of a
+    # quarter of the rows took 0.40 and 4.3 MB; the bits are those of the
+    # whole sum
+    peaks = []
+    for n in (512, 2048):
+        a = np.random.default_rng(n).standard_normal((n, n))
+        want = 0.5 * (a + a.T)
+        tracemalloc.start()
+        try:
+            kernels._symmetrize(a)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(a, want)
+    bound = 4 * 8 * kernels._SYMMETRIZE_BLOCK_ELEMENTS
+    assert max(peaks) <= bound, f"peaks {peaks} bytes above {bound}"
+    assert peaks[1] <= 1.1 * peaks[0], f"peaks {peaks} grow with n"
+
+
 def test_on_grid_matches_dense_evaluation():
     # the matrix-free grid evaluation against the dense matrix it replaces
     rng = np.random.default_rng(5)

@@ -57,6 +57,18 @@ def test_filon_weights_sixth_order_and_need_six_points():
         spaces.filon_weights(1, 5)
 
 
+def test_filon_weights_are_kept_read_only():
+    # every sine2d FeatureSet on a grid reads one matrix, which no caller
+    # can change; it has the bits of a fresh computation
+    f = spaces.filon_weights(20, 43)
+    assert spaces.filon_weights(20, 43) is f
+    assert not f.flags.writeable
+    with pytest.raises(ValueError):
+        f[0, 0] = 0.0
+    spaces.filon_weights.cache_clear()
+    assert np.array_equal(spaces.filon_weights(20, 43), f)
+
+
 def _mp_filon_entry(mp, i, k, q):
     """int_0^1 sin(pi i x) l_k(x) dx in mpmath: cell by cell over the
     cells whose stencil (six nearest nodes, shifted inward at the ends)
