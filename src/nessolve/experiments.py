@@ -407,28 +407,57 @@ def _spde_initial(n_quad: int, n_modes: int):
     return GridFunction(values), coeffs
 
 
+def _compressed_cross(cross: np.ndarray, n_step: int) -> np.ndarray:
+    """The tent-sine cross Gram C = [C_l | C_h] split after its first
+    ``n_step`` columns, as [C_l | R^T], R the triangular factor of the QR
+    of C_h^T, so that R^T R = C_h C_h^T.
+
+    The tail modes reach the tents only through C_h times their N(0, dt)
+    increments, a Gaussian whose covariance dt C_h C_h^T is also that of
+    R^T times n_fem N(0, dt) normals; so a row of n_step sine increments
+    and n_fem such normals, measured by the result, has the law of the
+    full row measured by C, and its first n_step entries are the ones the
+    reference steps.  The QR, not a Cholesky of C_h C_h^T, keeps the
+    condition number from being squared.  ``cross`` comes back as it is
+    when the result would not be narrower.
+    """
+    n_fem, n_modes = cross.shape
+    if n_step + n_fem >= n_modes:
+        return cross
+    r = np.linalg.qr(cross[:, n_step:].T, mode="r")
+    return np.hstack([cross[:, :n_step], r.T])
+
+
 def _spde_paths(p: dict, family: str, seed: int, init_coeffs: np.ndarray,
                 n_quad: int):
     """The coarse noise path of the kernel run and the spectral reference
     on the fine path of the same Brownian motion, from one pass over the
     fine increments.
 
-    Each block of ``refine`` fine steps drives the reference and is summed
-    into the coarse step it makes up, and a few coarse steps at a time are
-    measured on the kernel run's tents by the tent-sine cross Gram, formed
-    first.  So no more than one block of the fine path, and no (n_steps, L)
-    coarse array, is held at a time.  The blocks are drawn as the reference
-    consumes them, so the draws and their failures count under the
-    reference stage.
+    Fine step k is drawn as the first n_step + n_fem normals of its
+    (seed, k) stream (``_compressed_cross``), or all L of them where that
+    is not fewer.  The first n_step are the sine increments of the modes
+    the reference advances (``reference.stepped_modes``: those the output
+    grid carries for heat, all L for Allen-Cahn), the bits a full row
+    would give them.  The others are the coordinates, in R^T, of the
+    remaining modes' measurement on the tents.  Each block of ``refine``
+    fine steps drives the reference and is summed into the coarse step it
+    makes up, and a few coarse steps at a time are measured on the kernel
+    run's tents by the compressed cross Gram.  So no more than one block
+    of the fine path, and no (n_steps, L) coarse array, is held at a time.
+    The blocks are drawn as the reference consumes them, so the draws and
+    their failures count under the reference stage.
     """
     dt, refine, trunc = p["dt"], p["refine"], p["truncation"]
     n_steps = int(round(p["t_final"] / dt))
     fem = build_test_space("fem1d", p["n_fem"])
-    cross = spde.tent_sine_cross_gram(fem, trunc)
+    cross = _compressed_cross(
+        spde.tent_sine_cross_gram(fem, trunc),
+        reference.stepped_modes(family, trunc, n_quad))
     measured = np.empty((n_steps, fem.size))
     with _stage("reference"):
         fine = noise.increment_blocks(seed, dt / refine, n_steps * refine,
-                                      trunc, refine)
+                                      cross.shape[1], refine)
         ref, _ = reference.spectral_galerkin_spde(
             family, p["nu"], p["sigma"], dt / refine, trunc, p["t_final"],
             noise.aggregating(fine, refine, cross, measured),

@@ -1,10 +1,16 @@
 """Seeded rough forcings: spectral white noise and Wiener increments.
 
-Every increment is drawn one way: L independent N(0, dt) coefficients in
-the orthonormal sine basis.  A run measured against another basis gets the
-same Brownian path through that basis's exact cross Gram with the sines
+Every increment is drawn one way: independent N(0, dt) normals, the
+first ones the coefficients of the leading modes in the orthonormal sine
+basis.  A run measured against another basis gets the same Brownian path
+through that basis's exact cross Gram with the sines
 (``spde.tent_sine_cross_gram`` for fem1d tents), so the kernel run and the
-spectral reference are driven by one path.
+spectral reference are driven by one path.  Where the reference steps only
+the leading modes (heat), the pipelines draw just those and then one normal
+per tent: the remaining modes' measurement on the tents is those normals
+times a triangular factor of its covariance
+(``experiments._compressed_cross``), so a default heat step takes 259 + 64
+normals, not 2048.
 
 Streams are addressed by (seed, step) through the counter-based Philox
 generator: step k of a path is drawn from Philox keyed [k, seed] at counter
@@ -15,7 +21,7 @@ re-keyed per step, so they hold one block of the fine path at a time.
 As the blocks pass, ``aggregating`` sums groups of fine increments into
 coarse ones and measures a few coarse ones at a time against another
 basis, so the coarse path is held only as measured there (64 tents, not
-2048 sine modes).  ``build_path`` and ``aggregate_increments`` give the
+the sine modes).  ``build_path`` and ``aggregate_increments`` give the
 same bits for a whole materialized ``NoisePath``; they are the oracles the
 streamed forms are tested against.
 """
@@ -149,7 +155,7 @@ def build_path(seed: int, dt: float, n_steps: int, size: int) -> NoisePath:
 
 
 # coarse increments summed before each product with the cross Gram: 64
-# rows of 2048 modes are 1 MiB, the Gram's own size.  Each product reads
+# rows of 2048 modes are 1 MiB, the full Gram's own size.  Each product reads
 # the whole Gram, so smaller buffers cost time: with 16 rows a default
 # heat call ran about 4% slower than with one product over the path
 _COARSE_ROWS = 64
@@ -186,8 +192,9 @@ def aggregating(blocks, factor: int, cross: np.ndarray, out: np.ndarray):
     being held.  Every product has the buffer's rows, so all round alike.
     OpenBLAS rounds a GEMM's rows the same whatever their count once the
     product is large enough (small ones take other kernels), so at the
-    pipelines' sizes (2048 modes, 64 tents, 8 coarse steps or more)
-    ``out`` has the bits of the one product over the whole path.
+    pipelines' sizes (323 columns for heat, 2048 for Allen-Cahn, 64 tents,
+    8 coarse steps or more) ``out`` has the bits of the one product over
+    the whole path.
     """
     buf = np.zeros((_COARSE_ROWS, cross.shape[1]))
     row = 0

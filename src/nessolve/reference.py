@@ -21,7 +21,7 @@ from .spaces import GridFunction, MeasurementVector, build_test_space, \
 from .spde import Trajectory
 
 __all__ = ["closed_form_elliptic_1d", "manufactured_semilinear_2d",
-           "spectral_galerkin_spde"]
+           "spectral_galerkin_spde", "stepped_modes"]
 
 
 def closed_form_elliptic_1d(xi_coeffs, nu: float) -> MeasurementVector:
@@ -66,6 +66,14 @@ def manufactured_semilinear_2d(eps: float, L: int, seed: int, nu: float):
     return u_star, GridFunction(xi), MeasurementVector(coeffs.ravel(), space)
 
 
+def stepped_modes(family: str, L: int, n_grid: int) -> int:
+    """How many sine modes ``spectral_galerkin_spde`` advances: for heat
+    the min(L, n_grid - 2) that the n_grid-point output grid carries, as
+    its modes do not interact; for Allen-Cahn all L, which its drift
+    couples."""
+    return L if family == "allen_cahn" else min(L, n_grid - 2)
+
+
 def spectral_galerkin_spde(family: str, nu: float, sigma: float, dt: float,
                            L: int, t_final: float, blocks,
                            initial: np.ndarray = None, store_every: int = 1,
@@ -85,8 +93,10 @@ def spectral_galerkin_spde(family: str, nu: float, sigma: float, dt: float,
     ``n_grid``-point grid (default 2L + 3).
 
     The increments dbeta come from ``blocks``, an iterable of 2D blocks of
-    consecutive increments with at least L columns, such as
-    ``noise.increment_blocks``.  The stream is consumed block by block as
+    consecutive increments, such as ``noise.increment_blocks``.  Each row
+    holds at least the ``stepped_modes`` sine increments the scheme
+    advances, first; columns past them are not read, so a row may carry
+    other coordinates after them.  The stream is consumed block by block as
     the steps advance, so the fine path is never held whole; it must hold
     exactly t_final/dt increments.
 
@@ -115,15 +125,15 @@ def spectral_galerkin_spde(family: str, nu: float, sigma: float, dt: float,
     n_kept = min(L, n_grid - 2)
     stored = np.empty((n_stored + 1, n_kept))
     stored[0] = a[:n_kept]
-    n_step = L if family == "allen_cahn" else n_kept
+    n_step = stepped_modes(family, L, n_grid)
     a = a[:n_step]
     denom = 1.0 + dt * nu * (np.pi * np.arange(1, n_step + 1)) ** 2
     k = 0
     for block in blocks:
         if k + block.shape[0] > n_steps:
             raise ValueError("noise path length does not match t_final/dt")
-        if block.shape[1] < L:
-            raise ValueError("noise path carries fewer modes than requested")
+        if block.shape[1] < n_step:
+            raise ValueError("noise path carries fewer modes than stepped")
         for incr in sigma * block[:, :n_step]:
             if family == "allen_cahn":
                 u = synthesize(a, space, n_de).values

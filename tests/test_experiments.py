@@ -19,8 +19,8 @@ from nessolve import experiments, noise, reference
 from nessolve.cli import build_parser, main
 from nessolve.errors import ConfigError, StageError
 from nessolve.experiments import DEFAULTS, EXPERIMENTS, ExperimentConfig, \
-    _sine_series_at_nodes, _spde_initial, _spde_paths, check_thresholds, \
-    run_experiment
+    _compressed_cross, _sine_series_at_nodes, _spde_initial, _spde_paths, \
+    check_thresholds, run_experiment
 from nessolve.spaces import build_test_space, default_n_quad
 from nessolve.spde import tent_sine_cross_gram
 
@@ -517,15 +517,32 @@ def test_heat_pipeline_never_holds_the_fine_path():
     assert peak < fine_bytes / 2, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
+def _default_spde(family: str, params: dict = None):
+    """Resolved parameters, step count, quadrature size and initial sine
+    coefficients of a default-size SPDE run at seed 7."""
+    p = ExperimentConfig(family, 7, params=params or {}).resolved()
+    n_steps = int(round(p["t_final"] / p["dt"]))
+    n_quad = default_n_quad(build_test_space("fem1d", p["n_fem"]))
+    _, init = _spde_initial(n_quad, p["truncation"])
+    return p, n_steps, n_quad, init
+
+
+def _heat_cross(p: dict, n_quad: int):
+    """Default heat's full tent-sine cross Gram, its stepped-mode count and
+    its compressed form."""
+    full = tent_sine_cross_gram(build_test_space("fem1d", p["n_fem"]),
+                                p["truncation"])
+    n_step = reference.stepped_modes("heat", p["truncation"], n_quad)
+    return full, n_step, _compressed_cross(full, n_step)
+
+
 def test_heat_coarse_path_is_measured_on_the_tents_as_it_streams():
     # at default heat size the coarse path in sine modes would be a 16 MiB
     # (n_steps, L) array; it is measured on the tents a few rows at a time
-    # instead, with the bits of the one product over the whole path
-    p = ExperimentConfig("heat", 7).resolved()
+    # instead, with the bits of the one product over the whole path of
+    # n_step + n_fem columns and the compressed cross Gram
+    p, n_steps, n_quad, init = _default_spde("heat")
     dt, refine, trunc = p["dt"], p["refine"], p["truncation"]
-    n_steps = int(round(p["t_final"] / dt))
-    n_quad = default_n_quad(build_test_space("fem1d", p["n_fem"]))
-    _, init = _spde_initial(n_quad, trunc)
     tracemalloc.start()
     try:
         coarse, _ = _spde_paths(p, "heat", 7, init, n_quad)
@@ -533,10 +550,57 @@ def test_heat_coarse_path_is_measured_on_the_tents_as_it_streams():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n_steps * trunc, f"peak {peak / 2 ** 20:.1f} MiB"
+    full, n_step, cross = _heat_cross(p, n_quad)
+    width = n_step + p["n_fem"]
+    assert cross.shape == (p["n_fem"], width) and width < trunc
+    assert np.array_equal(cross[:, :n_step], full[:, :n_step])
+    sums = noise.aggregate_increments(
+        noise.build_path(7, dt / refine, n_steps * refine, width), refine)
+    assert np.array_equal(coarse.records, sums.records @ cross.T)
+
+
+def test_heat_reference_is_the_one_the_full_path_drives():
+    # the n_step + n_fem normals of a fine step begin with the n_step
+    # sine increments of the full L-mode row, so the reference trajectory
+    # has the bits of the reference driven by the whole build_path rows
+    p, n_steps, n_quad, init = _default_spde("heat")
+    dt, refine, trunc = p["dt"], p["refine"], p["truncation"]
+    _, ref = _spde_paths(p, "heat", 7, init, n_quad)
+    fine = noise.build_path(7, dt / refine, n_steps * refine, trunc)
+    want, _ = reference.spectral_galerkin_spde(
+        "heat", p["nu"], p["sigma"], dt / refine, trunc, p["t_final"],
+        [fine.records], initial=init, store_every=refine, n_grid=n_quad)
+    assert np.array_equal(ref.values, want.values)
+
+
+def test_compressed_cross_keeps_the_law_of_the_tent_forcing():
+    # a row of N(0, dt) normals measured by [C_l | R^T] has covariance
+    # dt (C_l C_l^T + R^T R), and R^T R = C_h C_h^T makes it dt C C^T, the
+    # covariance of the full row measured by C (1.5e-15 of its largest
+    # entry measured at default heat size), with R triangular
+    p, _, n_quad, _ = _default_spde("heat")
+    full, n_step, cross = _heat_cross(p, n_quad)
+    low, r_t = cross[:, :n_step], cross[:, n_step:]
+    assert np.array_equal(r_t, np.tril(r_t))
+    want = full @ full.T
+    got = low @ low.T + r_t @ r_t.T
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_allen_cahn_coarse_path_is_measured_in_all_modes():
+    # Allen-Cahn steps all L modes, so nothing is compressed: its coarse
+    # path is the coarse sums of the full rows measured by the full cross
+    # Gram, bit for bit (default sizes over 64 coarse steps)
+    p, n_steps, n_quad, init = _default_spde("allen_cahn",
+                                             {"t_final": 2.0 ** -4})
+    dt, refine, trunc = p["dt"], p["refine"], p["truncation"]
+    coarse, _ = _spde_paths(p, "allen_cahn", 7, init, n_quad)
+    full = tent_sine_cross_gram(coarse.space, trunc)
+    n_step = reference.stepped_modes("allen_cahn", trunc, n_quad)
+    assert n_step == trunc and _compressed_cross(full, n_step) is full
     sums = noise.aggregate_increments(
         noise.build_path(7, dt / refine, n_steps * refine, trunc), refine)
-    cross = tent_sine_cross_gram(coarse.space, trunc)
-    assert np.array_equal(coarse.records, sums.records @ cross.T)
+    assert np.array_equal(coarse.records, sums.records @ full.T)
 
 
 def test_spde_seeds_do_not_hold_each_others_data():

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import nessolve.kernels as kernels
 from nessolve.errors import ResolutionTooCoarseError
@@ -1008,15 +1008,21 @@ def test_constant_c_sine2d_block_matches_grid_products(monkeypatch, p):
 @settings(max_examples=25, deadline=None)
 @given(p=st.integers(2, 24), ell=st.floats(0.05, 0.5),
        nu=st.floats(0.0, 1.0), c=st.floats(-3.0, 5.0))
+@example(p=2, ell=0.5, nu=0.0, c=5.1e-160)
 def test_constant_c_sine2d_block_matches_grid_products_everywhere(
         p, ell, nu, c):
     # the same bound over sizes, length scales, diffusions and constants
     # c, zero included (4.7e-15 of max |k_cc| the largest measured at the
-    # corners of these ranges)
+    # corners of these ranges).  With nu = 0 and a tiny c the block is
+    # 4c^2(...), subnormal near 1e-319, where the two forms differ by a few
+    # subnormal steps (2.5e-323 at c = 5.1e-160) that no bound relative to
+    # the block can admit; the bound is taken relative to at least the
+    # smallest normal float, which changes nothing in the normal range
     spec, fs = KernelSpec("matern52", ell), _constant_c_features(p, c, nu)
     want = _grid_product_block(spec, fs)
     got = assemble_features(spec, fs).k_chi_phi[:, :fs.n_features]
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    scale = max(np.max(np.abs(want)), np.finfo(float).tiny)
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 def test_varying_c_sine2d_build_takes_grid_products(monkeypatch):

@@ -10,7 +10,7 @@ from nessolve import experiments, operators, reference
 from nessolve.noise import build_path, stream
 from nessolve.noise import increment_blocks
 from nessolve.reference import closed_form_elliptic_1d, \
-    manufactured_semilinear_2d, spectral_galerkin_spde
+    manufactured_semilinear_2d, spectral_galerkin_spde, stepped_modes
 from nessolve.spaces import GridFunction, MeasurementVector, \
     build_test_space, project, synthesize
 
@@ -271,6 +271,28 @@ def test_streamed_blocks_step_like_the_materialized_path(family):
         initial=init, store_every=4)
     assert np.array_equal(got_coeffs, want_coeffs)
     assert np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("family", ["heat", "allen_cahn"])
+def test_blocks_need_only_the_stepped_modes(family):
+    # heat on an 11-point grid steps the 9 modes it carries, Allen-Cahn all
+    # L = 12: rows exactly that wide drive the same trajectory as rows of
+    # L, and rows one narrower are refused
+    dt, L, n_steps, n_grid = 1.0 / 64, 12, 16, 11
+    n_step = stepped_modes(family, L, n_grid)
+    assert n_step == (9 if family == "heat" else L)
+
+    def run(records):
+        return spectral_galerkin_spde(
+            family, 0.05, 0.3, dt, L, n_steps * dt, [records],
+            initial=_smooth_initial(L), store_every=4, n_grid=n_grid)
+
+    want, want_coeffs = run(build_path(3, dt, n_steps, L).records)
+    got, got_coeffs = run(build_path(3, dt, n_steps, n_step).records)
+    assert np.array_equal(got_coeffs, want_coeffs)
+    assert np.array_equal(got.values, want.values)
+    with pytest.raises(ValueError, match="fewer modes"):
+        run(build_path(3, dt, n_steps, n_step - 1).records)
 
 
 def test_streamed_path_validation():
