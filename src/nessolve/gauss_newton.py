@@ -7,10 +7,10 @@ equality-constrained quadratic program
     min_c  (Bc - r)^T A^{-1} (Bc - r) + gamma * c^T G c
     s.t.   C c = g
 
-with one solver, ``KKTSystem``: the boundary coefficients are eliminated
-through the constraint and the remaining least-squares problem is factored
-by one triangular-pentagonal QR, once per set of Gram blocks;
-``KKTSystem.solve`` applies the stored factors to the right-hand sides it
+with one solver, ``KKTSystem``: since G is invertible the QP is solved in
+its dual form, the kernel-ridge system (G + gamma blockdiag(A, 0)) c =
+[r; g], factored by one Cholesky once per set of Gram blocks;
+``KKTSystem.solve`` applies the stored factor to the right-hand sides it
 is given.
 The outer loop (``solve``) builds and factors once for a linear family.
 A nonlinear one iterates the chord map on its first build (Kelley, 1995,
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import blas, lapack
 
 from . import operators
 from .errors import DegenerateFeaturesError, DivergenceError
@@ -43,8 +42,6 @@ from .spaces import GridFunction, MeasurementVector, TestSpace, \
 __all__ = ["SolverConfig", "Representer", "SolveReport", "KKTSystem",
            "constrained_ls_solve", "solve", "evaluate"]
 
-# block size of the triangular-pentagonal QR (the nb of LAPACK dtpqrt)
-_TPQRT_BLOCK = 64
 # the chord phase of a nonlinear solve (``_chord``): its Anderson depth,
 # the relative step that ends it, and the most images it takes
 _ANDERSON_DEPTH = 5
@@ -110,20 +107,18 @@ class SolveReport:
     build: the loss of the build's last step, the relative step of the
     grid iterate (for the chord build, its accepted step), the estimate of
     the remaining error (infinite for the chord build, 0 for a linear
-    one), the whitened weak residual of the iterate and the jitter; then
-    the chord's image count and whether it stopped without contracting."""
+    one) and the whitened weak residual of the iterate; then the chord's
+    image count and whether it stopped without contracting."""
 
     misfit_history: list = field(default_factory=list)
     penalty_history: list = field(default_factory=list)
     step_history: list = field(default_factory=list)
     error_estimates: list = field(default_factory=list)
     residual_history: list = field(default_factory=list)
-    jitter_history: list = field(default_factory=list)
     chord_steps: int = 0
     chord_fell_back: bool = False
     iterations: int = 0                # Gram builds
     reason: str = ""
-    jitter: float = 0.0                # largest Gram regularization
     final_grid: GridFunction = None    # solution on the quadrature grid
 
     @property
@@ -132,60 +127,28 @@ class SolveReport:
                 zip(self.misfit_history, self.penalty_history)]
 
 
-def _penalty_cholesky(g: np.ndarray, n: int, x: np.ndarray, h: np.ndarray):
-    """Upper factor U of P = S11 + rho (I + H^T H), in a new Fortran array,
-    with S11 = G11 - X^T X the Schur complement of the boundary block
-    (X = L22^{-1} G21) and H = G22^{-1} G21; rho is 1e-10 of G's mean
-    diagonal (the nugget of Chen et al., J. Comput. Phys. 2021) plus any
-    rung of a jitter ladder.  Also rho, absolute and as a fraction of the
-    mean diagonal.  Every try refills the same array."""
-    nugget = 1e-10 * np.trace(g) / g.shape[0]
-    scale = (np.diagonal(g) + nugget).mean()
-    g11 = g[:n, :n].T           # G is symmetric: G11 read in Fortran order
-    p = np.empty((n, n), order="F")
-    for bump in (0.0, 1e-13, 1e-11, 1e-9):
-        rho = nugget + bump * scale
-        np.copyto(p, g11)
-        blas.dgemm(-1.0, x, x, beta=1.0, c=p, trans_a=1, overwrite_c=1)
-        blas.dgemm(rho, h, h, beta=1.0, c=p, trans_a=1, overwrite_c=1)
-        p[np.diag_indices(n)] += rho
-        try:
-            return (scipy.linalg.cholesky(p, overwrite_a=True,
-                                          check_finite=False),
-                    rho, 1e-10 + bump)
-        except scipy.linalg.LinAlgError:
-            continue
-    raise DegenerateFeaturesError(
-        "feature Gram matrix is not positive definite", block="k_phi_phi")
-
-
 class KKTSystem:
-    """The step QP factored once by direct elimination of the boundary
-    coefficients (Bjorck, Numerical Methods for Least Squares Problems,
-    1996, section 5.1).
+    """The step QP in its dual form, factored once by one Cholesky.
 
-    The coefficients split into N operator ones c_o and M boundary ones
-    c_b, and the Gram matrix G into blocks G11, G12 = G21^T, G22, the last
-    K(boundary, boundary).  The constraint C c = G21 c_o + G22 c_b = g
-    gives c_b = G22^{-1} g - H c_o with H = G22^{-1} G21, so B c = S11 c_o
-    + H^T g with the Schur complement S11 = G11 - G12 G22^{-1} G21, and
-    the penalty gamma c^T (G + rho I) c becomes, up to a constant,
-    gamma (c_o^T P c_o - 2 rho c_o^T H^T G22^{-1} g) with P = S11 +
-    rho (I + H^T H) = U^T U: the cross terms G12 - H^T G22 vanish.  With
-    W the whitening of the test-space energy, c_o is the least-squares
-    solution of
+    The coefficients split into N operator ones c_1 and M boundary ones
+    c_2, and the Gram matrix G into blocks G11, G12 = G21^T, G22, the last
+    K(boundary, boundary), so B = [G11 G12] and C = [G21 G22].  With E_1,
+    E_2 the first N and the last M columns of the identity, stationarity
+    of the QP reads G [E_1 A^{-1} (B c - r) + gamma c + E_2 mu] = 0, and G
+    is invertible, so the coefficients solve
 
-        [sqrt(gamma) U; W S11] c_o = [sqrt(gamma) rho U^{-T} H^T G22^{-1} g;
-                                      W (r - H^T g)],
+        (G + gamma blockdiag(A, 0)) c = [r; g],
 
-    factored by one triangular-pentagonal QR (LAPACK ``dtpqrt``), which
-    keeps the triangle of U and costs about 2 N^3 flops.  No normal
-    equations are formed, so the high-frequency features survive in double
-    precision.  A build holds two N x N arrays besides the Gram: R over U
-    and the reflectors over W S11.  Each ``solve`` applies them
-    (``dtpmqrt``) to its right-hand sides.  G is regularized here only, by
-    rho, the nugget plus any jitter rung; ``jitter`` is rho as a fraction
-    of G's mean diagonal.
+    the kernel-ridge system of the MAP estimate with the boundary rows
+    taken exactly (Chen, Hosseini, Owhadi & Stuart, J. Comput. Phys. 447,
+    2021).  A is the test-space energy matrix: ``ctx.diag`` for sine
+    spaces, L L^T from ``ctx.chol`` for fem.  K = G + gamma blockdiag(A, 0)
+    is positive definite whenever G22 is, since x^T K x = x^T G x +
+    gamma x_1^T A x_1, so one Cholesky factors it, about N^3 / 3 flops,
+    in one (N+M) x (N+M) array besides the Gram; ``solve`` applies it to
+    its right-hand sides.  No normal equations of B are formed and G is
+    not regularized: a K that does not factor in float64 raises
+    ``DegenerateFeaturesError``.
     """
 
     def __init__(self, ctx: SeminormContext, blocks: GramBlocks,
@@ -198,9 +161,8 @@ class KKTSystem:
         if not np.isfinite(g).all():
             raise ValueError("Gram matrix holds a non-finite entry")
         try:
-            self._l22 = scipy.linalg.cholesky(g[n:, n:], lower=True,
-                                              check_finite=False)
-            pivots = np.diagonal(self._l22)
+            pivots = np.diagonal(scipy.linalg.cholesky(
+                g[n:, n:], lower=True, check_finite=False))
             independent = pivots.min() > \
                 self.n_primal * np.finfo(float).eps * pivots.max()
         except scipy.linalg.LinAlgError:
@@ -208,45 +170,33 @@ class KKTSystem:
         if not independent:
             raise DegenerateFeaturesError(
                 "boundary features are linearly dependent", block="k_x_phi")
-        x = scipy.linalg.solve_triangular(self._l22, g[n:, :n], lower=True)
-        self._h = scipy.linalg.solve_triangular(self._l22, x, trans="T",
-                                                lower=True)
-        # W S11 = W G11 - (W X^T) X, in the Fortran array whiten returns
-        ws11 = np.asfortranarray(ctx.whiten(g[:n, :n].T))
-        blas.dgemm(-1.0, ctx.whiten(x.T), x, beta=1.0, c=ws11,
-                   overwrite_c=1)
-        u, self._reg, self.jitter = _penalty_cholesky(g, n, x, self._h)
-        # the right-hand sides per unit of G22^{-1} g (top) and of g
-        # (bottom), the top one formed before the QR overwrites U
-        self._top_map = scipy.linalg.solve_triangular(u, self._h.T,
-                                                      trans="T")
-        self._top_map *= np.sqrt(gamma) * self._reg
-        self._bottom_map = ctx.whiten(self._h.T)
-        u *= np.sqrt(gamma)
-        self._r, self._v, self._t, info = lapack.dtpqrt(
-            0, min(n, _TPQRT_BLOCK), u, ws11, overwrite_a=1, overwrite_b=1)
-        if info != 0:
-            raise ValueError(f"dtpqrt failed (info={info})")
+        # G is symmetric, so its transpose is a Fortran copy of it, which
+        # potrf factors in place
+        k = g.T.copy(order="F")
+        if ctx.diag is not None:
+            k[np.diag_indices(n)] += gamma * ctx.diag
+        else:
+            k[:n, :n] += gamma * (ctx.chol @ ctx.chol.T)
+        try:
+            self._factor = scipy.linalg.cho_factor(
+                k, lower=True, overwrite_a=True, check_finite=False)
+        except scipy.linalg.LinAlgError:
+            raise DegenerateFeaturesError(
+                "step system is not positive definite",
+                block="k_phi_phi") from None
 
     def solve(self, r_entries: np.ndarray, g_boundary: np.ndarray):
         """Coefficients for one right-hand side, or for each column of a
         matrix of them (a vector ``g_boundary`` is shared by all columns)."""
-        n, m = self._r.shape[0], self._l22.shape[0]
-        w = self.ctx.whiten(r_entries)
-        vector = w.ndim == 1
-        w = w.reshape(n, -1)
-        g = np.broadcast_to(np.reshape(g_boundary, (m, -1)), (m, w.shape[1]))
-        e = scipy.linalg.cho_solve((self._l22, True), g)     # G22^{-1} g
-        top = np.asfortranarray(self._top_map @ e)
-        bottom = np.asfortranarray(w - self._bottom_map @ g)
-        top, _, info = lapack.dtpmqrt(0, self._v, self._t, top, bottom,
-                                      trans="T", overwrite_a=1,
-                                      overwrite_b=1)
-        if info != 0:
-            raise ValueError(f"dtpmqrt failed (info={info})")
-        coeffs = np.empty((self.n_primal, w.shape[1]))
-        coeffs[:n] = scipy.linalg.solve_triangular(self._r, top)
-        coeffs[n:] = e - self._h @ coeffs[:n]
+        r = np.asarray(r_entries, dtype=float)
+        n, m = r.shape[0], self.n_primal - r.shape[0]
+        vector = r.ndim == 1
+        r = r.reshape(n, -1)
+        rhs = np.empty((self.n_primal, r.shape[1]))
+        rhs[:n] = r
+        rhs[n:] = np.reshape(g_boundary, (m, -1))
+        coeffs = scipy.linalg.cho_solve(self._factor, rhs, overwrite_b=True,
+                                        check_finite=False)
         if not np.all(np.isfinite(coeffs)):
             raise DegenerateFeaturesError("non-finite step solution",
                                           block="k_phi_phi")
@@ -255,8 +205,7 @@ class KKTSystem:
     def loss_terms(self, coeffs: np.ndarray, r_entries: np.ndarray):
         resid = self.blocks.k_chi_phi @ coeffs - r_entries
         misfit = seminorm_squared(self.ctx, resid)
-        penalty = self.gamma * float(coeffs @ (self.blocks.k_phi_phi @ coeffs)
-                                     + self._reg * (coeffs @ coeffs))
+        penalty = self.gamma * float(coeffs @ (self.blocks.k_phi_phi @ coeffs))
         return misfit, penalty
 
 
@@ -425,8 +374,6 @@ def solve(op: OperatorSpec, xi: MeasurementVector, cfg: SolverConfig,
         report.error_estimates.append(estimate)
         report.residual_history.append(
             _weak_residual(ctx, fs, xi, u_grid, n_u))
-        report.jitter_history.append(kkt.jitter)
-        report.jitter = max(report.jitter, kkt.jitter)
         report.iterations = it + 1
         if op.is_linear:
             report.reason = "linear"

@@ -57,7 +57,8 @@ varying c takes the grid products.
 Pointwise collocation features pair the kernel with the operator at both
 points; the derivatives involved share one exponential, so each entry
 costs one ``exp``.  Every kind fills one (N+M) x (N+M) Gram array,
-unregularized: ``gauss_newton.KKTSystem`` adds the nugget and any jitter.
+unregularized, and no solver regularizes it: ``gauss_newton.KKTSystem``
+adds only gamma times the test-space energy to its operator block.
 
 Memory.  No feature holds an N x G array (G grid points): sine1d and fem
 features are columns at points, and sine2d weight rows are separable,

@@ -4,12 +4,13 @@ Each step solves the rough linear problem (I - dt*nu*Lap) u_{k+1} =
 u_k + dt*f(u_k) + sigma*dxi_k with the weak-norm kernel solver: the
 Gauss-Newton step QP of a linear elliptic operator with diffusion dt*nu.
 The operator is time-independent, so ``Stepper`` assembles its Gram blocks,
-factors one ``KKTSystem`` and solves it once for the identity columns of
-the right-hand side; the grid values of those N coefficient columns
-(``GramBlocks.on_grid``) are the solution map from
+factors one ``KKTSystem`` (one Cholesky of the dual step system, G plus
+gamma times the fem energy Gram on its operator block) and solves it once
+for the identity columns of the right-hand side; the grid values of those
+N coefficient columns (``GramBlocks.on_grid``) are the solution map from
 measurements to grid values (n_quad x N).  Each step then costs one
 projection of the right-hand side and one product with that map, instead
-of a solve from the factors.  The reaction term (u - u^3 for Allen-Cahn)
+of a solve from the factor.  The reaction term (u - u^3 for Allen-Cahn)
 is treated explicitly.  Noise increments must be measured against the
 scheme's own basis (see ``tent_sine_cross_gram``).
 """

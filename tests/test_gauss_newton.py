@@ -88,7 +88,7 @@ def test_large_gamma_shrinks_coefficients():
 
 def test_loss_terms_match_their_definitions():
     # misfit (Bc - r)^T A^{-1} (Bc - r) by a dense solve, penalty
-    # gamma c^T G c on the Gram matrix as the KKT system regularized it
+    # gamma c^T G c on the unregularized Gram matrix
     ctx, blocks, r, g, gamma = _tiny_problem()
     kkt = KKTSystem(ctx, blocks, gamma)
     coeffs = kkt.solve(r, g)
@@ -97,7 +97,7 @@ def test_loss_terms_match_their_definitions():
     a = stiffness_matrix(ctx.space, ctx.s)
     assert misfit == pytest.approx(resid @ np.linalg.solve(a, resid),
                                    rel=1e-10)
-    gram = blocks.k_phi_phi + kkt._reg * np.eye(len(coeffs))
+    gram = blocks.k_phi_phi
     assert penalty == pytest.approx(gamma * coeffs @ gram @ coeffs,
                                     rel=1e-10)
     assert misfit > 0 and penalty > 0
@@ -162,14 +162,15 @@ def test_non_finite_gram_raises(entry):
         KKTSystem(ctx, GramBlocks(g, blocks.n_features), gamma)
 
 
-def _mp_step(ctx, blocks, r, g, gamma, rho):
+def _mp_step(ctx, blocks, r, g, gamma):
     """The step QP's coefficients in mpmath at 50 digits, from the float64
-    Gram and regularization: its KKT system
+    Gram, unregularized: its KKT system
 
-        [2 (B^T A^{-1} B + gamma (G + rho I))  C^T] [c ]   [2 B^T A^{-1} r]
-        [C                                     0  ] [mu] = [g             ]
+        [2 (B^T A^{-1} B + gamma G)  C^T] [c ]   [2 B^T A^{-1} r]
+        [C                           0  ] [mu] = [g             ]
 
-    by LU."""
+    by one LU, for one right-hand side, or a list of them for the columns
+    of matrices r and g."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(50):
         gram = mp.matrix(blocks.k_phi_phi.tolist())
@@ -178,19 +179,22 @@ def _mp_step(ctx, blocks, r, g, gamma, rho):
         a = stiffness_matrix(ctx.space, ctx.s)
         a_inv_b = mp.inverse(mp.matrix(a.tolist())) * b
         h = 2 * (b.T * a_inv_b)
-        a_inv_b_r = 2 * (a_inv_b.T * mp.matrix(r.tolist()))
+        r_cols, g_cols = np.reshape(r, (n, -1)), np.reshape(g, (m, -1))
+        a_inv_b_r = 2 * (a_inv_b.T * mp.matrix(r_cols.tolist()))
         kkt = mp.zeros(n_primal + m)
-        rhs = mp.zeros(n_primal + m, 1)
         for i in range(n_primal):
             for j in range(n_primal):
-                kkt[i, j] = h[i, j] + 2 * gamma * (gram[i, j] + rho * (i == j))
+                kkt[i, j] = h[i, j] + 2 * gamma * gram[i, j]
             for j in range(m):
                 kkt[i, n_primal + j] = kkt[n_primal + j, i] = gram[n + j, i]
-            rhs[i] = a_inv_b_r[i]
-        for j in range(m):
-            rhs[n_primal + j] = g[j]
-        sol = mp.lu_solve(kkt, rhs)
-        return [sol[i] for i in range(n_primal)]
+        lu, perm = mp.mp.LU_decomp(kkt)
+        cols = []
+        for k in range(r_cols.shape[1]):
+            rhs = mp.matrix([a_inv_b_r[i, k] for i in range(n_primal)] +
+                            [mp.mpf(v) for v in g_cols[:, k]])
+            sol = mp.mp.U_solve(lu, mp.mp.L_solve(lu, rhs, perm))
+            cols.append([sol[i] for i in range(n_primal)])
+        return cols[0] if r.ndim == 1 else cols
 
 
 @pytest.mark.parametrize("kind,n", [("sine1d", 8), ("sine1d", 16),
@@ -198,10 +202,11 @@ def _mp_step(ctx, blocks, r, g, gamma, rho):
                                     ("fem1d", 16)])
 def test_step_matches_50_digit_oracle(kind, n):
     # only the factorization's rounding is measured: the oracle starts from
-    # the same float64 Gram and the KKT system's own rho.  Max grid-value
-    # error over max |u|: the null-space QR this solver replaced read
-    # 1.3e-15, 3.7e-15, 7.8e-14, 3.2e-13 (sine1d, n = 8 to 64) and 4.1e-15
-    # (fem1d); the bound is ten times the largest of them
+    # the same float64 Gram and solves the primal QP with no nugget, which
+    # the dual Cholesky solves too.  Max grid-value error over max |u|: the
+    # null-space QR that preceded both solvers read 1.3e-15, 3.7e-15,
+    # 7.8e-14, 3.2e-13 (sine1d, n = 8 to 64) and 4.1e-15 (fem1d); the
+    # bound is ten times the largest of them
     gamma = 1e-12
     sp = build_test_space(kind, n)
     q = default_n_quad(sp)
@@ -212,7 +217,7 @@ def test_step_matches_50_digit_oracle(kind, n):
     g = np.array([0.1, -0.2])
     kkt = KKTSystem(ctx, blocks, gamma)
     coeffs = kkt.solve(r, g)
-    oracle = _mp_step(ctx, blocks, r, g, gamma, kkt._reg)
+    oracle = _mp_step(ctx, blocks, r, g, gamma)
     # the difference taken at 50 digits, then rounded
     err = np.array([float(c - o) for c, o in zip(coeffs.tolist(), oracle)])
     e = blocks.quad_eval
@@ -221,8 +226,8 @@ def test_step_matches_50_digit_oracle(kind, n):
 
 
 def test_build_peak_memory():
-    # besides the Gram a build holds two N x N arrays, R and the reflectors
-    # of the QR, formed in place over the penalty factor and W S11
+    # besides the Gram a build holds one (N+M) x (N+M) array, the factor
+    # of the dual system, formed in place over its copy of the Gram
     n = 1024
     sp = build_test_space("sine1d", n)
     fs = FeatureSet(sp, np.ones(1), 0.01, BP, 4 * n + 1)
@@ -230,25 +235,23 @@ def test_build_peak_memory():
     ctx = SeminormContext.build(sp, 1.0)
     tracemalloc.start()
     try:
-        kkt = KKTSystem(ctx, blocks, 1e-12)
+        KKTSystem(ctx, blocks, 1e-12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert kkt.jitter == 1e-10
     unit = 8 * n * n
-    assert peak <= 2.5 * unit, f"peak {peak / unit:.2f} N x N arrays"
+    assert peak <= 1.5 * unit, f"peak {peak / unit:.2f} N x N arrays"
 
 
 def test_elliptic1d_weak_system_factors_at_rung_0():
-    # the closed-form sine1d Gram leaves the Schur complement S11 positive
-    # definite, so the penalty factors with the nugget alone (the grid
-    # quadrature it replaced needed the 1e-9 rung at n = 4096, which CI
-    # checks); test_build_peak_memory asserts the same at n = 1024
+    # the dual system of the closed-form sine1d Gram factors as it is, with
+    # nothing added to its diagonal (CI checks n = 4096); it raises
+    # DegenerateFeaturesError otherwise.  test_build_peak_memory builds
+    # n = 1024
     sp = build_test_space("sine1d", 2048)
     fs = FeatureSet(sp, np.ones(1), 0.01, BP, default_n_quad(sp))
-    kkt = KKTSystem(SeminormContext.build(sp, 1.0),
-                    assemble_features(KER, fs), 1e-12)
-    assert kkt.jitter == 1e-10
+    KKTSystem(SeminormContext.build(sp, 1.0), assemble_features(KER, fs),
+              1e-12)
 
 
 def test_elliptic1d_grid_values_round_below_1e8():
@@ -285,51 +288,58 @@ def test_elliptic1d_grid_values_round_below_1e8():
     assert err <= 1e-8
 
 
-def _apply_q(h, tau, c, side, trans="N"):
-    """Q c, Q^T c (side "L") or c Q (side "R") for Q held as Householder
-    reflectors (``scipy.linalg.qr(..., mode="raw")``), in place when ``c``
-    is Fortran-ordered."""
-    cq, _, info = scipy.linalg.lapack.dormqr(
-        side, trans, h, tau, c, max(1, 64 * max(c.shape)), overwrite_c=1)
-    assert info == 0, f"dormqr failed (info={info})"
-    return cq
+def _longdouble_cholesky_solve(k, rhs):
+    """k^{-1} rhs in np.longdouble: a left-looking Cholesky of k and the
+    two triangular solves, every product accumulated in 80 bits."""
+    ld = np.longdouble
+    a = np.asarray(k, dtype=ld)
+    n = a.shape[0]
+    low = np.zeros((n, n), dtype=ld)
+    for j in range(n):
+        col = a[j:, j] - low[j:, :j] @ low[j, :j]
+        low[j:, j] = col / np.sqrt(col[0])
+    y = np.array(rhs, dtype=ld)
+    for i in range(n):
+        y[i] = (y[i] - low[i, :i] @ y[:i]) / low[i, i]
+    for i in reversed(range(n)):
+        y[i] = (y[i] - low[i + 1:, i] @ y[i + 1:]) / low[i, i]
+    return y
 
 
-def _padded_identity_map(ctx, blocks, gamma):
-    """The coefficient map formed by applying the reflectors of the QR of
-    S Z to the zero-padded identity of the right-hand sides (the
-    dormqr-only formation, written out independently of ``KKTSystem``)."""
-    b, c = blocks.k_chi_phi, blocks.k_x_phi
-    n, n_primal = b.shape
-    m = c.shape[0]
-    (h, tau), r1 = scipy.linalg.qr(c.T, mode="raw")
-    g = blocks.k_phi_phi
-    nugget = 1e-10 * np.trace(g) / n_primal
-    chol = scipy.linalg.cholesky(g + nugget * np.eye(n_primal), lower=True)
-    sq = np.asfortranarray(np.vstack([ctx.whiten(b),
-                                      np.sqrt(gamma) * chol.T]))
-    sq = _apply_q(h, tau, sq, "R")
-    sq1 = sq[:, :m].copy()
-    (hz, tauz), t = scipy.linalg.qr(sq[:, m:], mode="raw")
-    y1 = scipy.linalg.solve_triangular(r1, np.eye(m), trans="T")
-    rhs = np.zeros((n + n_primal, n + m), order="F")
-    rhs[:n, :n] = ctx.whiten(np.eye(n))
-    rhs[:, n:] = -sq1 @ y1
-    rhs = _apply_q(hz, tauz, rhs, "L", "T")[:n_primal - m]
-    y = np.zeros((n_primal, n + m), order="F")
-    y[:m, n:] = y1
-    y[m:] = scipy.linalg.solve_triangular(t, rhs)
-    return _apply_q(h, tau, y, "L")
+def test_sine1d_weak_solve_is_stable_under_refinement():
+    # the n = 512 weak solve of elliptic1d's forcing (nu = 0.01, gamma =
+    # 1e-12) against a long-double Cholesky of the same dual system K = G +
+    # gamma blockdiag(A, 0).  K's condition number grows about 16-fold per
+    # doubling of n (5.9e13 at n = 512), yet the float64 Cholesky's grid
+    # values stay within 4.3e-10 of max |u| (4.2e-9 at n = 1024)
+    from nessolve import noise
+    n, gamma = 512, 1e-12
+    sp = build_test_space("sine1d", n)
+    fs = FeatureSet(sp, np.ones(1), 0.01, BP, default_n_quad(sp))
+    blocks = assemble_features(KER, fs)
+    ctx = SeminormContext.build(sp, 1.0)
+    r = noise.sample_white_noise_spectral(2 ** 14, 7).entries[:n]
+    coeffs = KKTSystem(ctx, blocks, gamma).solve(r, np.zeros(2))
+    k = blocks.k_phi_phi.astype(np.longdouble)
+    k[np.diag_indices(n)] += np.longdouble(gamma) * ctx.diag
+    exact = _longdouble_cholesky_solve(k, np.r_[r, 0.0, 0.0])
+    u = blocks.on_grid(exact.astype(float))
+    err = blocks.on_grid((coeffs - exact).astype(float))
+    assert np.max(np.abs(err)) <= 1e-8 * np.max(np.abs(u))
 
 
 @pytest.mark.parametrize("n", [3, 24])
 def test_identity_solves_match_padded_identity_formation(n):
     # solving for the unit right-hand sides, columns ordered (r, g), gives
-    # the coefficient map of the padded-identity formation
+    # the coefficient map of the 50-digit solve of the same QP, column by
+    # column.  The dense null-space solve forms B^T A^{-1} B and is itself
+    # 6.0e-12 of max |map| off at n = 24, so it cannot stand as the oracle
+    # at this bound; the dual Cholesky is 1.1e-14 off
     ctx, blocks, _, _, gamma = _tiny_problem(n=n)
-    coeff_map = _padded_identity_map(ctx, blocks, gamma)
-    kkt = KKTSystem(ctx, blocks, gamma)
     eye = np.eye(n + 2)
+    coeff_map = np.array(_mp_step(ctx, blocks, eye[:n], eye[n:], gamma),
+                         dtype=float).T
+    kkt = KKTSystem(ctx, blocks, gamma)
     coeffs = kkt.solve(eye[:n], eye[n:])
     assert np.max(np.abs(coeffs - coeff_map)) <= \
         1e-12 * np.max(np.abs(coeff_map))
@@ -359,35 +369,22 @@ def test_matrix_of_right_hand_sides_matches_column_solves(kind):
         1e-12 * max(1.0, np.abs(repeated).max())
 
 
-def test_gram_jitter_is_reported():
-    # the nugget, 1e-10 of the mean diagonal, is all a regular Gram needs
-    ctx, blocks, r, g, gamma = _tiny_problem()
-    kkt = KKTSystem(ctx, blocks, gamma)
-    assert kkt.jitter == 1e-10
-    coeffs = kkt.solve(r, g)
-    mean_diag = np.trace(blocks.k_phi_phi) / blocks.k_phi_phi.shape[0]
-    penalty = gamma * (coeffs @ blocks.k_phi_phi @ coeffs +
-                       1e-10 * mean_diag * coeffs @ coeffs)
-    assert kkt.loss_terms(coeffs, r)[1] == pytest.approx(penalty, rel=1e-12)
+def test_indefinite_step_system_raises():
     # duplicate operator feature 0 and shift the Gram matrix down by 5e-10
-    # of its mean diagonal: it is then indefinite, the nugget is not enough
-    # and the ladder's 1e-9 rung is, which the jitter reports on top
-    n = blocks.n_features + 1
+    # of its mean diagonal: along the difference of the two copies G then
+    # reads -5e-10 of the mean diagonal, and gamma = 1e-16 times the test
+    # energy does not lift it, so K is not positive definite and no
+    # regularization is added in its place
+    blocks = _tiny_problem()[1]
     idx = np.r_[0, np.arange(blocks.k_phi_phi.shape[0])]
     g_dup = blocks.k_phi_phi[np.ix_(idx, idx)]
     g_dup = g_dup - 5e-10 * np.trace(g_dup) / g_dup.shape[0] \
         * np.eye(g_dup.shape[0])
-    with pytest.raises(scipy.linalg.LinAlgError):
-        scipy.linalg.cholesky(g_dup + 1e-10 * np.trace(g_dup) /
-                              g_dup.shape[0] * np.eye(g_dup.shape[0]))
-    dup_ctx = SeminormContext.build(build_test_space("sine1d", n), 1.0)
-    kkt = KKTSystem(dup_ctx, GramBlocks(g_dup, n), gamma)
-    assert kkt.jitter == 1e-10 + 1e-9
-    coeffs = kkt.solve(np.r_[r[0], r], g)
-    assert np.max(np.abs(kkt.blocks.k_x_phi @ coeffs - g)) <= 1e-8
-    # a linear solve reports the nugget alone
-    op, xi, cfg, _ = _single_mode_setup(n=16)
-    assert solve(op, xi, cfg)[1].jitter == 1e-10
+    n = blocks.n_features + 1
+    ctx = SeminormContext.build(build_test_space("sine1d", n), 1.0)
+    with pytest.raises(DegenerateFeaturesError) as info:
+        KKTSystem(ctx, GramBlocks(g_dup, n), 1e-16)
+    assert info.value.block == "k_phi_phi"
 
 
 def test_solver_config_validation():
@@ -581,14 +578,12 @@ def test_chord_prediction_takes_two_builds_and_reports_each():
     assert report.iterations == 2 and report.reason == "converged"
     assert 1 < report.chord_steps < 20 and not report.chord_fell_back
     for history in (report.misfit_history, report.step_history,
-                    report.error_estimates, report.residual_history,
-                    report.jitter_history):
+                    report.error_estimates, report.residual_history):
         assert len(history) == report.iterations
     assert report.step_history[0] <= 1e-9
     assert report.error_estimates[0] == np.inf
     assert report.error_estimates[1] <= cfg.tolerance
     assert all(np.isfinite(report.residual_history))
-    assert report.jitter == max(report.jitter_history)
     want = _plain_gauss_newton(op, xi, cfg)[0][-1]
     err = np.max(np.abs(report.final_grid.values - want))
     assert err <= 1e-8 * np.max(np.abs(want))
